@@ -57,12 +57,11 @@ def _corner_rects(count=NUM_RECTS, seed=29):
     ]
 
 
-def _build_sharded(max_workers=None):
+def _build_sharded():
     index = ShardedSFCIndex(
         make_curve("onion", SIDE, 2),
         num_shards=NUM_SHARDS,
         page_capacity=8,
-        max_workers=max_workers,
     )
     index.bulk_load(_points())
     index.flush()
@@ -171,17 +170,12 @@ def test_bench_json_is_machine_readable(sharded_records):
 # Wall-clock history
 # ----------------------------------------------------------------------
 def test_bench_sharded_batch_inline_filtering(benchmark, rects):
-    index = _build_sharded(max_workers=0)
-    benchmark(index.range_query_batch, rects[:100])
-
-
-def test_bench_sharded_batch_pooled_filtering(benchmark, rects):
-    index = _build_sharded(max_workers=NUM_SHARDS)
+    index = _build_sharded()
     benchmark(index.range_query_batch, rects[:100])
 
 
 def test_bench_sharded_point_queries(benchmark, rects):
-    index = _build_sharded(max_workers=0)
+    index = _build_sharded()
     hot = rects[:50]
     benchmark(lambda: [index.range_query(r) for r in hot])
 

@@ -75,7 +75,8 @@ def main() -> None:
     )
     assert a.records == b.records and a.seeks == b.seeks
 
-    # The scatter-gather plan, and what parallel shard workers buy.
+    # The scatter-gather plan, and what the cost model prices parallel
+    # shard workers at (a simulated estimate; shards are filtered inline).
     print("\n" + onion.explain(query))
     result = onion.range_query(query)
     print(

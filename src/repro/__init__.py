@@ -47,7 +47,8 @@ Plan, inspect, execute::
     batch = index.range_query_batch([query.translate((1, 0))] * 100)
 
 Shard it (identical records, seeks and pages — proven by the
-differential suite — plus per-shard attribution)::
+differential suite — plus per-shard attribution; ``parallel_cost`` is
+a simulated cost-model estimate, nothing runs in parallel)::
 
     from repro import ShardedSFCIndex
     sharded = ShardedSFCIndex(onion, num_shards=8, page_capacity=16)

@@ -278,9 +278,6 @@ class SpatialStore(abc.ABC):
     def __len__(self) -> int:
         """Number of stored records."""
 
-    def _retire_executor(self) -> None:
-        """Release resources of the outgoing executor (default: none)."""
-
     # ------------------------------------------------------------------
     # Shared introspection
     # ------------------------------------------------------------------
@@ -553,7 +550,6 @@ class SpatialStore(abc.ABC):
         if self._layout is not None:
             self._disk.retire(self._layout.page_ids)
         self._layout = None
-        self._retire_executor()
         self._executor = None
 
     @guarded_by("_mutex")
@@ -593,7 +589,6 @@ class SpatialStore(abc.ABC):
         with self._mutex:
             with _obs_span("flush", kind="storage") as sp:
                 self._log_durable(("flush",))
-                self._retire_executor()
                 layout = pack_layout(
                     self._disk, self._page_capacity, self._flush_entries()
                 )

@@ -141,7 +141,6 @@ DURABLE_APPLY_CALLS: FrozenSet[str] = frozenset(
         "_count_delta",
         "_install_layout",
         "_invalidate_layout",
-        "_retire_executor",
         "_apply",
     }
 )

@@ -23,9 +23,10 @@ executor:
 * :mod:`~repro.engine.scatter` — the sharded serving half: a
   :class:`ShardedPlanner` clipping global plans into per-shard
   fragments (priced with the cost model plus a fan-out penalty) and a
-  :class:`ScatterGatherExecutor` whose key-ordered gather I/O keeps
-  sharded execution observationally identical to single-index
-  execution while shard workers filter records in a thread pool.
+  :class:`ScatterGatherExecutor` — an :class:`Executor` whose one
+  key-ordered I/O pass keeps sharded execution observationally
+  identical to single-index execution while it filters each shard's
+  fragment inline and attributes records and I/O per shard.
 
 :class:`repro.SFCIndex` wires the single-node pieces together and
 :class:`repro.ShardedSFCIndex` the sharded ones; use the engine directly

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,8 +87,8 @@ def read_page(reader, page_id: int, page_cache: Optional[dict]):
 
     The single statement of the batch read protocol — a cached page is
     served without touching storage, a miss is read once and shared —
-    used by both the single-node and the scatter–gather executors so
-    their charged page sequences can never drift apart.
+    behind :meth:`Executor._charged`, the read pass both the single-node
+    and the scatter–gather executors run.
     """
     if page_cache is None:
         return reader(page_id)
@@ -120,9 +121,9 @@ def scan_page(page, start: int, end: int, rect, records: List[Record]) -> int:
 def execution_order(plans: Sequence) -> List[int]:
     """Batch execution order: ascending first scanned key, stable.
 
-    Shared by :meth:`Executor.execute_batch` and the scatter–gather
-    batch so both elevators visit queries identically (empty plans sort
-    last, ties break on submission order).
+    Used by :meth:`Executor.execute_batch`, which the scatter–gather
+    batch runs through, so both elevators visit queries identically
+    (empty plans sort last, ties break on submission order).
     """
     def sort_key(i: int):
         first = plans[i].first_key
@@ -209,9 +210,9 @@ class PlanStream:
     Peak record residency is one page: nothing is accumulated across
     pages.  I/O accounting is tallied per read (under ``io_lock`` when
     one is given, so sharded streams serialize their charged reads with
-    the gather path's); the workload recorder is notified exactly once,
-    when the stream finishes or is closed, with the I/O actually
-    incurred.
+    concurrent executions' read passes); the workload recorder is
+    notified exactly once, when the stream finishes or is closed, with
+    the I/O actually incurred.
     """
 
     def __init__(
@@ -405,6 +406,15 @@ class Executor:
     recorder:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
         executed plan reports its shape and realized I/O profile.
+    io_lock:
+        Optional lock held across each execution's read-and-filter pass
+        (and around each streamed read).  Pass one *shared* lock when several
+        threads or executor generations read the same disk: the sharded
+        index hands every executor generation its single I/O lock, since
+        a query racing a reflush would otherwise interleave reads with
+        the new generation and corrupt seek accounting.  ``None`` (the
+        single-threaded :class:`~repro.index.spatial.SFCIndex`) locks
+        nothing.
     """
 
     def __init__(
@@ -414,6 +424,7 @@ class Executor:
         reader: Optional[Callable[[int], Any]] = None,
         pool: Optional[BufferPool] = None,
         recorder=None,
+        io_lock: Optional[threading.Lock] = None,
     ):
         self._disk = disk
         self._layout = layout
@@ -426,6 +437,7 @@ class Executor:
         # None, not a fictitious "fully warm" zero.
         self._pool_in_path = pool is not None and reader == pool.read
         self._recorder = recorder
+        self._io_lock = io_lock
 
     @property
     def layout(self) -> PageLayout:
@@ -442,6 +454,93 @@ class Executor:
         """The workload recorder executions report to (or None)."""
         return self._recorder
 
+    # ------------------------------------------------------------------
+    # The read-and-filter pass (shared with the scatter-gather executor)
+    # ------------------------------------------------------------------
+    def _charged(
+        self,
+        scan: Callable[[Callable[[int], Any]], Any],
+        page_cache: Optional[dict],
+    ) -> Tuple[Any, int, int, Optional[int]]:
+        """The charged-read pass: run ``scan(read)`` and measure its I/O.
+
+        ``read`` is the executor's page reader, through the batch
+        ``page_cache`` when one is given (:func:`read_page`).  Returns
+        what ``scan`` returned plus the seeks and sequential reads it
+        charged and the buffer pool's cold misses (None without a pool
+        in the path), all under the I/O lock when one is set.
+        """
+        reader = self._reader
+        read = (
+            reader
+            if page_cache is None
+            else lambda page_id: read_page(reader, page_id, page_cache)
+        )
+        with self._io_lock or nullcontext():
+            stats = self._disk.stats
+            seeks_before = stats.seeks
+            seq_before = stats.sequential_reads
+            misses_before = self._pool.stats.misses if self._pool_in_path else 0
+            value = scan(read)
+            seeks = stats.seeks - seeks_before
+            sequential = stats.sequential_reads - seq_before
+            cold = (
+                self._pool.stats.misses - misses_before
+                if self._pool_in_path
+                else None
+            )
+        return value, seeks, sequential, cold
+
+    def _scan(
+        self,
+        runs: Sequence[Tuple[int, int]],
+        spans: Sequence[Tuple[int, int]],
+        rect,
+        read: Callable[[int], Any],
+    ) -> Tuple[List[Record], int]:
+        """The filter loop: every page of every ``(scan run, page span)``
+        pair, fetched through ``read`` and filtered by :func:`scan_page`.
+        Returns the matched records, in key order, and the over-read."""
+        page_ids = self._layout.page_ids
+        records: List[Record] = []
+        over_read = 0
+        for (start, end), (first, last) in zip(runs, spans):
+            for position in range(first, last + 1):
+                over_read += scan_page(
+                    read(page_ids[position]), start, end, rect, records
+                )
+        return records, over_read
+
+    @staticmethod
+    def _stamp(sp, result: RangeQueryResult, cold: Optional[int]) -> None:
+        """Attribute an execution's I/O profile to its ``kind="io"`` span."""
+        sp.set("seeks", result.seeks)
+        sp.set("sequential_reads", result.sequential_reads)
+        sp.set("pages", result.pages_read)
+        sp.set("over_read", result.over_read)
+        sp.set("records", len(result.records))
+        if cold is not None:
+            sp.set("pool_misses", cold)
+
+    def _finish(
+        self, started: float, plan, result: RangeQueryResult, cold: Optional[int]
+    ) -> None:
+        """Per-execution metrics and the workload-recorder notification."""
+        if METRICS.enabled:
+            _observe_execution(started, len(result.records), result.over_read)
+        if self._recorder is not None:
+            self._recorder.record_executed(
+                plan.rect.lengths,
+                seeks=result.seeks,
+                pages=result.pages_read,
+                records=len(result.records),
+                over_read=result.over_read,
+                cold_misses=cold,
+            )
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
     def execute(
         self,
         plan: QueryPlan,
@@ -455,55 +554,26 @@ class Executor:
         ``_page_cache`` is the batch path's shared-scan buffer: pages
         found there are served without touching the storage at all.
         """
-        layout = self._layout
-        rect = plan.rect
-        spans = resolved_spans(plan, layout)
-        stats = self._disk.stats
+        spans = resolved_spans(plan, self._layout)
         started = time.perf_counter() if METRICS.enabled else 0.0
-        seeks_before = stats.seeks
-        seq_before = stats.sequential_reads
-        misses_before = self._pool.stats.misses if self._pool_in_path else 0
-        reader = self._reader
-        records: List[Record] = []
-        over_read = 0
         # Exactly one kind="io" span per execution: Trace.io_totals sums
         # these, and the differential suite holds the sum equal to the
         # untraced result.
         with _obs_span("execute", kind="io") as sp:
-            for (start, end), (first, last) in zip(plan.scan_runs, spans):
-                for position in range(first, last + 1):
-                    page = read_page(reader, layout.page_ids[position], _page_cache)
-                    over_read += scan_page(page, start, end, rect, records)
+            (records, over_read), seeks, sequential, cold = self._charged(
+                lambda read: self._scan(plan.scan_runs, spans, plan.rect, read),
+                _page_cache,
+            )
             result = RangeQueryResult(
                 records=records,
                 runs=len(plan.scan_runs),
-                seeks=stats.seeks - seeks_before,
-                sequential_reads=stats.sequential_reads - seq_before,
+                seeks=seeks,
+                sequential_reads=sequential,
                 over_read=over_read,
             )
-            sp.set("seeks", result.seeks)
-            sp.set("sequential_reads", result.sequential_reads)
-            sp.set("pages", result.pages_read)
-            sp.set("over_read", over_read)
-            sp.set("records", len(records))
+            self._stamp(sp, result, cold)
             sp.set("runs", len(plan.scan_runs))
-            if self._pool_in_path:
-                sp.set("pool_misses", self._pool.stats.misses - misses_before)
-        if METRICS.enabled:
-            _observe_execution(started, len(records), over_read)
-        if self._recorder is not None:
-            self._recorder.record_executed(
-                plan.rect.lengths,
-                seeks=result.seeks,
-                pages=result.pages_read,
-                records=len(records),
-                over_read=over_read,
-                cold_misses=(
-                    self._pool.stats.misses - misses_before
-                    if self._pool_in_path
-                    else None
-                ),
-            )
+        self._finish(started, plan, result, cold)
         return result
 
     def stream(self, plan: QueryPlan) -> PlanStream:
@@ -512,6 +582,7 @@ class Executor:
         The streaming counterpart of :meth:`execute`: same reader, same
         page sequence, identical accounting when fully drained, but one
         page of records resident at a time and early-exit on abandon.
+        Each charged read takes the I/O lock, when one is set.
         """
         return PlanStream(
             self._disk,
@@ -520,6 +591,7 @@ class Executor:
             self._reader,
             pool=self._pool,
             pool_in_path=self._pool_in_path,
+            io_lock=self._io_lock,
             recorder=self._recorder,
         )
 

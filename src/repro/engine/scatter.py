@@ -11,39 +11,36 @@ layer:
   priced with the existing :class:`~repro.engine.cost.CostModel` plus a
   per-shard fan-out penalty (the RPC each extra shard costs);
 * :class:`ShardedPlan` bundles the global plan with its fragments and
-  predicts both the serial I/O profile (identical to the single-index
-  plan) and the parallel makespan of scattering the fragments over
-  workers;
-* :class:`ScatterGatherExecutor` executes a sharded plan: a key-ordered
-  gather-side I/O pass charges exactly the page sequence the single
-  index would read, shard workers filter their fragments' records in a
-  thread pool, and the gather concatenates per-shard results in key
-  order.
+  predicts the serial I/O profile (identical to the single-index plan)
+  plus a cost-model estimate of running the fragments in parallel;
+* :class:`ScatterGatherExecutor`, an
+  :class:`~repro.engine.executor.Executor`, executes a sharded plan in
+  one key-ordered pass that charges exactly the page sequence the
+  single index would read, filters each fragment's clipped runs inline
+  in shard order, and gathers the per-shard records in key order.
 
 **Shard-transparency by construction.**  Storage is shared (the
 disaggregated-storage idiom): shards own key intervals and their own
 write paths, but flushed pages live in one store with one global
-:class:`~repro.engine.plan.PageLayout`.  Because the gather-side I/O
-pass iterates the *global* plan's scan runs — the same runs, spans and
-page sequence the single-index :class:`~repro.engine.executor.Executor`
+:class:`~repro.engine.plan.PageLayout`.  Because the executor's I/O
+pass reads the *global* plan's pages — the same runs, spans and page
+sequence the single-index :class:`~repro.engine.executor.Executor`
 reads — a sharded range query returns exactly the same records, seeks
 and pages read as the unsharded index, for every curve, page capacity,
 shard map and gap tolerance.  The differential suite in
 ``tests/index/test_sharded_equivalence.py`` proves this.
 
 Per-shard attribution is a *second* accounting: each fragment's I/O is
-replayed independently (its own head), which is what prices the parallel
-schedule — ``parallel_cost(workers)`` is the fan-out penalty plus the
-makespan of packing per-shard costs onto that many workers.  Serial
-totals prove transparency; per-shard replays price the scatter.
+replayed independently (its own head).  ``parallel_cost(workers)`` and
+:func:`makespan` price those per-shard costs as if the shards ran on
+that many workers — a simulated cost-model estimate: no code here runs
+in parallel.  Serial totals prove transparency; per-shard replays price
+the scatter.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -52,19 +49,15 @@ from ..errors import InvalidQueryError
 from ..geometry import Rect
 from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
-from ..storage.buffer import BufferPool
-from ..storage.disk import SimulatedDisk, replay_reads
+from ..storage.disk import replay_reads
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .executor import (
     BatchResult,
+    Executor,
     PlanStream,
     RangeQueryResult,
     Record,
-    _observe_execution,
-    execution_order,
-    read_page,
     resolved_spans,
-    scan_page,
 )
 from .plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from .planner import Planner
@@ -161,11 +154,12 @@ def scatter_plan(
 
 
 def makespan(costs: Iterable[float], workers: Optional[int] = None) -> float:
-    """Finish time of packing ``costs`` onto ``workers`` parallel workers.
+    """Simulated finish time of packing ``costs`` onto ``workers`` workers.
 
-    Greedy longest-processing-time assignment — the classic 4/3
-    approximation, deterministic and good enough to *price* a scatter
-    schedule.  ``workers=None`` (or more workers than costs) runs every
+    A cost-model estimate, not a schedule anything executes: greedy
+    longest-processing-time assignment — the classic 4/3 approximation,
+    deterministic and good enough to *price* a scatter over per-shard
+    I/O costs.  ``workers=None`` (or more workers than costs) puts every
     cost on its own worker: the plain max.
     """
     pending = sorted((float(c) for c in costs), reverse=True)
@@ -244,11 +238,13 @@ class ShardedPlan:
         workers: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
     ) -> float:
-        """Predicted makespan of scattering the fragments over ``workers``.
+        """Simulated cost of scattering the fragments over ``workers``.
 
-        Each fragment replays its own spans from a parked head (its
-        shard's independent I/O), the fragments are packed onto the
-        workers, and every shard contacted costs one fan-out penalty.
+        A cost-model estimate (no code runs the fragments in parallel):
+        each fragment replays its own spans from a parked head (its
+        shard's independent I/O), the fragments' costs are packed onto
+        the workers by :func:`makespan`, and every shard contacted costs
+        one fan-out penalty.
         """
         return self.fanout_cost * self.shards_touched + makespan(
             (f.plan.estimated_cost(cost_model) for f in self.fragments), workers
@@ -299,7 +295,7 @@ class ShardStats:
 
     @property
     def pages_read(self) -> int:
-        """Pages this shard's worker touched."""
+        """Pages attributed to this shard."""
         return self.seeks + self.sequential_reads
 
     def cost(self, cost_model: Optional[CostModel] = None) -> float:
@@ -328,7 +324,8 @@ class ShardedRangeQueryResult(RangeQueryResult):
     The inherited totals (``seeks``, ``sequential_reads``, ``pages_read``,
     ``over_read``, ``records``) are the *canonical serial* accounting and
     equal the single-index result exactly; ``per_shard`` re-attributes
-    the same pages to independent shard heads for parallel pricing.
+    the same pages to independent shard heads, which the simulated
+    :meth:`parallel_cost` prices.
     """
 
     per_shard: Tuple[ShardStats, ...] = ()
@@ -344,7 +341,12 @@ class ShardedRangeQueryResult(RangeQueryResult):
         workers: Optional[int] = None,
         cost_model: Optional[CostModel] = None,
     ) -> float:
-        """Simulated latency with the shards scattered over ``workers``."""
+        """Simulated latency with the shards scattered over ``workers``.
+
+        A cost-model estimate over the per-shard I/O — fan-out penalty
+        plus :func:`makespan` — not a measurement: the executor filters
+        every shard inline, on the calling thread.
+        """
         return _parallel_cost(
             self.per_shard, self.fan_out, self.fanout_cost, workers, cost_model
         )
@@ -374,13 +376,15 @@ class ShardedBatchResult(BatchResult):
     ) -> float:
         """Simulated latency of the whole batch over ``workers`` shard workers.
 
-        Unlike the per-query cost, the batch pays the fan-out penalty
-        once per *shard contacted* (``len(per_shard)``), not once per
-        query–shard contact: the scatter ships every shard its whole
-        fragment stream in one batched request, which is the same
-        amortization the per-shard shared scans model.  ``total_fan_out``
-        still counts every contact — that is the paper's shards-touched
-        workload metric.
+        A cost-model estimate over the per-shard I/O, like the per-query
+        :meth:`ShardedRangeQueryResult.parallel_cost`; nothing runs in
+        parallel.  Unlike the per-query cost, the batch pays the fan-out
+        penalty once per *shard contacted* (``len(per_shard)``), not once
+        per query–shard contact: the modelled scatter ships every shard
+        its whole fragment stream in one batched request, which is the
+        same amortization the per-shard shared scans model.
+        ``total_fan_out`` still counts every contact — that is the
+        paper's shards-touched workload metric.
         """
         return _parallel_cost(
             self.per_shard, len(self.per_shard), self.fanout_cost, workers,
@@ -492,248 +496,87 @@ def _validated_shards(shards: Sequence[Shard], key_space: int) -> Tuple[Shard, .
     return tiled
 
 
-class ScatterGatherExecutor:
-    """Executes sharded plans: key-ordered gather I/O, parallel shard filters.
+def _gather_reader(
+    plan: QueryPlan, layout: PageLayout, read: Callable[[int], object]
+) -> Callable[[int], object]:
+    """A page reader for the fragments' scans that reads exactly the
+    global plan's page sequence.
 
-    The charged I/O pass walks the *global* plan's scan runs in key
-    order against the shared storage — page for page the sequence the
-    single-index executor reads, which is what keeps the measured
-    seeks/pages identical to unsharded execution (and deterministic even
-    when many client threads execute concurrently: the pass holds an
-    internal lock).  The per-shard record filtering then fans out to a
-    thread pool, one task per fragment, and the gather concatenates the
-    fragments' records in shard order — which *is* global key order,
-    because shards are ascending key intervals.
+    Filtering the fragments in shard order requests the global sequence
+    of pages with one repeat wherever a shard boundary cuts a run inside
+    a page: both clipped halves scan that page.  A request for the next
+    page of the global sequence goes through ``read``; any other request
+    is such a repeat and gets the page just read again, uncharged.
+    """
+    page_ids = layout.page_ids
+    pending = (
+        page_ids[position]
+        for first, last in resolved_spans(plan, layout)
+        for position in range(first, last + 1)
+    )
+    expected = next(pending, None)
+    last_page = None
 
-    Parameters
-    ----------
-    disk:
-        The shared simulated disk all shards' pages live on.
-    layout:
-        The global flushed page layout.
-    reader:
-        Page reader (``disk.read`` or a buffer pool's ``read``).
-        Defaults to the ``pool``'s reader when one is given, else
-        ``disk.read``.
-    pool:
-        Optional :class:`~repro.storage.buffer.BufferPool` serving warm
-        pages on the gather side; with one configured, executions also
-        report per-query *cold misses* (the reads that actually reached
-        the disk) to the recorder.
-    recorder:
-        Optional :class:`~repro.adaptive.WorkloadRecorder`: every
-        executed sharded plan reports its shape and realized I/O.
-    max_workers:
-        Thread-pool width for fragment filtering; ``None`` sizes the
-        pool to the machine (CPU count, capped at 16), ``0``/``1``
-        filters inline.  The pool is created lazily on the first
-        multi-fragment query and reused for the executor's lifetime —
-        per-query pool construction would dwarf the filtering work.
-    io_lock:
-        Lock serializing the charged I/O pass.  Pass one *shared* lock
-        when several executors read the same disk (the sharded index
-        hands every executor generation its single I/O lock — a private
-        per-executor lock would let a query racing a reflush interleave
-        reads with the new generation and corrupt seek accounting).
-        Defaults to a private lock for standalone use.
+    def fragment_read(page_id: int) -> object:
+        nonlocal expected, last_page
+        if page_id == expected:
+            last_page = read(page_id)
+            expected = next(pending, None)
+        return last_page
+
+    return fragment_read
+
+
+class ScatterGatherExecutor(Executor):
+    """Executes sharded plans: one key-ordered pass, per-shard attribution.
+
+    Construction, the page reader, the buffer pool, the recorder and the
+    shared I/O lock are :class:`~repro.engine.executor.Executor`'s.  A
+    sharded plan runs as a single charged pass over the *global* plan's
+    pages — page for page the sequence the single-index executor reads,
+    which keeps the measured seeks/pages identical to unsharded
+    execution — while the fragments' clipped runs are filtered in shard
+    order.  Concatenating the fragments' records in shard order *is*
+    global key order, because shards are ascending key intervals.
     """
 
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        layout: PageLayout,
-        reader: Optional[Callable[[int], object]] = None,
-        max_workers: Optional[int] = None,
-        io_lock: Optional[threading.Lock] = None,
-        pool: Optional[BufferPool] = None,
-        recorder=None,
-    ):
-        if max_workers is not None and max_workers < 0:
-            raise InvalidQueryError(f"max_workers must be >= 0, got {max_workers}")
-        self._disk = disk
-        self._layout = layout
-        if reader is None:
-            reader = pool.read if pool is not None else disk.read
-        self._reader = reader
-        self._pool = pool
-        # Cold misses are only meaningful when the pool actually sits in
-        # the read path; an explicit reader bypassing it must report
-        # None, not a fictitious "fully warm" zero.
-        self._pool_in_path = pool is not None and reader == pool.read
-        self._recorder = recorder
-        self._max_workers = max_workers
-        self._width = (
-            min(16, os.cpu_count() or 4) if max_workers is None else max_workers
-        )
-        self._io_lock = io_lock if io_lock is not None else threading.Lock()
-        # guarded-by: _pool_lock
-        self._filter_pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._closed = False  # guarded-by: _pool_lock
-
-    @property
-    def layout(self) -> PageLayout:
-        """The shared page layout this executor scans."""
-        return self._layout
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        """Configured thread-pool width (None: one worker per fragment)."""
-        return self._max_workers
-
-    @property
-    def pool(self) -> Optional[BufferPool]:
-        """The buffer pool absorbing warm gather reads, when configured."""
-        return self._pool
-
-    @property
-    def recorder(self):
-        """The workload recorder executions report to (or None)."""
-        return self._recorder
-
-    # ------------------------------------------------------------------
-    # Phases
-    # ------------------------------------------------------------------
-    def _charge_reads(
-        self,
-        plan: QueryPlan,
-        page_cache: Optional[dict],
-    ) -> Tuple[Dict[int, object], int, int, Optional[int]]:
-        """Gather-side I/O: read the global plan's pages in key order.
-
-        Returns the fetched pages plus the (seeks, sequential) charged —
-        exactly what :meth:`Executor.execute` would charge, because the
-        loop is the same: every page of every scan run, through the
-        shared batch ``page_cache`` when one is given — and the buffer
-        pool's cold misses during the pass (None without a pool).
-        """
-        layout = self._layout
-        spans = resolved_spans(plan, layout)
-        reader = self._reader
-        pages: Dict[int, object] = {}
-        with self._io_lock:
-            stats = self._disk.stats
-            seeks_before = stats.seeks
-            seq_before = stats.sequential_reads
-            misses_before = self._pool.stats.misses if self._pool_in_path else 0
-            for (first, last) in spans:
-                for position in range(first, last + 1):
-                    page_id = layout.page_ids[position]
-                    pages[page_id] = read_page(reader, page_id, page_cache)
-            seeks = stats.seeks - seeks_before
-            sequential = stats.sequential_reads - seq_before
-            cold = (
-                self._pool.stats.misses - misses_before
-                if self._pool_in_path
-                else None
-            )
-        return pages, seeks, sequential, cold
-
-    def _filter_fragment(
-        self,
-        fragment: ShardFragment,
-        rect: Rect,
-        pages: Dict[int, object],
-    ) -> Tuple[List[Record], int, List[int]]:
-        """Shard worker: filter the fragment's records from fetched pages.
-
-        Also returns the page positions visited, in order — the batch
-        path replays them per shard, and collecting them here avoids a
-        second walk over every span.
-        """
-        layout = self._layout
-        plan = fragment.plan
-        spans = resolved_spans(plan, layout)
-        records: List[Record] = []
-        over_read = 0
-        positions: List[int] = []
-        for (start, end), (first, last) in zip(plan.scan_runs, spans):
-            for position in range(first, last + 1):
-                positions.append(position)
-                page = pages[layout.page_ids[position]]
-                over_read += scan_page(page, start, end, rect, records)
-        return records, over_read, positions
-
-    def _scatter(
-        self,
-        splan: ShardedPlan,
-        pages: Dict[int, object],
-    ) -> List[Tuple[List[Record], int, List[int]]]:
-        """Run every fragment's filter, pooled when it pays off."""
-        rect = splan.plan.rect
-        pool = (
-            self._ensure_pool()
-            if self._width > 1 and len(splan.fragments) > 1
-            else None
-        )
-        if pool is None:
-            return [self._filter_fragment(f, rect, pages) for f in splan.fragments]
-        try:
-            futures = [
-                pool.submit(self._filter_fragment, fragment, rect, pages)
-                for fragment in splan.fragments
-            ]
-        except RuntimeError:
-            # The pool was closed under us (a reflush retired this
-            # executor generation mid-query): finish inline.
-            return [self._filter_fragment(f, rect, pages) for f in splan.fragments]
-        return [future.result() for future in futures]
-
-    def _ensure_pool(self) -> Optional[ThreadPoolExecutor]:
-        """The persistent filter pool, created on first use."""
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._filter_pool is None:
-                self._filter_pool = ThreadPoolExecutor(max_workers=self._width)
-            return self._filter_pool
-
-    def close(self) -> None:
-        """Retire this executor generation's filter pool.
-
-        In-flight scatters finish their submitted work; later ones fall
-        back to inline filtering.  Idempotent.
-        """
-        with self._pool_lock:
-            self._closed = True
-            pool, self._filter_pool = self._filter_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(
         self,
         splan: ShardedPlan,
         _page_cache: Optional[dict] = None,
-        _positions_out: Optional[List[List[int]]] = None,
     ) -> ShardedRangeQueryResult:
         """Run one sharded plan and gather the per-shard results.
 
-        ``_page_cache`` is the batch path's shared-scan state;
-        ``_positions_out``, when given, receives each fragment's visited
-        page positions (aligned with ``splan.fragments``) so the batch
-        path can replay per-shard streams without re-walking the spans.
+        ``_page_cache`` is the batch path's shared-scan state.  Each
+        shard's :class:`ShardStats` carries its fragment's records and
+        over-read plus the fragment's I/O replayed on its own head.
         """
+        plan = splan.plan
+        layout = self._layout
+
+        def scan(read):
+            fragment_read = _gather_reader(plan, layout, read)
+            return [
+                self._scan(
+                    fragment.plan.scan_runs,
+                    resolved_spans(fragment.plan, layout),
+                    plan.rect,
+                    fragment_read,
+                )
+                for fragment in splan.fragments
+            ]
+
         started = time.perf_counter() if METRICS.enabled else 0.0
-        # One canonical kind="io" span for the gather-side charge; the
+        # One canonical kind="io" span for the charged pass; the
         # per-fragment children use kind="shard" — a second accounting
         # of the same pages, excluded from Trace.io_totals exactly like
         # ShardStats is excluded from the serial totals.
         with _obs_span("scatter_execute", kind="io") as sp:
-            pages, seeks, sequential, cold = self._charge_reads(splan.plan, _page_cache)
-            filtered = self._scatter(splan, pages)
+            filtered, seeks, sequential, cold = self._charged(scan, _page_cache)
             records: List[Record] = []
-            over_read = 0
             per_shard = []
-            for fragment, (shard_records, shard_over, positions) in zip(
-                splan.fragments, filtered
-            ):
+            for fragment, (shard_records, shard_over) in zip(splan.fragments, filtered):
                 records.extend(shard_records)
-                over_read += shard_over
-                if _positions_out is not None:
-                    _positions_out.append(positions)
                 frag_seeks, frag_seq = fragment.plan._predicted_reads
                 per_shard.append(
                     ShardStats(
@@ -750,126 +593,74 @@ class ScatterGatherExecutor:
                     fsp.set("sequential_reads", frag_seq)
                     fsp.set("records", len(shard_records))
                     fsp.set("over_read", shard_over)
-            sp.set("seeks", seeks)
-            sp.set("sequential_reads", sequential)
-            sp.set("pages", seeks + sequential)
-            sp.set("over_read", over_read)
-            sp.set("records", len(records))
-            sp.set("fan_out", len(splan.fragments))
-            if cold is not None:
-                sp.set("pool_misses", cold)
-        if METRICS.enabled:
-            _observe_execution(started, len(records), over_read)
-        if self._recorder is not None:
-            self._recorder.record_executed(
-                splan.plan.rect.lengths,
+            result = ShardedRangeQueryResult(
+                records=records,
+                runs=plan.num_scan_runs,
                 seeks=seeks,
-                pages=seeks + sequential,
-                records=len(records),
-                over_read=over_read,
-                cold_misses=cold,
+                sequential_reads=sequential,
+                over_read=sum(s.over_read for s in per_shard),
+                per_shard=tuple(per_shard),
+                fanout_cost=splan.fanout_cost,
             )
-        return ShardedRangeQueryResult(
-            records=records,
-            runs=splan.plan.num_scan_runs,
-            seeks=seeks,
-            sequential_reads=sequential,
-            over_read=over_read,
-            per_shard=tuple(per_shard),
-            fanout_cost=splan.fanout_cost,
-        )
+            self._stamp(sp, result, cold)
+            sp.set("fan_out", len(splan.fragments))
+        self._finish(started, plan, result, cold)
+        return result
 
     def stream(self, splan) -> PlanStream:
         """Open a lazy page-at-a-time stream over a sharded (or bare) plan.
 
         Streams the *global* plan's pages in key order — the exact
-        sequence the gather pass charges, so a fully drained stream's
-        accounting is identical to :meth:`execute` (and to the single
-        index), and record order matches the shard-ordered gather
-        because shards are ascending key intervals.  Each charged read
-        briefly takes the shared I/O lock, so concurrent queries on the
-        same disk keep deterministic seek accounting per read.
+        sequence :meth:`execute` charges, so a fully drained stream's
+        accounting is identical to it (and to the single index), and
+        record order matches the shard-ordered gather because shards
+        are ascending key intervals.
         """
-        plan = splan.plan if isinstance(splan, ShardedPlan) else splan
-        return PlanStream(
-            self._disk,
-            self._layout,
-            plan,
-            self._reader,
-            pool=self._pool,
-            pool_in_path=self._pool_in_path,
-            io_lock=self._io_lock,
-            recorder=self._recorder,
-        )
+        return super().stream(splan.plan if isinstance(splan, ShardedPlan) else splan)
 
     def execute_batch(self, splans: Sequence[ShardedPlan]) -> ShardedBatchResult:
         """Run a workload of sharded plans as one key-ordered shared scan.
 
-        The gather side orders plans by first scanned key and shares
-        fetched pages across the whole batch (the same elevator +
-        shared-scan policy as the single-index batch, so the canonical
-        totals match it exactly).  On the scatter side each shard serves
-        its fragment stream with its *own* shared scan: a page a shard
-        already read for an earlier query in the batch is free for that
-        shard, and the per-shard totals replay each shard's deduplicated
-        page stream on its own head.
+        The charged side is :meth:`Executor.execute_batch` itself (the
+        same elevator + shared-scan policy as the single-index batch, so
+        the canonical totals match it exactly).  On the shard side each
+        shard serves its fragment stream with its *own* shared scan: a
+        page a shard already read for an earlier query in the batch is
+        free for that shard, and the per-shard totals replay each
+        shard's deduplicated page stream on its own head.
         """
-        order = execution_order(splans)
-        results: List[Optional[ShardedRangeQueryResult]] = [None] * len(splans)
-        page_cache: dict = {}
-        fan_out = 0
-        # Per-shard batch streams: ordered page positions, deduplicated
-        # per shard (its shared scan), plus per-shard tallies.
-        shard_positions: Dict[int, List[int]] = {}
-        shard_seen: Dict[int, set] = {}
-        shard_runs: Dict[int, int] = {}
-        shard_records: Dict[int, int] = {}
-        shard_over: Dict[int, int] = {}
-
-        for i in order:
-            visited: List[List[int]] = []
-            result = self.execute(
-                splans[i], _page_cache=page_cache, _positions_out=visited
-            )
-            results[i] = result
-            fan_out += result.fan_out
-            for fragment, stats, fragment_positions in zip(
-                splans[i].fragments, result.per_shard, visited
-            ):
-                sid = fragment.shard_id
-                positions = shard_positions.setdefault(sid, [])
-                seen = shard_seen.setdefault(sid, set())
-                for position in fragment_positions:
-                    if position not in seen:
-                        seen.add(position)
-                        positions.append(position)
-                shard_runs[sid] = shard_runs.get(sid, 0) + stats.runs
-                shard_records[sid] = shard_records.get(sid, 0) + stats.records
-                shard_over[sid] = shard_over.get(sid, 0) + stats.over_read
-
+        batch = super().execute_batch(splans)
+        layout = self._layout
+        # Per shard: page positions in execution order, deduplicated (an
+        # insertion-ordered dict), and the shard's per-query stats.
+        shards: Dict[int, Tuple[Dict[int, None], List[ShardStats]]] = {}
+        for i in batch.executed_order:
+            for fragment, stats in zip(splans[i].fragments, batch.results[i].per_shard):
+                positions, shares = shards.setdefault(fragment.shard_id, ({}, []))
+                for first, last in resolved_spans(fragment.plan, layout):
+                    positions.update(dict.fromkeys(range(first, last + 1)))
+                shares.append(stats)
         per_shard = []
-        for sid in sorted(shard_positions):
-            seeks, sequential = replay_reads(
-                (position, position) for position in shard_positions[sid]
-            )
+        for shard_id in sorted(shards):
+            positions, shares = shards[shard_id]
+            seeks, sequential = replay_reads((p, p) for p in positions)
             per_shard.append(
                 ShardStats(
-                    shard_id=sid,
-                    runs=shard_runs[sid],
+                    shard_id=shard_id,
+                    runs=sum(s.runs for s in shares),
                     seeks=seeks,
                     sequential_reads=sequential,
-                    records=shard_records[sid],
-                    over_read=shard_over[sid],
+                    records=sum(s.records for s in shares),
+                    over_read=sum(s.over_read for s in shares),
                 )
             )
-        done = [r for r in results if r is not None]
         return ShardedBatchResult(
-            results=done,
-            executed_order=tuple(order),
-            total_seeks=sum(r.seeks for r in done),
-            total_sequential_reads=sum(r.sequential_reads for r in done),
-            total_over_read=sum(r.over_read for r in done),
+            results=batch.results,
+            executed_order=batch.executed_order,
+            total_seeks=batch.total_seeks,
+            total_sequential_reads=batch.total_sequential_reads,
+            total_over_read=batch.total_over_read,
             per_shard=tuple(per_shard),
-            total_fan_out=fan_out,
+            total_fan_out=sum(r.fan_out for r in batch.results),
             fanout_cost=splans[0].fanout_cost if splans else DEFAULT_FANOUT_COST,
         )

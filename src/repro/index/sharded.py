@@ -26,10 +26,10 @@ per-shard counts, scatter planning, and snapshot/locking discipline.
 Queries scatter and gather through :mod:`repro.engine.scatter`: the
 :class:`~repro.engine.scatter.ShardedPlanner` clips the global plan to
 per-shard fragments and the
-:class:`~repro.engine.scatter.ScatterGatherExecutor` charges a
+:class:`~repro.engine.scatter.ScatterGatherExecutor` charges one
 key-ordered I/O pass (identical to unsharded execution — the
-shard-transparency the differential suite proves) while shard workers
-filter records in a thread pool.
+shard-transparency the differential suite proves) while it filters
+each fragment inline, in shard order.
 
 The index is safe to hammer from many threads: a single lock guards the
 write paths and the layout/epoch swap, query snapshots are taken under
@@ -75,7 +75,7 @@ class ShardedSFCIndex(SpatialStore):
     with ``range_query`` / ``range_query_batch`` returning results
     whose records and serial I/O totals are *identical* to the single
     index — plus per-shard write paths, scatter–gather execution and
-    parallel cost attribution on top.
+    per-shard attribution (with a simulated parallel cost model) on top.
 
     Parameters
     ----------
@@ -91,10 +91,6 @@ class ShardedSFCIndex(SpatialStore):
         ``[0, curve.size)``.
     fanout_cost:
         Simulated per-shard contact cost attached to plans and results.
-    max_workers:
-        Thread-pool width for per-shard record filtering (``None``:
-        sized to the machine — CPU count, capped at 16; ``0``/``1``:
-        filter inline).
     buffer_pages:
         LRU buffer-pool capacity in pages over the shared store (0
         disables the pool).  With a pool, executions also report cold
@@ -120,7 +116,6 @@ class ShardedSFCIndex(SpatialStore):
         plan_cache_size: int = 256,
         shards: Optional[Sequence[Shard]] = None,
         fanout_cost: float = DEFAULT_FANOUT_COST,
-        max_workers: Optional[int] = None,
         buffer_pages: int = 0,
         recorder=None,
         durable_path=None,
@@ -134,7 +129,6 @@ class ShardedSFCIndex(SpatialStore):
         self._tree_order = tree_order
         self._cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self._fanout_cost = fanout_cost
-        self._max_workers = max_workers
         self._recorder = recorder
         shard_map = (
             list(shards) if shards is not None else equal_key_shards(curve, num_shards)
@@ -230,18 +224,10 @@ class ShardedSFCIndex(SpatialStore):
             for record in bucket
         )
 
-    @guarded_by("_mutex")
-    def _retire_executor(self) -> None:
-        """Close the outgoing executor's filter pool (callers hold the
-        mutex); a query that already snapshotted it finishes inline."""
-        if self._executor is not None:
-            self._executor.close()
-
     def _make_executor(self, layout: PageLayout) -> ScatterGatherExecutor:
         return ScatterGatherExecutor(
             self._disk,
             layout,
-            max_workers=self._max_workers,
             io_lock=self._io_lock,
             pool=self._pool,
             recorder=self._recorder,
@@ -362,7 +348,6 @@ class ShardedSFCIndex(SpatialStore):
             if self._version != expected_version:
                 return False
             self._log_migrate(curve)
-            self._retire_executor()
             shard_map = self._planner.shards
             trees = [BPlusTree(order=self._tree_order) for _ in shard_map]
             counts = [0] * len(shard_map)

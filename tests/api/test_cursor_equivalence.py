@@ -52,7 +52,7 @@ def _store(name, dim, shards):
             store = SFCIndex(curve, page_capacity=PAGE_CAPACITY)
         else:
             store = ShardedSFCIndex(
-                curve, num_shards=shards, page_capacity=PAGE_CAPACITY, max_workers=0
+                curve, num_shards=shards, page_capacity=PAGE_CAPACITY
             )
         store.bulk_load(*_grid_points(side, dim))
         store.flush()

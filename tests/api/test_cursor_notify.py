@@ -36,7 +36,6 @@ def _store(shards, recorder):
             curve,
             num_shards=shards,
             page_capacity=4,
-            max_workers=0,
             recorder=recorder,
         )
     points = [(x, y) for x in range(SIDE) for y in range(SIDE) if (x + y) % 3]

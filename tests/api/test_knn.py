@@ -32,7 +32,7 @@ def _build(name, dim, shards, seed=11, count=150):
         store = SFCIndex(curve, page_capacity=8)
     else:
         store = ShardedSFCIndex(
-            curve, num_shards=shards, page_capacity=8, max_workers=0
+            curve, num_shards=shards, page_capacity=8
         )
     store.bulk_load(_points(side, dim, count, seed))
     store.flush()

@@ -38,7 +38,6 @@ def _pair(recorder_single=None, recorder_sharded=None, **kwargs):
         make_curve("onion", SIDE, 2),
         num_shards=3,
         page_capacity=8,
-        max_workers=0,
         recorder=recorder_sharded,
         **kwargs,
     )

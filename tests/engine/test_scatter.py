@@ -5,15 +5,17 @@ import pytest
 
 from repro.curves import make_curve
 from repro.engine import ExecutionPolicy, Planner
+from repro.engine.executor import execution_order
 from repro.engine.scatter import (
-    ScatterGatherExecutor,
     ShardedPlanner,
+    ShardStats,
     clip_runs,
     makespan,
 )
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
 from repro.index import ShardedSFCIndex, equal_key_shards
+from repro.storage import replay_reads
 
 
 # ----------------------------------------------------------------------
@@ -164,15 +166,81 @@ class TestShardedPlanner:
 # ----------------------------------------------------------------------
 # ScatterGatherExecutor
 # ----------------------------------------------------------------------
-def _sharded_index(num_shards=4, max_workers=None, side=16, points=300, seed=5):
-    curve = make_curve("hilbert", side, 2)
-    index = ShardedSFCIndex(
-        curve, num_shards=num_shards, page_capacity=4, max_workers=max_workers
-    )
+def _points(side=16, points=300, seed=5):
     rng = np.random.default_rng(seed)
-    index.bulk_load(map(tuple, rng.integers(0, side, size=(points, 2))))
+    return list(map(tuple, rng.integers(0, side, size=(points, 2))))
+
+
+def _sharded_index(num_shards=4, side=16, points=300, seed=5, curve_name="hilbert"):
+    curve = make_curve(curve_name, side, 2)
+    index = ShardedSFCIndex(curve, num_shards=num_shards, page_capacity=4)
+    index.bulk_load(_points(side, points, seed))
     index.flush()
     return index
+
+
+def _random_rects(count, side=16, seed=41):
+    rng = np.random.default_rng(seed)
+    rects = []
+    for _ in range(count):
+        lo = rng.integers(0, side, size=2)
+        hi = np.minimum(lo + rng.integers(0, side // 2, size=2), side - 1)
+        rects.append(Rect(tuple(map(int, lo)), tuple(map(int, hi))))
+    return rects
+
+
+def _expected_shard_stats(index, stored, splan):
+    """Brute-force ``per_shard`` of one sharded plan.
+
+    Every shard the global scan runs reach is charged the clipped runs'
+    page spans replayed from a parked head; its records are the stored
+    points inside those clipped runs that lie in the rect, its over-read
+    the ones that do not.
+    """
+    layout = index.page_layout
+    rect = splan.plan.rect
+    expected = []
+    for shard_id, shard in enumerate(index.shards):
+        runs = clip_runs(splan.plan.scan_runs, shard)
+        if not runs:
+            continue
+        covered = [
+            point for key, point in stored
+            if any(start <= key <= end for start, end in runs)
+        ]
+        inside = sum(1 for point in covered if rect.contains(point))
+        seeks, sequential = replay_reads(layout.span(start, end) for start, end in runs)
+        expected.append(
+            ShardStats(shard_id, len(runs), seeks, sequential, inside,
+                       len(covered) - inside)
+        )
+    return expected
+
+
+def _expected_batch_per_shard(index, stored, splans):
+    """Brute-force batch ``per_shard``: each shard's per-query shares
+    summed, its I/O replayed from its page positions deduplicated across
+    the batch and taken in execution order, on the shard's own head."""
+    layout = index.page_layout
+    shares, positions = {}, {}
+    for i in execution_order(splans):
+        for stats in _expected_shard_stats(index, stored, splans[i]):
+            shares.setdefault(stats.shard_id, []).append(stats)
+            visited = positions.setdefault(stats.shard_id, [])
+            shard = index.shards[stats.shard_id]
+            for start, end in clip_runs(splans[i].plan.scan_runs, shard):
+                first, last = layout.span(start, end)
+                visited.extend(p for p in range(first, last + 1) if p not in visited)
+    return [
+        ShardStats(
+            shard_id,
+            sum(s.runs for s in shares[shard_id]),
+            *replay_reads((p, p) for p in positions[shard_id]),
+            sum(s.records for s in shares[shard_id]),
+            sum(s.over_read for s in shares[shard_id]),
+        )
+        for shard_id in sorted(shares)
+    ]
 
 
 class TestScatterGatherExecutor:
@@ -189,11 +257,31 @@ class TestScatterGatherExecutor:
         assert sum(s.over_read for s in result.per_shard) == result.over_read
         assert result.fan_out == len(result.per_shard) <= index.num_shards
 
-    def test_inline_and_pooled_filtering_agree(self):
-        serial = _sharded_index(max_workers=0)
-        pooled = _sharded_index(max_workers=4)
-        rect = Rect((1, 3), (12, 14))
-        assert serial.range_query(rect).records == pooled.range_query(rect).records
+        # Exact attribution, shard by shard, against a brute force over
+        # the stored (key, point) pairs: a boundary page's records must
+        # land in the shard whose clipped run covers their key.
+        rects = [Rect((0, 0), (15, 15))] + _random_rects(30)
+        for curve_name in ("hilbert", "onion", "zorder"):
+            index = _sharded_index(num_shards=5, curve_name=curve_name)
+            stored = [(index.curve.index(p), p) for p in _points()]
+            for gap in (0, 3):
+                context = f"({curve_name}, gap {gap})"
+                splans = [index.plan(rect, gap_tolerance=gap) for rect in rects]
+                for rect, splan in zip(rects, splans):
+                    result = index.range_query(rect, gap_tolerance=gap)
+                    assert list(result.per_shard) == _expected_shard_stats(
+                        index, stored, splan
+                    ), f"{context} {rect}"
+                # Random rects only: the whole-universe rect would make
+                # every later query's pages already-seen for every shard.
+                batch = index.range_query_batch(rects[1:], gap_tolerance=gap)
+                for splan, result in zip(splans[1:], batch.results):
+                    assert list(result.per_shard) == _expected_shard_stats(
+                        index, stored, splan
+                    ), f"{context} batch {splan.plan.rect}"
+                assert list(batch.per_shard) == _expected_batch_per_shard(
+                    index, stored, splans[1:]
+                ), context
 
     def test_measured_seeks_match_plan_prediction(self):
         index = _sharded_index()
@@ -226,8 +314,3 @@ class TestScatterGatherExecutor:
         costs = [batch.parallel_cost(workers=w) for w in (1, 2, 4, 8)]
         assert costs == sorted(costs, reverse=True)
         assert costs[-1] < costs[0]
-
-    def test_rejects_negative_workers(self):
-        index = _sharded_index()
-        with pytest.raises(InvalidQueryError):
-            ScatterGatherExecutor(index.disk, index.page_layout, max_workers=-1)

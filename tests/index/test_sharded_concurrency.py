@@ -33,12 +33,11 @@ SIDE = 16
 RECT = Rect((0, 0), (SIDE - 1, SIDE - 1))  # whole-universe query: count == len
 
 
-def _sharded(points, num_shards=4, max_workers=2):
+def _sharded(points, num_shards=4):
     index = ShardedSFCIndex(
         make_curve("onion", SIDE, 2),
         num_shards=num_shards,
         page_capacity=8,
-        max_workers=max_workers,
     )
     index.bulk_load(points)
     index.flush()
@@ -134,7 +133,7 @@ class TestScatterGatherUnderThreads:
     def test_concurrent_batches_return_consistent_results(self):
         rng = np.random.default_rng(17)
         points = [tuple(map(int, p)) for p in rng.integers(0, SIDE, size=(150, 2))]
-        index = _sharded(points, num_shards=8, max_workers=4)
+        index = _sharded(points, num_shards=8)
         rects = []
         for _ in range(15):
             lo = rng.integers(0, SIDE, size=2)
@@ -174,7 +173,6 @@ class TestRaceCheckedHammer:
             num_shards=kwargs.pop("num_shards", 4),
             page_capacity=8,
             buffer_pages=kwargs.pop("buffer_pages", 8),
-            max_workers=kwargs.pop("max_workers", 2),
             **kwargs,
         )
         # Instrument BEFORE the first flush: executors capture the

@@ -150,7 +150,7 @@ def test_sharded_plan_wraps_the_single_plan(single_indexes, name):
 
 
 # ----------------------------------------------------------------------
-# Other axes: page capacity, balanced maps, rebalance, workers
+# Other axes: page capacity, balanced maps, rebalance
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("page_capacity", [1, 3, 16, 64])
 def test_transparency_for_any_page_capacity(page_capacity):
@@ -197,19 +197,6 @@ def test_transparency_survives_rebalance(single_indexes):
             single_indexes[name].range_query(rect),
             sharded.range_query(rect),
             context=f"(rebalanced, {rect})",
-        )
-
-
-@pytest.mark.parametrize("max_workers", [0, 1, 3, None])
-def test_transparency_for_any_worker_count(single_indexes, max_workers):
-    name = "onion"
-    sharded = _sharded(name, num_shards=8, max_workers=max_workers)
-    _park_heads(single_indexes[name], sharded)
-    for rect in _rects(seed=5, count=5):
-        _assert_equivalent(
-            single_indexes[name].range_query(rect),
-            sharded.range_query(rect),
-            context=f"(max_workers {max_workers}, {rect})",
         )
 
 

@@ -56,7 +56,6 @@ def _store(curve_name, shards):
                 curve,
                 num_shards=shards,
                 page_capacity=PAGE_CAPACITY,
-                max_workers=0,
             )
         store.bulk_load(_points(SIDE))
         store.flush()

@@ -16,7 +16,7 @@ import pytest
 from repro.api import Query
 from repro.curves import make_curve
 from repro.geometry import Rect
-from repro.index import SFCIndex
+from repro.index import SFCIndex, ShardedSFCIndex
 from repro.obs import NULL_SPAN, current_span, current_trace, open_span, span, start_trace
 
 
@@ -170,6 +170,27 @@ def test_spans_balance_under_predicate_and_projection():
             .where(lambda r: r.point[0] % 2 == 0)
             .select(lambda r: r.point)
         )
+    _assert_balanced(trace)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_batch_emits_one_batch_span_with_its_totals(shards):
+    """Single and sharded batches open the same ``kind="batch"`` span."""
+    curve = make_curve("onion", 8, 2)
+    if shards == 1:
+        store = SFCIndex(curve, page_capacity=4)
+    else:
+        store = ShardedSFCIndex(curve, num_shards=shards, page_capacity=4)
+    store.bulk_load([(x, y) for x in range(8) for y in range(8)])
+    store.flush()
+    with start_trace("t") as trace:
+        batch = store.range_query_batch([Rect((0, 0), (3, 5)), Rect((2, 4), (7, 7))])
+    (batch_span,) = [s for s in trace.walk() if s.kind == "batch"]
+    assert batch_span.attrs == {
+        "queries": 2,
+        "seeks": batch.total_seeks,
+        "sequential_reads": batch.total_sequential_reads,
+    }
     _assert_balanced(trace)
 
 
