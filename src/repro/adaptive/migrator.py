@@ -4,8 +4,8 @@ When the drift detector names a better curve, the data still lives in
 pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
 
 1. **snapshot** — the index hands over a consistent ``(version,
-   records)`` view of its contents (sharded: taken under the index lock,
-   walking the shards in key order);
+   records)`` view of its contents (taken under the store mutex,
+   walking the key intervals in key order);
 2. **re-key** — the records' cells are mapped to keys under the target
    curve in bounded ``batch_size`` chunks (one vectorized ``index_many``
    call per chunk); queries keep serving from the old layout the whole
@@ -16,7 +16,7 @@ pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
    in-flight queries), new planner and executor, epoch bumped, plan
    cache and buffer pool invalidated.  The cutover *refuses* if writes
    landed since the snapshot (the version moved) and the migrator
-   retries; the final attempt holds the index's migration lock across
+   retries; the final attempt holds the store mutex across
    snapshot → re-key → cutover, so the loop always terminates — at the
    price of briefly blocking writers.
 
@@ -95,14 +95,14 @@ class MigrationReport:
 class OnlineMigrator:
     """Re-keys an index onto a new curve with bounded batches and epoch cutover.
 
-    Works on any index exposing the migration protocol —
-    ``_migration_snapshot()``, ``_migration_cutover()``,
-    ``_migration_lock`` and ``epoch`` — which both
-    :class:`~repro.index.spatial.SFCIndex` and
-    :class:`~repro.index.sharded.ShardedSFCIndex` implement (the sharded
-    index re-routes every record through its shard map and repacks the
-    shared page store across shard boundaries, so shard transparency
-    survives the migration).
+    Works on any :class:`~repro.api.store.SpatialStore` — the base
+    implements the migration protocol (``_migration_snapshot()``,
+    ``_migration_cutover()``, the re-entrant ``_mutex`` and ``epoch``)
+    once for :class:`~repro.index.spatial.SFCIndex` and
+    :class:`~repro.index.sharded.ShardedSFCIndex` alike: the cutover
+    re-routes every record through the store's shard map and repacks
+    the shared page store across interval boundaries, so shard
+    transparency survives the migration.
 
     Parameters
     ----------
@@ -222,17 +222,17 @@ class OnlineMigrator:
                             epoch_after=index.epoch,
                         )
                     )
-            # Final attempt: hold the migration lock across snapshot, re-key
+            # Final attempt: hold the store mutex across snapshot, re-key
             # and cutover — writers wait, the version cannot move.  Progress
             # hooks are suppressed (quiet) so no callback can write through
             # the re-entrant lock and dirty the frozen version.
             attempts += 1
-            with index._migration_lock:
+            with index._mutex:
                 version, entries = index._migration_snapshot()
                 keyed, batches = self._rekey(target, entries, quiet=True)
                 if not index._migration_cutover(target, keyed, version):
                     raise AssertionError(
-                        "cutover failed under the migration lock"
+                        "cutover failed under the store mutex"
                     )  # pragma: no cover
             sp.set("records", len(keyed))
             sp.set("attempts", attempts)

@@ -6,15 +6,21 @@ copy of the serving facade — insert/delete/bulk-load, point queries,
 flush, planning, EXPLAIN, range queries, migration — and the two kept
 drifting.  ``SpatialStore`` hoists that facade into one abstract base:
 
+* **one storage topology** — a shard map of contiguous key intervals
+  with one B+-tree and one record count per interval; the single-node
+  store is the map with one interval, so routing, the key-ordered
+  flush walk, snapshots and the migration cutover exist once;
+* **one lock model** — a re-entrant ``_mutex`` and a shared
+  ``_io_lock`` created by the constructor, so every store is
+  thread-safe under the same discipline;
 * **one write path** — :meth:`insert` / :meth:`bulk_load` /
   :meth:`delete` key points under the store's mutex and route records
-  through two subclass primitives (:meth:`_tree_for_key`,
-  :meth:`_count_delta`), so ingestion semantics cannot diverge;
+  to their interval's tree (a bulk load in one vectorized lookup), so
+  ingestion semantics cannot diverge;
 * **one flush protocol** — :meth:`flush` packs :func:`pack_layout`
-  pages from the subclass's key-ordered :meth:`_flush_entries` and
-  installs them via the shared epoch-bumping :meth:`_install_layout`
-  (the sharded layer's byte-identical-layout guarantee rests on this
-  single packing rule);
+  pages from the key-ordered :meth:`_flush_entries` and installs them
+  via the epoch-bumping :meth:`_install_layout` (the sharded layer's
+  byte-identical-layout guarantee rests on this single packing rule);
 * **one query surface** — :meth:`plan` / :meth:`explain` /
   :meth:`range_query` / :meth:`range_query_batch` remain, now thin
   facades over the composable front door: :meth:`execute` runs a
@@ -26,17 +32,16 @@ drifting.  ``SpatialStore`` hoists that facade into one abstract base:
   so single and sharded stores report identical (zero-I/O) seek
   accounting for point lookups.
 
-Subclasses implement only the storage topology: where a key's tree
-lives, how flushed entries are enumerated, which executor serves a
-layout, and how a consistent (planner, layout, executor, epoch)
-snapshot is taken.
+Subclasses pick only the serving engine: :meth:`~SpatialStore._make_planner`
+and :meth:`~SpatialStore._make_executor`.
 """
 
 from __future__ import annotations
 
 import abc
-from contextlib import nullcontext
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+import bisect
+import threading
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,12 +49,15 @@ from ..core.runs import merge_runs_with_gaps
 from ..curves.base import SpaceFillingCurve
 from ..curves.registry import make_curve
 from ..devtools.annotations import guarded_by
-from ..engine.cost import CostModel
+from ..engine.cache import PlanCache
+from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import Record
 from ..engine.plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
 from ..obs.trace import span as _obs_span
+from ..storage.bplustree import BPlusTree
+from ..storage.buffer import BufferPool
 from ..storage.disk import SimulatedDisk
 from .cursor import Cursor, QueryResult
 from .query import Query, RectUnion
@@ -219,30 +227,22 @@ def merge_plans(
 class SpatialStore(abc.ABC):
     """Abstract base of every SFC-keyed store (single-node or sharded).
 
-    Concrete stores set the shared state in ``__init__`` — ``_curve``,
-    ``_page_capacity``, ``_disk``, ``_pool``, ``_plan_cache``,
-    ``_planner``, ``_layout``, ``_executor``, ``_epoch``, ``_version``,
-    ``_cost_model``, ``_recorder`` — and implement the five storage
-    primitives (:meth:`_tree_for_key`, :meth:`_count_delta`,
-    :meth:`_flush_entries`, :meth:`_make_executor`, :meth:`_snapshot`).
-    Thread-safe stores additionally override the three lock hooks
-    (:attr:`_mutex`, :attr:`_io_lock`, :attr:`_migration_lock`),
-    which default to no-op context managers for single-threaded stores.
-    One canonical name per lock — the lock-discipline analyzer
-    (``repro lint``) resolves ``_migration_lock`` to ``_mutex`` and
-    enforces the ``_mutex`` → ``_io_lock`` acquisition order.
-    """
+    The storage topology lives here, once: a shard map of contiguous
+    inclusive key intervals tiling ``[0, curve.size)``, one B+-tree and
+    one record count per interval, key routing, the key-ordered flush
+    walk, snapshots and the migration snapshot/cutover.  A single-node
+    store is simply the store whose map is one interval.  Subclasses
+    pick only the serving engine through two methods:
+    :meth:`_make_planner` and :meth:`_make_executor`.
 
-    #: Context manager serializing mutations and snapshots (no-op by
-    #: default; the sharded store binds its re-entrant index mutex).
-    _mutex = nullcontext()
-    #: Context manager serializing charged page reads; also held while
-    #: clearing the buffer pool on a layout swap (the sharded store
-    #: binds its I/O lock — see :meth:`_install_layout`).
-    _io_lock = nullcontext()
-    #: The lock the migration protocol's final attempt holds (the
-    #: store mutex on thread-safe stores).
-    _migration_lock = nullcontext()
+    One lock model for every store: the constructor creates a
+    re-entrant ``_mutex`` (every mutation, snapshot and introspection
+    read of a ``guarded-by: _mutex`` field serializes on it; the
+    migrator's lock-held final attempt holds it too) and an
+    ``_io_lock`` that every executor generation shares for its charged
+    page reads.  ``repro lint`` enforces the ``_mutex`` -> ``_io_lock``
+    acquisition order.
+    """
 
     #: Durable backing (WAL + checkpoints), or None for a purely
     #: in-memory store.  When set, every mutation path appends its
@@ -250,33 +250,132 @@ class SpatialStore(abc.ABC):
     #: (WAL-before-apply), under the same mutex as the mutation.
     _durability = None
 
-    # ------------------------------------------------------------------
-    # Storage primitives (the only per-topology code)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def _tree_for_key(self, key: int):
-        """The B+-tree holding ``key``'s bucket (callers hold the mutex)."""
+    def __init__(
+        self,
+        curve: SpaceFillingCurve,
+        shards: Sequence[Tuple[int, int]],
+        *,
+        page_capacity: int,
+        tree_order: int,
+        buffer_pages: int,
+        cost_model: Optional[CostModel],
+        plan_cache_size: int,
+        recorder: Any,
+        durable_path: Any,
+        durable_sync: bool,
+        durable_ops: Any,
+    ) -> None:
+        if page_capacity < 1:
+            raise InvalidQueryError(f"page_capacity must be >= 1, got {page_capacity}")
+        # Re-entrant: the migrator's final attempt holds it across calls
+        # that take it again, and a flush may run inside a snapshot.
+        self._mutex = threading.RLock()
+        # One I/O lock shared by every executor generation: a query that
+        # snapshotted the previous executor must still serialize its
+        # charged reads with queries on the new one (same disk), and
+        # pool clears during a layout swap happen under it.
+        self._io_lock = threading.Lock()
+        self._page_capacity = page_capacity
+        self._tree_order = tree_order
+        self._cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
+        self._recorder = recorder
+        self._disk = SimulatedDisk()
+        self._pool = BufferPool(self._disk, buffer_pages) if buffer_pages else None
+        self._plan_cache = PlanCache(plan_cache_size) if plan_cache_size else None
+        self._curve = curve  # guarded-by: _mutex (swapped by migration cutover)
+        # guarded-by: _mutex
+        self._shards = tuple((int(lo), int(hi)) for lo, hi in shards)
+        self._planner = self._make_planner(curve)  # guarded-by: _mutex
+        # guarded-by: _mutex
+        self._trees = [BPlusTree(order=tree_order) for _ in self._shards]
+        self._counts = [0] * len(self._shards)  # guarded-by: _mutex
+        self._layout: Optional[PageLayout] = None  # guarded-by: _mutex
+        self._executor = None  # guarded-by: _mutex
+        #: Layout generation, bumped by every flush and migration cutover;
+        #: keys the plan cache so stale-generation plans cannot be served.
+        self._epoch = 0  # guarded-by: _mutex
+        #: Content version, bumped by every write; the migration protocol
+        #: uses it to detect writes racing an optimistic re-key pass.
+        self._version = 0  # guarded-by: _mutex
+        self._init_durability(durable_path, durable_ops, durable_sync)
 
+    # ------------------------------------------------------------------
+    # The serving engine (the only per-subclass code)
+    # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _count_delta(self, key: int, delta: int) -> None:
-        """Adjust the record count attributed to ``key`` by ``delta``."""
-
-    @abc.abstractmethod
-    def _flush_entries(self) -> Iterable[Tuple[int, Record]]:
-        """Every stored ``(key, record)`` in ascending key order."""
+    @guarded_by("_mutex")
+    def _make_planner(self, curve: SpaceFillingCurve):
+        """A planner for ``curve`` over the current shard map (callers
+        hold the mutex)."""
 
     @abc.abstractmethod
     def _make_executor(self, layout: PageLayout):
-        """An executor bound to ``layout`` (callers hold the mutex)."""
+        """An executor bound to ``layout`` that shares the store's
+        ``_io_lock`` (callers hold the mutex)."""
 
-    @abc.abstractmethod
-    def _snapshot(self):
-        """A consistent ``(planner, layout, executor, epoch)`` for one
-        layout generation, flushing first if the layout is stale."""
-
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # Storage topology: one tree and one record count per key interval
+    # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of stored records."""
+        with self._mutex:
+            return sum(self._counts)
+
+    @guarded_by("_mutex")
+    def _shard_of_key(self, key: int) -> int:
+        """The interval holding ``key`` (callers hold the mutex)."""
+        return bisect.bisect_right([lo for lo, _ in self._shards], key) - 1
+
+    @guarded_by("_mutex")
+    def _route(self, keys: Sequence[int]) -> List[int]:
+        """The interval holding each key, in one vectorized lookup
+        (``np.searchsorted`` over the interval starts)."""
+        starts = [lo for lo, _ in self._shards]
+        shard_ids: List[int] = (np.searchsorted(starts, keys, side="right") - 1).tolist()
+        return shard_ids
+
+    @guarded_by("_mutex")
+    def _append_records(
+        self, entries: Sequence[Tuple[int, Record]], shard_ids: Sequence[int]
+    ) -> None:
+        """Append each ``(key, record)`` to its key bucket in the tree of
+        interval ``shard_ids[i]`` (callers hold the mutex)."""
+        trees = self._trees
+        counts = self._counts
+        for shard, (key, record) in zip(shard_ids, entries):
+            tree = trees[shard]
+            bucket = tree.get(key)
+            if bucket is None:
+                tree.insert(key, [record])
+            else:
+                bucket.append(record)
+            counts[shard] += 1
+
+    @guarded_by("_mutex")
+    def _flush_entries(self) -> Iterator[Tuple[int, Record]]:
+        """Every stored ``(key, record)`` in ascending key order: the
+        trees in interval order, which is global key order, so pages
+        pack *across* interval boundaries (callers hold the mutex)."""
+        return (
+            (key, record)
+            for tree in self._trees
+            for key, bucket in tree.items()
+            for record in bucket
+        )
+
+    def _snapshot(self):
+        """Atomic ``(planner, layout, executor, epoch)`` for one layout
+        generation, flushing first if the layout is stale.
+
+        Taken under the mutex so planning and execution never mix layout
+        generations; everything expensive then runs outside it — a
+        snapshot stays readable after a reflush because the simulated
+        disk is append-only.
+        """
+        with self._mutex:
+            if self._layout is None or self._executor is None:
+                self.flush()
+            return self._planner, self._layout, self._executor, self._epoch
 
     # ------------------------------------------------------------------
     # Shared introspection
@@ -284,7 +383,8 @@ class SpatialStore(abc.ABC):
     @property
     def curve(self) -> SpaceFillingCurve:
         """The curve keying this store."""
-        return self._curve
+        with self._mutex:
+            return self._curve
 
     @property
     def disk(self) -> SimulatedDisk:
@@ -299,7 +399,8 @@ class SpatialStore(abc.ABC):
     @property
     def planner(self):
         """The planner producing this store's query plans."""
-        return self._planner
+        with self._mutex:
+            return self._planner
 
     @property
     def plan_cache(self):
@@ -309,12 +410,14 @@ class SpatialStore(abc.ABC):
     @property
     def page_layout(self) -> Optional[PageLayout]:
         """Key layout of the flushed pages (None until a flush)."""
-        return self._layout
+        with self._mutex:
+            return self._layout
 
     @property
     def executor(self):
         """The executor bound to the current layout (None until a flush)."""
-        return self._executor
+        with self._mutex:
+            return self._executor
 
     @property
     def cost_model(self) -> CostModel:
@@ -329,7 +432,8 @@ class SpatialStore(abc.ABC):
     @property
     def epoch(self) -> int:
         """Layout generation counter (bumped by every flush/migration)."""
-        return self._epoch
+        with self._mutex:
+            return self._epoch
 
     @property
     def durability(self):
@@ -351,11 +455,11 @@ class SpatialStore(abc.ABC):
     def _log_migrate(self, curve: SpaceFillingCurve) -> None:
         """Log a migration cutover (callers hold the mutex).
 
-        Called by both ``_migration_cutover`` implementations after the
-        version check and before any mutation, so a crash mid-cutover
-        recovers to either the old curve (frame not durable) or the new
-        one (frame durable, replay re-runs the migration) — never a
-        half-migrated store.  Raises before logging when ``curve``
+        Called by :meth:`_migration_cutover` after the version check
+        and before any mutation, so a crash mid-cutover recovers to
+        either the old curve (frame not durable) or the new one (frame
+        durable, replay re-runs the migration) — never a half-migrated
+        store.  Raises before logging when ``curve``
         cannot be rebuilt from the registry.
         """
         if self._durability is not None:
@@ -419,17 +523,6 @@ class SpatialStore(abc.ABC):
     # Updates (one write path)
     # ------------------------------------------------------------------
     @guarded_by("_mutex")
-    def _append_record(self, key: int, record: Record) -> None:
-        """Append one record to its key bucket (callers hold the mutex)."""
-        tree = self._tree_for_key(key)
-        bucket = tree.get(key)
-        if bucket is None:
-            tree.insert(key, [record])
-        else:
-            bucket.append(record)
-        self._count_delta(key, +1)
-
-    @guarded_by("_mutex")
     def _note_write(self) -> None:
         """Bump the content version and drop the stale on-disk layout."""
         self._version += 1
@@ -446,7 +539,7 @@ class SpatialStore(abc.ABC):
             key = self._curve.index(point)
             record = Record(tuple(int(c) for c in point), payload)
             self._log_durable(("insert", record.point, payload))
-            self._append_record(key, record)
+            self._append_records(((key, record),), (self._shard_of_key(key),))
             self._note_write()
 
     def bulk_load(
@@ -456,15 +549,17 @@ class SpatialStore(abc.ABC):
     ) -> None:
         """Insert many points (paired with ``payloads`` when given).
 
-        Keys are computed in one vectorized :meth:`index_many` call and
-        the on-disk layout is invalidated once at the end, instead of
-        the key-at-a-time / invalidate-per-insert cost of repeated
+        Keys are computed in one vectorized :meth:`index_many` call,
+        routed to their intervals in one vectorized lookup, and the
+        on-disk layout is invalidated once at the end, instead of the
+        key-at-a-time / invalidate-per-insert cost of repeated
         :meth:`insert` calls.  ``payloads`` may be longer than
         ``points`` (extras ignored, so infinite iterators work) but
         running out of payloads mid-load is an error, not silent
         truncation.
         """
-        curve = self._curve
+        with self._mutex:
+            curve = self._curve
         entries = keyed_records(curve, points, payloads)
         if not entries:
             return
@@ -480,8 +575,7 @@ class SpatialStore(abc.ABC):
             self._log_durable(
                 ("bulk", [(record.point, record.payload) for _, record in entries])
             )
-            for key, record in entries:
-                self._append_record(key, record)
+            self._append_records(entries, self._route([key for key, _ in entries]))
             self._note_write()
 
     def delete(self, point: Sequence[int], payload: Any = ANY) -> bool:
@@ -499,7 +593,8 @@ class SpatialStore(abc.ABC):
         """
         with self._mutex:
             key = self._curve.index(point)
-            tree = self._tree_for_key(key)
+            shard = self._shard_of_key(key)
+            tree = self._trees[shard]
             bucket = tree.get(key)
             if not bucket:
                 return False
@@ -518,7 +613,7 @@ class SpatialStore(abc.ABC):
                 return False
             if not bucket:
                 tree.delete(key)
-            self._count_delta(key, -1)
+            self._counts[shard] -= 1
             self._note_write()
             return True
 
@@ -532,7 +627,7 @@ class SpatialStore(abc.ABC):
         """
         with self._mutex:
             key = self._curve.index(point)
-            bucket = self._tree_for_key(key).get(key)
+            bucket = self._trees[self._shard_of_key(key)].get(key)
             return list(bucket) if bucket else []
 
     # ------------------------------------------------------------------
@@ -611,13 +706,16 @@ class SpatialStore(abc.ABC):
 
         The epoch in the cache key means a plan computed against an old
         layout can never be served — or poison the cache — after a
-        reflush swaps the layout.
+        reflush swaps the layout.  The curve comes from the snapshot's
+        planner, never from the live store, so a racing migration
+        cutover cannot pair one generation's curve with another's plan.
         """
-        rect.check_fits(self._curve.side)
+        curve = planner.curve
+        rect.check_fits(curve.side)
         if self._plan_cache is None:
             return planner.plan(rect, policy, layout=layout)
         with _obs_span("plan_lookup", kind="cache") as sp:
-            key = (epoch, self._curve, rect, policy)
+            key = (epoch, curve, rect, policy)
             plan = self._plan_cache.get(key)
             sp.set("hit", plan is not None)
             if plan is None:
@@ -768,8 +866,50 @@ class SpatialStore(abc.ABC):
         :class:`~repro.adaptive.MigrationReport`.  Queries keep serving
         the old layout while records are re-keyed; only the final
         cutover (and, under write contention, the last retry) holds the
-        migration lock.
+        store mutex.
         """
         from ..adaptive.migrator import OnlineMigrator
 
         return OnlineMigrator(batch_size=batch_size).migrate(self, curve)
+
+    def _migration_snapshot(self) -> Tuple[int, List[Tuple[int, Record]]]:
+        """A consistent ``(version, [(key, record)])`` view of the contents.
+
+        Taken under the mutex, walking :meth:`_flush_entries` — the same
+        key-ordered record walk a flush packs — so the snapshot can
+        never diverge from it.
+        """
+        with self._mutex:
+            return self._version, list(self._flush_entries())
+
+    def _migration_cutover(
+        self,
+        curve: SpaceFillingCurve,
+        keyed: List[Tuple[int, Record]],
+        expected_version: int,
+    ) -> bool:
+        """Atomically install records re-keyed under ``curve``.
+
+        ``keyed`` must be sorted ascending by new key.  Under the mutex:
+        refuses (returns False) when writes landed since the snapshot
+        ``expected_version`` was taken — the migrator then re-snapshots.
+        Otherwise every record is routed through the *current* shard map
+        into fresh trees (key intervals are curve-independent — the key
+        space size is unchanged), the shadow layout is packed on the
+        same append-only disk by the same :func:`pack_layout` a fresh
+        bulk load flushes through — which keeps a migrated store
+        identical to a fresh one, shard transparency included — and the
+        store serves the new curve through a new planner and executor,
+        epoch bumped, plan cache and buffer pool invalidated.
+        """
+        with self._mutex:
+            if self._version != expected_version:
+                return False
+            self._log_migrate(curve)
+            self._curve = curve
+            self._planner = self._make_planner(curve)
+            self._trees = [BPlusTree(order=self._tree_order) for _ in self._shards]
+            self._counts = [0] * len(self._shards)
+            self._append_records(keyed, self._route([key for key, _ in keyed]))
+            self._install_layout(pack_layout(self._disk, self._page_capacity, keyed))
+            return True

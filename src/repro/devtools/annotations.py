@@ -11,14 +11,13 @@ Two complementary forms, both deliberately lightweight:
   declares that every read or write of ``self._counts`` in that class
   must happen inside a ``with self._mutex:`` block (or in a method the
   callers enter with the lock held — see below).  Annotations are
-  scoped to the class that declares them: a single-threaded subclass
-  with its own unguarded fields is not polluted by a thread-safe
-  sibling's discipline.
+  scoped to the class that declares them, so a subclass that reassigns
+  a field its base guards repeats the annotation on that assignment.
 
 * **Method annotation** — the :func:`guarded_by` decorator::
 
       @guarded_by("_mutex")
-      def _count_delta(self, key, delta):
+      def _route(self, keys):
           ...
 
   declares that callers must hold ``_mutex`` when invoking the method;

@@ -1,17 +1,16 @@
 """Repo-specific configuration for the static analyzers.
 
 The rules themselves are generic AST machinery; everything that encodes
-*this* repo's conventions — the canonical lock order, the property
-aliases the migration protocol exposes, which call shapes count as
-blocking, where the curve registry and the test curve matrices live —
-is declared here, in one reviewable place.
+*this* repo's conventions — the canonical lock order, which call shapes
+count as blocking, where the curve registry and the test curve matrices
+live — is declared here, in one reviewable place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Tuple
+from typing import FrozenSet, Tuple
 
 __all__ = [
     "BLOCKING_ATTR_CALLS",
@@ -20,7 +19,6 @@ __all__ = [
     "DECLARED_LOCK_ORDER",
     "DURABLE_APPLY_CALLS",
     "GLOBAL_LOCKS",
-    "LOCK_ALIASES",
     "MATRIX_VARIABLE_NAMES",
     "RESOURCE_PAIRS",
     "ResourcePair",
@@ -43,12 +41,6 @@ DECLARED_LOCK_ORDER: Tuple[str, ...] = ("_mutex", "_io_lock")
 #: ``_lock`` inside PlanCache and WorkloadRecorder — different objects
 #: that happen to share a spelling) is scoped to its class.
 GLOBAL_LOCKS: FrozenSet[str] = frozenset(DECLARED_LOCK_ORDER)
-
-#: Property aliases resolved before discipline checks: the migration
-#: protocol's ``_migration_lock`` hook *is* the store mutex on every
-#: thread-safe store, so ``with index._migration_lock:`` counts as
-#: holding ``_mutex``.
-LOCK_ALIASES: Dict[str, str] = {"_migration_lock": "_mutex"}
 
 #: Method attribute names whose call blocks the calling thread —
 #: forbidden while holding any tracked lock (a worker needing the same
@@ -137,8 +129,8 @@ WAL_LOG_CALLS: FrozenSet[str] = frozenset({"_log_durable", "_log_migrate"})
 DURABLE_APPLY_CALLS: FrozenSet[str] = frozenset(
     {
         "_append_record",
+        "_append_records",
         "_note_write",
-        "_count_delta",
         "_install_layout",
         "_invalidate_layout",
         "_apply",

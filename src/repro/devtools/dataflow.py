@@ -569,12 +569,11 @@ def _self_attr(node: ast.AST) -> Optional[str]:
 def class_summaries(
     cls: ast.ClassDef,
     is_lock: Callable[[str], bool],
-    resolve: Callable[[str], str],
     acquire_kind: Callable[[ast.expr], Optional[str]],
 ) -> Dict[str, MethodSummary]:
     """Per-method summaries for one class.
 
-    ``is_lock``/``resolve`` come from the lock configuration,
+    ``is_lock`` comes from the lock configuration,
     ``acquire_kind`` classifies a call expression against the resource
     pair table.  Only direct methods of ``cls`` are summarized — the
     propagation is one level deep by design.
@@ -602,7 +601,7 @@ def class_summaries(
                     if attr is None and isinstance(expr, ast.Name):
                         attr = aliases.get(expr.id)
                     if attr is not None and is_lock(attr):
-                        summary.acquires.add(resolve(attr))
+                        summary.acquires.add(attr)
             elif isinstance(node, ast.Return) and node.value is not None:
                 kind = acquire_kind(node.value)
                 if kind is not None:

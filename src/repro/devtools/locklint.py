@@ -51,7 +51,6 @@ from .config import (
     BLOCKING_NAME_CALLS,
     DECLARED_LOCK_ORDER,
     GLOBAL_LOCKS,
-    LOCK_ALIASES,
 )
 from .dataflow import CFGNode, FunctionUnit, MethodSummary
 from .findings import Finding
@@ -62,8 +61,8 @@ _GUARD_RE = re.compile(re.escape(GUARDED_BY_COMMENT) + r"\s*([A-Za-z_][A-Za-z0-9
 
 #: Name fragments that make a ``self.<attr>`` look like a lock, so
 #: ``with self.<attr>:`` is treated as an acquisition even without a
-#: ``threading.Lock()`` assignment in view (e.g. hooks defaulting to
-#: ``nullcontext()`` on an abstract base).
+#: ``threading.Lock()`` assignment in view (e.g. a subclass taking the
+#: lock its base class's constructor created).
 _LOCKISH = ("lock", "mutex", "guard")
 
 
@@ -240,12 +239,10 @@ class LockLint:
     def __init__(
         self,
         repo_root: Optional[Path] = None,
-        aliases: Optional[Dict[str, str]] = None,
         declared_order: Sequence[str] = DECLARED_LOCK_ORDER,
         global_locks: Optional[Set[str]] = None,
     ):
         self._repo_root = repo_root
-        self._aliases = dict(LOCK_ALIASES if aliases is None else aliases)
         self._order = tuple(declared_order)
         self._global = set(GLOBAL_LOCKS if global_locks is None else global_locks)
         self._findings: List[Finding] = []
@@ -285,7 +282,6 @@ class LockLint:
                 summaries[key] = dataflow.class_summaries(
                     unit.cls,
                     is_lock=self._is_lock,
-                    resolve=self._resolve,
                     acquire_kind=lambda expr: None,
                 )
             root_key = id(unit.root)
@@ -303,9 +299,6 @@ class LockLint:
                 pass
         return path.as_posix()
 
-    def _resolve(self, lock: str) -> str:
-        return self._aliases.get(lock, lock)
-
     def _local_lock_aliases(self, func: ast.AST) -> Dict[str, str]:
         """``{local_name: lock_attr}`` for ``name = self.<lock>`` bindings."""
         aliases: Dict[str, str] = {}
@@ -321,20 +314,16 @@ class LockLint:
         return aliases
 
     def _is_lock(self, model_attr: str) -> bool:
-        return (
-            model_attr in self._global
-            or model_attr in self._aliases
-            or _looks_like_lock(model_attr)
-        )
+        return model_attr in self._global or _looks_like_lock(model_attr)
 
     def _acquired_lock(
         self, expr: ast.expr, local_aliases: Dict[str, str]
     ) -> Optional[str]:
-        """The canonical lock name a ``with`` item acquires, or None."""
+        """The lock name a ``with`` item acquires, or None."""
         if isinstance(expr, ast.Attribute) and self._is_lock(expr.attr):
-            return self._resolve(expr.attr)
+            return expr.attr
         if isinstance(expr, ast.Name) and expr.id in local_aliases:
-            return self._resolve(local_aliases[expr.id])
+            return local_aliases[expr.id]
         return None
 
     # ------------------------------------------------------------------
@@ -347,7 +336,7 @@ class LockLint:
         summaries: Dict[str, MethodSummary],
         local_aliases: Dict[str, str],
     ) -> None:
-        held0 = {self._resolve(name) for name in _decorator_guards(unit.func)}
+        held0 = set(_decorator_guards(unit.func))
         check_guards = unit.method_name not in ("__init__", "__post_init__")
         scope = unit.qualname
         cfg = unit.cfg
@@ -385,7 +374,7 @@ class LockLint:
                     check_guards
                     and attr is not None
                     and attr in model.guarded
-                    and self._resolve(model.guarded[attr]) not in held
+                    and model.guarded[attr] not in held
                     and id(sub) not in flagged
                 ):
                     flagged.add(id(sub))
@@ -521,13 +510,10 @@ class LockLint:
 def lint_lock_discipline(
     paths: Sequence[Path],
     repo_root: Optional[Path] = None,
-    aliases: Optional[Dict[str, str]] = None,
     declared_order: Sequence[str] = DECLARED_LOCK_ORDER,
 ) -> List[Finding]:
     """Run the three lock rules over ``paths`` and return the findings."""
-    lint = LockLint(
-        repo_root=repo_root, aliases=aliases, declared_order=declared_order
-    )
+    lint = LockLint(repo_root=repo_root, declared_order=declared_order)
     for path in paths:
         lint.add_file(path)
     return lint.finalize()

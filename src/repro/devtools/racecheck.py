@@ -34,7 +34,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .config import DECLARED_LOCK_ORDER, LOCK_ALIASES
+from .config import DECLARED_LOCK_ORDER
 
 __all__ = [
     "FieldViolation",
@@ -86,8 +86,7 @@ class LockOrderTracker:
     it cannot perturb the ordering being measured).
     """
 
-    def __init__(self, aliases: Optional[Mapping[str, str]] = None):
-        self._aliases = dict(LOCK_ALIASES if aliases is None else aliases)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._edges: Dict[Tuple[str, str], int] = {}  # guarded-by: _lock
         self._acquires: Dict[str, int] = {}  # guarded-by: _lock
@@ -104,16 +103,12 @@ class LockOrderTracker:
             self._local.stack = stack
         return stack
 
-    def _resolve(self, name: str) -> str:
-        return self._aliases.get(name, name)
-
     def holds(self, name: str) -> bool:
         """True when the calling thread currently holds ``name``."""
-        return self._resolve(name) in self._stack()
+        return name in self._stack()
 
     def note_acquire(self, name: str) -> None:
         """Record that the calling thread acquired ``name`` (post-acquire)."""
-        name = self._resolve(name)
         stack = self._stack()
         if name not in stack:  # re-entrant re-acquire adds no edge
             held = list(dict.fromkeys(stack))
@@ -126,7 +121,6 @@ class LockOrderTracker:
 
     def note_release(self, name: str) -> None:
         """Record a release (innermost matching hold)."""
-        name = self._resolve(name)
         stack = self._stack()
         for i in range(len(stack) - 1, -1, -1):
             if stack[i] == name:
@@ -140,7 +134,7 @@ class LockOrderTracker:
             return
         violation = FieldViolation(
             field=field_name,
-            lock=self._resolve(lock),
+            lock=lock,
             operation=operation,
             thread=threading.current_thread().name,
         )
@@ -152,7 +146,7 @@ class LockOrderTracker:
     # ------------------------------------------------------------------
     def wrap(self, lock: Any, name: str) -> "TrackedLock":
         """A :class:`TrackedLock` reporting to this tracker as ``name``."""
-        return TrackedLock(lock, self._resolve(name), self)
+        return TrackedLock(lock, name, self)
 
     def instrument(self, obj: Any, names: Iterable[str]) -> Any:
         """Replace ``obj``'s lock attributes with tracked wrappers.

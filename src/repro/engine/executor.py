@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -208,11 +207,11 @@ class PlanStream:
     early-exit saving comes from.
 
     Peak record residency is one page: nothing is accumulated across
-    pages.  I/O accounting is tallied per read (under ``io_lock`` when
-    one is given, so sharded streams serialize their charged reads with
-    concurrent executions' read passes); the workload recorder is
-    notified exactly once, when the stream finishes or is closed, with
-    the I/O actually incurred.
+    pages.  I/O accounting is tallied per read (under ``io_lock``, so
+    streams serialize their charged reads with concurrent executions'
+    read passes; a stream given none takes a private lock); the
+    workload recorder is notified exactly once, when the stream
+    finishes or is closed, with the I/O actually incurred.
     """
 
     def __init__(
@@ -232,7 +231,7 @@ class PlanStream:
         self._reader = reader
         self._pool = pool
         self._pool_in_path = pool_in_path
-        self._io_lock = io_lock
+        self._io_lock = io_lock if io_lock is not None else threading.Lock()
         self._recorder = recorder
         self._seeks = 0
         self._sequential = 0
@@ -324,12 +323,8 @@ class PlanStream:
                 plan.scan_runs, resolved_spans(plan, layout)
             ):
                 for position in range(first, last + 1):
-                    page_id = layout.page_ids[position]
-                    if lock is None:
-                        page = self._read(page_id)
-                    else:
-                        with lock:
-                            page = self._read(page_id)
+                    with lock:
+                        page = self._read(layout.page_ids[position])
                     self._pages_pulled += 1
                     matched: List[Record] = []
                     self._over_read += scan_page(page, start, end, rect, matched)
@@ -407,14 +402,13 @@ class Executor:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
         executed plan reports its shape and realized I/O profile.
     io_lock:
-        Optional lock held across each execution's read-and-filter pass
-        (and around each streamed read).  Pass one *shared* lock when several
-        threads or executor generations read the same disk: the sharded
-        index hands every executor generation its single I/O lock, since
-        a query racing a reflush would otherwise interleave reads with
-        the new generation and corrupt seek accounting.  ``None`` (the
-        single-threaded :class:`~repro.index.spatial.SFCIndex`) locks
-        nothing.
+        Lock held across each execution's read-and-filter pass (and
+        around each streamed read).  Pass one *shared* lock when several
+        threads or executor generations read the same disk: every store
+        hands each executor generation its single I/O lock, since a
+        query racing a reflush would otherwise interleave reads with the
+        new generation and corrupt seek accounting.  ``None`` gives a
+        standalone executor a private lock.
     """
 
     def __init__(
@@ -437,7 +431,7 @@ class Executor:
         # None, not a fictitious "fully warm" zero.
         self._pool_in_path = pool is not None and reader == pool.read
         self._recorder = recorder
-        self._io_lock = io_lock
+        self._io_lock = io_lock if io_lock is not None else threading.Lock()
 
     @property
     def layout(self) -> PageLayout:
@@ -468,7 +462,7 @@ class Executor:
         ``page_cache`` when one is given (:func:`read_page`).  Returns
         what ``scan`` returned plus the seeks and sequential reads it
         charged and the buffer pool's cold misses (None without a pool
-        in the path), all under the I/O lock when one is set.
+        in the path), all under the I/O lock.
         """
         reader = self._reader
         read = (
@@ -476,7 +470,7 @@ class Executor:
             if page_cache is None
             else lambda page_id: read_page(reader, page_id, page_cache)
         )
-        with self._io_lock or nullcontext():
+        with self._io_lock:
             stats = self._disk.stats
             seeks_before = stats.seeks
             seq_before = stats.sequential_reads
@@ -582,7 +576,7 @@ class Executor:
         The streaming counterpart of :meth:`execute`: same reader, same
         page sequence, identical accounting when fully drained, but one
         page of records resident at a time and early-exit on abandon.
-        Each charged read takes the I/O lock, when one is set.
+        Each charged read takes the I/O lock.
         """
         return PlanStream(
             self._disk,

@@ -8,13 +8,15 @@ for scans.
 The serving facade — updates, point lookups, flush, planning, EXPLAIN,
 range queries, the composable :class:`~repro.api.Query` front door with
 streaming :class:`~repro.api.Cursor` results and kNN, and online
-migration — lives on the shared :class:`~repro.api.store.SpatialStore`
-base (one implementation for this class and
-:class:`~repro.index.sharded.ShardedSFCIndex`).  This module implements
-only the single-node storage topology: one B+-tree, one record count,
-one :class:`~repro.engine.executor.Executor` per layout generation, and
-snapshots that need no locking because the single index is not
-thread-safe.
+migration — and the storage topology behind it live on the shared
+:class:`~repro.api.store.SpatialStore` base (one implementation for this
+class and :class:`~repro.index.sharded.ShardedSFCIndex`).  An
+``SFCIndex`` is the store whose shard map is the single interval
+``(0, curve.size - 1)``: one B+-tree, one record count, and the same
+re-entrant mutex and I/O lock as every store, so it is thread-safe.
+This module only picks its serving engine — a plain
+:class:`~repro.engine.planner.Planner` and an
+:class:`~repro.engine.executor.Executor` sharing the store's I/O lock.
 
 Range queries go through the :mod:`repro.engine` planner/executor
 split: :meth:`SFCIndex.plan` produces an immutable
@@ -32,25 +34,24 @@ historical signature.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional
 
 from ..api.store import SpatialStore, keyed_records, pack_layout
 from ..curves.base import SpaceFillingCurve
-from ..engine.cache import PlanCache
-from ..engine.cost import DEFAULT_COST_MODEL, CostModel
+from ..engine.cost import CostModel
 from ..engine.executor import Executor, RangeQueryResult, Record
 from ..engine.plan import PageLayout
 from ..engine.planner import Planner
-from ..errors import InvalidQueryError
-from ..storage.bplustree import BPlusTree
-from ..storage.buffer import BufferPool
-from ..storage.disk import SimulatedDisk
 
 __all__ = ["Record", "RangeQueryResult", "SFCIndex", "keyed_records", "pack_layout"]
 
 
 class SFCIndex(SpatialStore):
     """A spatial index keyed by a space filling curve.
+
+    The :class:`~repro.api.store.SpatialStore` over one key interval,
+    served by the single-node planner and executor.  Thread-safe: every
+    mutation and snapshot serializes on the store mutex.
 
     Parameters
     ----------
@@ -100,105 +101,28 @@ class SFCIndex(SpatialStore):
         durable_sync: bool = True,
         durable_ops=None,
     ):
-        if page_capacity < 1:
-            raise InvalidQueryError(f"page_capacity must be >= 1, got {page_capacity}")
-        self._curve = curve
-        self._page_capacity = page_capacity
-        self._tree_order = tree_order
-        self._tree = BPlusTree(order=tree_order)
-        self._disk = SimulatedDisk()
-        self._pool = BufferPool(self._disk, buffer_pages) if buffer_pages else None
-        self._cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self._recorder = recorder
-        self._planner = Planner(curve, cost_model=self._cost_model, recorder=recorder)
-        self._plan_cache = PlanCache(plan_cache_size) if plan_cache_size else None
-        self._layout: Optional[PageLayout] = None
-        self._executor: Optional[Executor] = None
-        self._count = 0
-        #: Layout generation, bumped by every flush and migration cutover;
-        #: keys the plan cache so stale-generation plans cannot be served.
-        self._epoch = 0
-        #: Content version, bumped by every write; the migration protocol
-        #: uses it to detect writes racing an optimistic re-key pass.
-        self._version = 0
-        self._init_durability(durable_path, durable_ops, durable_sync)
-
-    def __len__(self) -> int:
-        return self._count
-
-    # ------------------------------------------------------------------
-    # Storage primitives (the SpatialStore contract)
-    # ------------------------------------------------------------------
-    def _tree_for_key(self, key: int) -> BPlusTree:
-        return self._tree
-
-    def _count_delta(self, key: int, delta: int) -> None:
-        self._count += delta
-
-    def _flush_entries(self) -> Iterable[Tuple[int, Record]]:
-        return (
-            (key, record)
-            for key, bucket in self._tree.items()
-            for record in bucket
+        super().__init__(
+            curve,
+            ((0, curve.size - 1),),
+            page_capacity=page_capacity,
+            tree_order=tree_order,
+            buffer_pages=buffer_pages,
+            cost_model=cost_model,
+            plan_cache_size=plan_cache_size,
+            recorder=recorder,
+            durable_path=durable_path,
+            durable_sync=durable_sync,
+            durable_ops=durable_ops,
         )
+
+    def _make_planner(self, curve: SpaceFillingCurve) -> Planner:
+        return Planner(curve, cost_model=self._cost_model, recorder=self._recorder)
 
     def _make_executor(self, layout: PageLayout) -> Executor:
         return Executor(
-            self._disk, layout, pool=self._pool, recorder=self._recorder
+            self._disk,
+            layout,
+            pool=self._pool,
+            recorder=self._recorder,
+            io_lock=self._io_lock,
         )
-
-    def _ensure_flushed(self) -> Executor:
-        if self._layout is None or self._executor is None:
-            self.flush()
-        return self._executor
-
-    def _snapshot(self):
-        """``(planner, layout, executor, epoch)`` — no lock needed; the
-        single index is documented as not thread-safe."""
-        self._ensure_flushed()
-        return self._planner, self._layout, self._executor, self._epoch
-
-    # ------------------------------------------------------------------
-    # Online migration (the adaptive control plane's data-plane hooks)
-    # ------------------------------------------------------------------
-    def _migration_snapshot(self) -> Tuple[int, List[Tuple[int, Record]]]:
-        """A consistent ``(version, [(key, record)])`` view of the contents.
-
-        Walks :meth:`_flush_entries` — the same key-ordered record walk
-        a flush packs — so the snapshot can never diverge from it.
-        """
-        return self._version, list(self._flush_entries())
-
-    def _migration_cutover(
-        self,
-        curve: SpaceFillingCurve,
-        keyed: List[Tuple[int, Record]],
-        expected_version: int,
-    ) -> bool:
-        """Atomically install records re-keyed under ``curve``.
-
-        ``keyed`` must be sorted ascending by new key.  Refuses (returns
-        False) when writes landed since the snapshot ``expected_version``
-        was taken — the migrator then re-snapshots.  On success the index
-        serves the new curve: fresh B+-tree, shadow layout packed on the
-        same append-only disk, new planner/executor, epoch bumped, plan
-        cache and buffer pool invalidated.
-        """
-        if self._version != expected_version:
-            return False
-        self._log_migrate(curve)
-        tree = BPlusTree(order=self._tree_order)
-        for key, record in keyed:
-            bucket = tree.get(key)
-            if bucket is None:
-                tree.insert(key, [record])
-            else:
-                bucket.append(record)
-        layout = pack_layout(self._disk, self._page_capacity, keyed)
-        self._curve = curve
-        self._planner = Planner(
-            curve, cost_model=self._cost_model, recorder=self._recorder
-        )
-        self._tree = tree
-        self._install_layout(layout)
-        return True

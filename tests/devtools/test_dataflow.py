@@ -230,7 +230,6 @@ class TestUnits:
         summaries = class_summaries(
             cls,
             is_lock=lambda attr: attr.endswith("_mutex"),
-            resolve=lambda attr: attr,
             acquire_kind=lambda expr: None,
         )
         assert summaries["helper"].acquires == {"_mutex"}

@@ -1,11 +1,14 @@
 """Lock-discipline tests specific to the CFG port: multi-item ``with``
 statements and locks acquired inside private helpers — the two
-patterns the old per-function walker went blind on."""
+patterns the old per-function walker went blind on — plus the store
+subclass whose guarded fields the base class declares."""
 
 import ast
+from pathlib import Path
 
+import repro.index.sharded as sharded_module
 from repro.devtools import dataflow
-from repro.devtools.locklint import LockLint
+from repro.devtools.locklint import LockLint, lint_lock_discipline
 
 PREAMBLE = "import threading\n\n\n"
 
@@ -109,3 +112,37 @@ class TestLockInHelper:
             "        return self._grab()\n"
         )
         assert _keys(findings, "lock-order") == set()
+
+
+class TestStoreSubclassDiscipline:
+    """The guarded fields a store subclass reassigns keep their
+    ``guarded-by`` annotations there, so dropping the mutex from a
+    subclass method is caught even though the base declares them."""
+
+    SHARDED = Path(sharded_module.__file__)
+    LOCKED_LOADS = (
+        "        with self._mutex:\n"
+        "            return tuple(self._counts)\n"
+    )
+
+    def _lint_copy(self, tmp_path, source):
+        path = tmp_path / "sharded.py"
+        path.write_text(source)
+        return lint_lock_discipline([path], repo_root=tmp_path)
+
+    def test_sharded_store_copy_is_clean(self, tmp_path):
+        assert self._lint_copy(tmp_path, self.SHARDED.read_text()) == []
+
+    def test_dropping_the_mutex_in_shard_loads_is_flagged(self, tmp_path):
+        source = self.SHARDED.read_text()
+        assert source.count(self.LOCKED_LOADS) == 1
+        seeded = source.replace(
+            self.LOCKED_LOADS, "        return tuple(self._counts)\n"
+        )
+        findings = self._lint_copy(tmp_path, seeded)
+        assert [(f.rule, f.key) for f in findings] == [
+            (
+                "unguarded-access",
+                "sharded.py::ShardedSFCIndex.shard_loads::_counts",
+            )
+        ]

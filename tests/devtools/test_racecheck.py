@@ -1,10 +1,10 @@
 """Unit tests for the runtime race-detector harness.
 
-The sharded concurrency hammer (tests/index/test_sharded_concurrency.py)
-proves the harness against the real store; these tests pin the
-primitives themselves — edge recording, re-entrancy, alias resolution,
-field watching, and every violation kind — with deterministic
-single- and two-thread scenarios.
+The store concurrency hammer (tests/index/test_sharded_concurrency.py)
+proves the harness against the real stores; these tests pin the
+primitives themselves — edge recording, re-entrancy, field watching,
+and every violation kind — with deterministic single- and two-thread
+scenarios.
 """
 
 import threading
@@ -53,16 +53,6 @@ class TestEdgeRecording:
         with io:
             pass
         assert tracker.edges() == {}
-
-    def test_alias_resolves_to_canonical_name(self):
-        tracker = LockOrderTracker(aliases={"_migration_lock": "_mutex"})
-        migration = tracker.wrap(threading.RLock(), "_migration_lock")
-        io = tracker.wrap(threading.Lock(), "_io_lock")
-        with migration:
-            assert tracker.holds("_mutex")
-            with io:
-                pass
-        assert tracker.edges() == {("_mutex", "_io_lock"): 1}
 
     def test_stacks_are_per_thread(self):
         tracker = LockOrderTracker()

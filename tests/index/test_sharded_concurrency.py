@@ -1,7 +1,9 @@
-"""Concurrency hammer: the sharded serving layer under mixed traffic.
+"""Concurrency hammer: the store serving layer under mixed traffic.
 
 Readers plan and execute range queries (point and batched) while
 writers insert and flush, all from one :class:`ThreadPoolExecutor`.
+The race-checked hammer runs on both stores — they share one lock
+model, so the single index is held to the same discipline.
 The contract under test:
 
 * no exceptions, ever — the lock-protected write paths and the
@@ -16,6 +18,7 @@ The contract under test:
   key the cache), so post-flush queries re-plan against the new layout.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -151,39 +154,53 @@ class TestScatterGatherUnderThreads:
                 assert got == expected
 
 
+#: Every field the store mutex guards (``guarded-by: _mutex`` in
+#: SpatialStore and ShardedSFCIndex).
+MUTEX_GUARDED = (
+    "_curve",
+    "_shards",
+    "_planner",
+    "_trees",
+    "_counts",
+    "_layout",
+    "_executor",
+    "_epoch",
+    "_version",
+)
+
+
 class TestRaceCheckedHammer:
     """The front-door hammer under the runtime race detector.
 
     Streaming cursors and kNN searches run concurrently with writers
     and online ``migrate_to`` cutovers while every store lock is
-    wrapped in a :class:`~repro.devtools.LockOrderTracker` and the
-    mutex-guarded fields are watched.  Afterwards the tracker must
-    show: zero unguarded field accesses, zero lock-order violations,
-    and no acquisition edge the static analysis did not predict (the
-    only legal edge is ``_mutex -> _io_lock``, taken by
+    wrapped in a :class:`~repro.devtools.LockOrderTracker` and every
+    mutex-guarded field is watched (the sharded store here, the single
+    store in :class:`TestRaceCheckedHammerSingle`).  Afterwards the
+    tracker must show: zero unguarded field accesses, zero lock-order
+    violations, and no acquisition edge the static analysis did not
+    predict (the only legal edge is ``_mutex -> _io_lock``, taken by
     ``_install_layout`` when clearing the buffer pool).
     """
 
     #: The one cross-lock edge `repro lint`'s graph declares.
     ALLOWED_EDGES = {("_mutex", "_io_lock")}
+    #: Which store the hammer runs on.
+    STORE = "sharded"
 
-    def _tracked_index(self, points, tracker, **kwargs):
-        index = ShardedSFCIndex(
-            make_curve("onion", SIDE, 2),
-            num_shards=kwargs.pop("num_shards", 4),
-            page_capacity=8,
-            buffer_pages=kwargs.pop("buffer_pages", 8),
-            **kwargs,
-        )
+    def _tracked_index(self, points, tracker):
+        curve = make_curve("onion", SIDE, 2)
+        if self.STORE == "sharded":
+            index = ShardedSFCIndex(
+                curve, num_shards=4, page_capacity=8, buffer_pages=8
+            )
+        else:
+            index = SFCIndex(curve, page_capacity=8, buffer_pages=8)
         # Instrument BEFORE the first flush: executors capture the
         # io-lock reference at construction, and only a wrapped lock at
         # that moment is observed by the tracker.
         tracker.instrument(index, ["_mutex", "_io_lock"])
-        watch_fields(
-            index,
-            tracker,
-            {"_trees": "_mutex", "_counts": "_mutex", "_version": "_mutex"},
-        )
+        watch_fields(index, tracker, {name: "_mutex" for name in MUTEX_GUARDED})
         index.bulk_load(points)
         index.flush()
         return index
@@ -240,12 +257,19 @@ class TestRaceCheckedHammer:
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(writer), pool.submit(migrator)]
-            futures += [pool.submit(cursor_reader, 200 + s) for s in range(3)]
-            futures += [pool.submit(knn_reader, 300 + s) for s in range(3)]
-            for future in futures:
-                future.result()
+        # A short switch interval forces far more thread interleavings
+        # per run than the interpreter's 5 ms default.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(writer), pool.submit(migrator)]
+                futures += [pool.submit(cursor_reader, 200 + s) for s in range(3)]
+                futures += [pool.submit(knn_reader, 300 + s) for s in range(3)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
         assert not errors, errors[0]
 
         # The hammer actually hammered: both locks saw real traffic.
@@ -282,6 +306,13 @@ class TestRaceCheckedHammer:
                 pass
         violations = tracker.order_violations()
         assert any(v.kind == "declared-order" for v in violations)
+
+
+class TestRaceCheckedHammerSingle(TestRaceCheckedHammer):
+    """The same hammer and seeded checks on the single-node store, which
+    shares the sharded store's lock model and guarded fields."""
+
+    STORE = "single"
 
 
 class TestPlanCacheUnderThreads:

@@ -10,7 +10,7 @@ import pytest
 
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
 from repro.curves.onion3d import OnionCurve3D
-from repro.errors import RecoveryError, StorageError
+from repro.errors import InvalidQueryError, RecoveryError, StorageError
 from repro.storage.pagefile import MANIFEST_NAME, wal_file_name
 from repro.storage.wal import scan_wal
 
@@ -160,6 +160,26 @@ class TestSharded:
         assert recovered.num_shards == 3
         assert recovered.shards == store.shards
         assert recovered.shard_loads == store.shard_loads
+
+    @pytest.mark.parametrize("target", [0, -1])
+    def test_refused_rebalance_leaves_a_recoverable_log(self, tmp_path, target):
+        """Regression: a rebalance refused for a bad shard count used to
+        reach the WAL before the refusal, so ``recover()`` replayed it,
+        raised the same error and recovered none of the acknowledged
+        operations around it."""
+        store = ShardedSFCIndex(
+            make_curve("onion", SIDE, 2),
+            num_shards=3,
+            page_capacity=4,
+            durable_path=tmp_path / "d",
+        )
+        _populate(store)
+        with pytest.raises(InvalidQueryError):
+            store.rebalance(target)
+        store.insert((6, 6), "after")
+        recovered = recover(tmp_path / "d")
+        assert recovered.shards == store.shards
+        assert _signature(recovered) == _signature(store)
 
     def test_checkpoint_persists_the_shard_map(self, tmp_path):
         store = _build("sharded", tmp_path)
