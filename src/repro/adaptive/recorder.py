@@ -2,10 +2,10 @@
 
 A :class:`WorkloadRecorder` is the adaptive subsystem's only contact
 with the serving path.  The planner calls :meth:`record_planned` for
-every plan it builds and both executors call :meth:`record_executed`
-for every query they run; each call is O(1) under one lock, so the hook
-is cheap enough to leave on in production (the PR 3 concurrency story —
-many client threads hammering one index — applies unchanged).
+every plan it builds, and the executor's one execution report calls
+:meth:`record_executed` for every query executed or streamed; each call
+is O(1) under one lock, so the hook is cheap enough to leave on in
+production, with many client threads hammering one index.
 
 Two views accumulate:
 

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Iterator, List, Optional
 
-from ..engine.cost import DEFAULT_COST_MODEL, CostModel
+from ..costmodel import IOProfile
 from ..engine.executor import PlanStream, Record
 from .query import Query
 
@@ -38,7 +38,7 @@ __all__ = ["Cursor", "CursorStats", "QueryResult"]
 
 
 @dataclass(frozen=True)
-class CursorStats:
+class CursorStats(IOProfile):
     """A point-in-time snapshot of a cursor's accounting."""
 
     #: Seeks charged so far (the paper's clustering cost, realized).
@@ -59,24 +59,9 @@ class CursorStats:
     #: Buffer-pool misses (None when the store runs without a pool).
     cold_misses: Optional[int] = None
 
-    @property
-    def pages_read(self) -> int:
-        """Total pages touched so far."""
-        return self.seeks + self.sequential_reads
-
-    def cost(
-        self,
-        seek_cost: float = DEFAULT_COST_MODEL.seek_cost,
-        read_cost: float = DEFAULT_COST_MODEL.read_cost,
-    ) -> float:
-        """Simulated elapsed time under the configured disk constants."""
-        return CostModel(seek_cost, read_cost).io_cost(
-            self.seeks, self.sequential_reads
-        )
-
 
 @dataclass
-class QueryResult:
+class QueryResult(IOProfile):
     """Materialized outcome of a rich query (predicate/limit/projection).
 
     The streaming analogue of
@@ -98,21 +83,6 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def pages_read(self) -> int:
-        """Total pages touched."""
-        return self.seeks + self.sequential_reads
-
-    def cost(
-        self,
-        seek_cost: float = DEFAULT_COST_MODEL.seek_cost,
-        read_cost: float = DEFAULT_COST_MODEL.read_cost,
-    ) -> float:
-        """Simulated elapsed time under the configured disk constants."""
-        return CostModel(seek_cost, read_cost).io_cost(
-            self.seeks, self.sequential_reads
-        )
 
 
 class Cursor:

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from ..engine.cost import DEFAULT_COST_MODEL, CostModel
+from ..costmodel import IOProfile
 from ..engine.executor import Record
 from ..errors import InvalidQueryError
 from ..geometry import Rect, check_cell
@@ -66,7 +66,7 @@ class Neighbor:
 
 
 @dataclass(frozen=True)
-class KNNResult:
+class KNNResult(IOProfile):
     """The ``k`` nearest records plus the search's simulated I/O profile."""
 
     #: Query point the distances are measured from.
@@ -96,21 +96,6 @@ class KNNResult:
     def distances(self) -> Tuple[float, ...]:
         """The neighbour distances, ascending."""
         return tuple(neighbor.distance for neighbor in self.neighbors)
-
-    @property
-    def pages_read(self) -> int:
-        """Total pages touched across all expansions."""
-        return self.seeks + self.sequential_reads
-
-    def cost(
-        self,
-        seek_cost: float = DEFAULT_COST_MODEL.seek_cost,
-        read_cost: float = DEFAULT_COST_MODEL.read_cost,
-    ) -> float:
-        """Simulated elapsed time of the whole search."""
-        return CostModel(seek_cost, read_cost).io_cost(
-            self.seeks, self.sequential_reads
-        )
 
 
 def knn_search(store, point: Sequence[int], k: int, metric: str = "euclidean"):
@@ -166,7 +151,7 @@ def knn_search(store, point: Sequence[int], k: int, metric: str = "euclidean"):
         sp.set("seeks", seeks)
         sp.set("sequential_reads", sequential)
         sp.set("records_scanned", scanned)
-    if _OBS_METRICS.enabled:
+    if started:  # 0.0: metrics were off as the search began
         _KNN_QUERIES.inc()
         _KNN_EXPANSIONS.inc(expansions)
         _KNN_LATENCY.observe(time.perf_counter() - started)

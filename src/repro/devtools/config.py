@@ -20,6 +20,7 @@ __all__ = [
     "DURABLE_APPLY_CALLS",
     "GLOBAL_LOCKS",
     "MATRIX_VARIABLE_NAMES",
+    "NOTIFY_CALLS",
     "RESOURCE_PAIRS",
     "ResourcePair",
     "WAL_LOG_CALLS",
@@ -154,6 +155,13 @@ CHAIN_OP_NAMES: FrozenSet[str] = frozenset(
         "write",
     }
 )
+
+#: Call names (``x.NAME(...)``) that notify the workload recorder of an
+#: execution: the recorder's own ``record_executed``, and the executor's
+#: ``_report``, which streams call to make it.  The notify-once rule
+#: holds every streaming class that calls one to the exactly-once
+#: contract (CONTRIBUTING invariant 5).
+NOTIFY_CALLS: FrozenSet[str] = frozenset({"record_executed", "_report"})
 
 #: Module-level assignment names that declare a test curve matrix.  The
 #: curve-matrix rule unions every string literal assigned to one of

@@ -12,11 +12,12 @@ rule lives in :mod:`repro.devtools.lifecycle` since the CFG port):
   epoch bump silently serves stale plans built for the old curve.
 * ``notify-once`` — streaming result classes (anything with both a
   ``close()`` method and a generator method) must notify the workload
-  recorder exactly once per stream lifetime: every
-  ``record_executed(...)`` caller carries an idempotence guard
-  (``if self._flag: return`` … ``self._flag = True``), ``close()``
-  reaches a notifier, and every generator notifies from a ``finally``
-  so abandoned or raising streams still count.  Double-notify skews
+  recorder exactly once per stream lifetime: every method calling a
+  notifier (``record_executed`` or the executor's ``_report``, see
+  :data:`~repro.devtools.config.NOTIFY_CALLS`) carries an idempotence
+  guard (``if self._flag: return`` … ``self._flag = True``),
+  ``close()`` reaches a notifier, and every generator notifies from a
+  ``finally`` so abandoned or raising streams still count.  Double-notify skews
   the adaptive controller's drift statistics; missing notify starves
   them.
 * ``mutable-default`` — ``def f(x, acc=[])`` / ``acc={}`` / ``acc=set()``
@@ -36,7 +37,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .config import MATRIX_VARIABLE_NAMES
+from .config import MATRIX_VARIABLE_NAMES, NOTIFY_CALLS
 from .findings import Finding
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "check_notify_once",
 ]
 
-_NOTIFY_CALL = "record_executed"
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
 
@@ -149,7 +149,7 @@ def _is_generator(func: ast.FunctionDef) -> bool:
 def _calls_notify(nodes: Iterable[ast.AST]) -> bool:
     for node in nodes:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr == _NOTIFY_CALL:
+            if node.func.attr in NOTIFY_CALLS:
                 return True
     return False
 
@@ -208,9 +208,9 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
                         path=relpath,
                         line=methods[name].lineno,
                         message=(
-                            f"{cls.name}.{name} calls {_NOTIFY_CALL}() without "
+                            f"{cls.name}.{name} notifies the recorder without "
                             f"an if-recorded guard — close()+exhaustion would "
-                            f"notify the recorder twice"
+                            f"notify it twice"
                         ),
                         key=f"{relpath}::{cls.name}.{name}::guard",
                     )
@@ -251,11 +251,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
                     ]
                     for call in final_calls:
                         callee = _self_call_name(call)
-                        if callee in notifiers or (
-                            isinstance(call, ast.Call)
-                            and isinstance(call.func, ast.Attribute)
-                            and call.func.attr == _NOTIFY_CALL
-                        ):
+                        if callee in notifiers or _calls_notify([call]):
                             protected = True
             if not protected:
                 findings.append(

@@ -5,6 +5,12 @@ disk: the plan says which pages each scan run covers, the executor reads
 them — through the buffer pool when one is configured — filters records,
 and reports the measured I/O profile as a :class:`RangeQueryResult`.
 
+Every execution — :meth:`Executor.execute`, the scatter–gather
+``execute`` and a :class:`PlanStream` — charges its page reads through
+:meth:`Executor._charged` and reports them once, through
+:meth:`Executor._report`: the I/O attributes of its ``kind="io"`` span,
+the execution metrics and the workload-recorder notification.
+
 :meth:`Executor.execute_batch` is the throughput path: it executes a
 whole workload ordered by first scanned key, so a query starting where
 the previous one ended continues sequentially instead of seeking — the
@@ -19,6 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
+from ..costmodel import IOProfile
 from ..geometry import Cell
 from ..obs.metrics import METRICS
 from ..obs.trace import open_span as _obs_open_span
@@ -35,7 +42,6 @@ __all__ = [
     "Executor",
     "PlanStream",
     "execution_order",
-    "read_page",
     "resolved_spans",
     "scan_page",
 ]
@@ -51,21 +57,6 @@ _QUERY_OVER_READ = METRICS.counter(
 )
 
 
-def _observe_execution(started: float, records: int, over_read: int) -> None:
-    """Per-execution counters + latency (no-ops while metrics are off).
-
-    Zero amounts are skipped at the call site: ``inc(0)`` leaves the
-    counter unchanged but still pays the locked slow path, and most
-    executions over-read nothing.
-    """
-    _QUERIES.inc()
-    if records:
-        _QUERY_RECORDS.inc(records)
-    if over_read:
-        _QUERY_OVER_READ.inc(over_read)
-    _QUERY_LATENCY.observe(time.perf_counter() - started)
-
-
 @dataclass(frozen=True)
 class Record:
     """A stored item: a grid cell plus an arbitrary payload."""
@@ -79,23 +70,6 @@ def resolved_spans(plan: QueryPlan, layout: PageLayout):
     if plan.page_spans is not None:
         return plan.page_spans
     return tuple(layout.span(start, end) for start, end in plan.scan_runs)
-
-
-def read_page(reader, page_id: int, page_cache: Optional[dict]):
-    """One page through the (optional) shared-scan cache.
-
-    The single statement of the batch read protocol — a cached page is
-    served without touching storage, a miss is read once and shared —
-    behind :meth:`Executor._charged`, the read pass both the single-node
-    and the scatter–gather executors run.
-    """
-    if page_cache is None:
-        return reader(page_id)
-    page = page_cache.get(page_id)
-    if page is None:
-        page = reader(page_id)
-        page_cache[page_id] = page
-    return page
 
 
 def scan_page(page, start: int, end: int, rect, records: List[Record]) -> int:
@@ -132,7 +106,7 @@ def execution_order(plans: Sequence) -> List[int]:
 
 
 @dataclass
-class RangeQueryResult:
+class RangeQueryResult(IOProfile):
     """Records matched by a range query plus its simulated I/O profile."""
 
     records: List[Record]
@@ -142,19 +116,6 @@ class RangeQueryResult:
     #: Records scanned but discarded because they sat in a tolerated gap
     #: (only non-zero when ``gap_tolerance > 0``).
     over_read: int = 0
-
-    @property
-    def pages_read(self) -> int:
-        """Total pages touched."""
-        return self.seeks + self.sequential_reads
-
-    def cost(
-        self,
-        seek_cost: float = DEFAULT_COST_MODEL.seek_cost,
-        read_cost: float = DEFAULT_COST_MODEL.read_cost,
-    ) -> float:
-        """Simulated elapsed time under the configured disk constants."""
-        return CostModel(seek_cost, read_cost).io_cost(self.seeks, self.sequential_reads)
 
 
 @dataclass
@@ -197,58 +158,41 @@ class PlanStream:
     """Lazy, page-at-a-time execution of one plan — the engine behind
     :class:`repro.api.Cursor`.
 
-    Iterating the stream yields one list of region-matched records per
-    page read, in key order.  The page-read sequence is *exactly* the
-    one :meth:`Executor.execute` issues for the same plan (same reader,
-    same run/span walk), so a fully drained stream charges identical
-    seeks, sequential reads and over-read — the differential suite in
-    ``tests/api`` proves the equivalence.  An abandoned stream charges
-    only the pages it actually pulled, which is where a row limit's
-    early-exit saving comes from.
+    A view over the :class:`Executor` that opened it: the stream keeps
+    only its own tallies, and reads, charges and reports through the
+    executor.  Iterating the stream yields one list of region-matched
+    records per page read, in key order.  Each page is charged by
+    :meth:`Executor._charged`, one page per call under the executor's
+    I/O lock, along the run/span walk :meth:`Executor.execute` takes, so
+    a fully drained stream charges identical seeks, sequential reads and
+    over-read — the differential suites in ``tests/api`` prove the
+    equivalence.  An abandoned stream charges only the pages it actually
+    pulled, which is where a row limit's early-exit saving comes from.
 
     Peak record residency is one page: nothing is accumulated across
-    pages.  I/O accounting is tallied per read (under ``io_lock``, so
-    streams serialize their charged reads with concurrent executions'
-    read passes; a stream given none takes a private lock); the
-    workload recorder is notified exactly once, when the stream
-    finishes or is closed, with the I/O actually incurred.
+    pages.  The stream reports exactly once, through
+    :meth:`Executor._report`, when it finishes or is closed, with the
+    I/O actually incurred.
     """
 
-    def __init__(
-        self,
-        disk: SimulatedDisk,
-        layout: PageLayout,
-        plan: QueryPlan,
-        reader: Callable[[int], Any],
-        pool: Optional[BufferPool] = None,
-        pool_in_path: bool = False,
-        io_lock: Optional[threading.Lock] = None,
-        recorder=None,
-    ):
-        self._disk = disk
-        self._layout = layout
+    def __init__(self, executor: "Executor", plan: QueryPlan):
+        self._executor = executor
         self._plan = plan
-        self._reader = reader
-        self._pool = pool
-        self._pool_in_path = pool_in_path
-        self._io_lock = io_lock if io_lock is not None else threading.Lock()
-        self._recorder = recorder
         self._seeks = 0
         self._sequential = 0
         self._over_read = 0
         self._records = 0
         self._cold = 0
         self._recorded = False
+        self._spans = resolved_spans(plan, executor.layout)
         self._total_pages = sum(
-            last - first + 1
-            for first, last in resolved_spans(plan, layout)
-            if last >= first
+            last - first + 1 for first, last in self._spans if last >= first
         )
         self._pages_pulled = 0
         # The stream's io span floats: it outlives this constructor's
         # scope (the generator suspends across yields), so it is ended
-        # by _finalize — the same exactly-once funnel as the recorder
-        # notification (span-balance lint rule).
+        # by _finalize — the same exactly-once funnel as the report
+        # (span-balance lint rule).
         self._span = _obs_open_span("stream", kind="io")
         self._started = time.perf_counter() if METRICS.enabled else 0.0
         self._gen = self._run()
@@ -288,8 +232,8 @@ class PlanStream:
 
     @property
     def cold_misses(self) -> Optional[int]:
-        """Buffer-pool misses so far (None when no pool is in the path)."""
-        return self._cold if self._pool_in_path else None
+        """Buffer-pool misses so far (None when the executor has no pool)."""
+        return self._cold if self._executor.pool is not None else None
 
     @property
     def drained(self) -> bool:
@@ -300,31 +244,22 @@ class PlanStream:
     def __iter__(self) -> Iterator[List[Record]]:
         return self._gen
 
-    def _read(self, page_id: int):
-        """One charged page read, tallying the disk's stat deltas."""
-        stats = self._disk.stats
-        seeks_before = stats.seeks
-        seq_before = stats.sequential_reads
-        misses_before = self._pool.stats.misses if self._pool_in_path else 0
-        page = self._reader(page_id)
-        self._seeks += stats.seeks - seeks_before
-        self._sequential += stats.sequential_reads - seq_before
-        if self._pool_in_path:
-            self._cold += self._pool.stats.misses - misses_before
-        return page
-
     def _run(self) -> Iterator[List[Record]]:
         plan = self._plan
-        layout = self._layout
         rect = plan.rect
-        lock = self._io_lock
+        charged = self._executor._charged
+        page_ids = self._executor.layout.page_ids
         try:
-            for (start, end), (first, last) in zip(
-                plan.scan_runs, resolved_spans(plan, layout)
-            ):
+            for (start, end), (first, last) in zip(plan.scan_runs, self._spans):
                 for position in range(first, last + 1):
-                    with lock:
-                        page = self._read(layout.page_ids[position])
+                    page_id = page_ids[position]
+                    page, seeks, sequential, cold = charged(
+                        lambda read: read(page_id), None
+                    )
+                    self._seeks += seeks
+                    self._sequential += sequential
+                    if cold is not None:
+                        self._cold += cold
                     self._pages_pulled += 1
                     matched: List[Record] = []
                     self._over_read += scan_page(page, start, end, rect, matched)
@@ -334,7 +269,7 @@ class PlanStream:
             self._finalize()
 
     def _finalize(self) -> None:
-        """Report the realized I/O to the recorder, exactly once.
+        """Report the realized I/O, exactly once, and end the io span.
 
         The guard flag + set-true pair below is the idempotence pattern
         the ``notify-once`` rule of ``repro lint`` matches: both the
@@ -345,33 +280,23 @@ class PlanStream:
             return
         self._recorded = True
         span = self._span
-        span.set("seeks", self._seeks)
-        span.set("sequential_reads", self._sequential)
-        span.set("pages", self._seeks + self._sequential)
-        span.set("over_read", self._over_read)
-        span.set("records", self._records)
         span.set("drained", self.drained)
-        if self._pool_in_path:
-            span.set("pool_misses", self._cold)
+        self._executor._report(
+            span,
+            self._started,
+            self._plan,
+            self._seeks,
+            self._sequential,
+            self._over_read,
+            self._records,
+            self.cold_misses,
+        )
         span.end()
-        # self._started is 0.0 when metrics were off at construction;
-        # skip the observation rather than record a bogus latency.
-        if METRICS.enabled and self._started:
-            _observe_execution(self._started, self._records, self._over_read)
-        if self._recorder is not None:
-            self._recorder.record_executed(
-                tuple(self._plan.rect.lengths),
-                seeks=self._seeks,
-                pages=self._seeks + self._sequential,
-                records=self._records,
-                over_read=self._over_read,
-                cold_misses=self._cold if self._pool_in_path else None,
-            )
 
     def close(self) -> None:
-        """Stop the stream; tallies freeze and the recorder is notified.
+        """Stop the stream; tallies freeze and the report is made.
 
-        Idempotent; a stream abandoned before its first page records
+        Idempotent; a stream abandoned before its first page reports
         zero I/O (matching an execution that read nothing).
         """
         self._gen.close()
@@ -387,17 +312,13 @@ class Executor:
         The simulated disk whose counters measure seeks.
     layout:
         The flushed :class:`PageLayout` the plans' spans refer to.
-    reader:
-        Page reader — ``disk.read``, or a buffer pool's ``read`` so warm
-        pages never reach the disk.  Defaults to the ``pool``'s reader
-        when one is given, else ``disk.read``.
     pool:
         Optional :class:`~repro.storage.buffer.BufferPool` serving warm
-        pages.  Beyond supplying the default reader, a pool lets the
-        executor report *cold misses* per query — the seeks that
-        actually reached the disk — which is what the adaptive layer
-        judges migrations on (a warm cache hides bad clustering; cold
-        misses do not).
+        pages.  When given, every page read goes through it, and each
+        execution reports its *cold misses* — the seeks that actually
+        reached the disk — which is what the adaptive layer judges
+        migrations on (a warm cache hides bad clustering; cold misses do
+        not).  Without one, pages are read straight from ``disk``.
     recorder:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
         executed plan reports its shape and realized I/O profile.
@@ -415,21 +336,14 @@ class Executor:
         self,
         disk: SimulatedDisk,
         layout: PageLayout,
-        reader: Optional[Callable[[int], Any]] = None,
         pool: Optional[BufferPool] = None,
         recorder=None,
         io_lock: Optional[threading.Lock] = None,
     ):
         self._disk = disk
         self._layout = layout
-        if reader is None:
-            reader = pool.read if pool is not None else disk.read
-        self._reader = reader
+        self._reader = pool.read if pool is not None else disk.read
         self._pool = pool
-        # Cold misses are only meaningful when the pool actually sits in
-        # the read path; an explicit reader bypassing it must report
-        # None, not a fictitious "fully warm" zero.
-        self._pool_in_path = pool is not None and reader == pool.read
         self._recorder = recorder
         self._io_lock = io_lock if io_lock is not None else threading.Lock()
 
@@ -449,7 +363,7 @@ class Executor:
         return self._recorder
 
     # ------------------------------------------------------------------
-    # The read-and-filter pass (shared with the scatter-gather executor)
+    # The read pass and the report (shared by every execution)
     # ------------------------------------------------------------------
     def _charged(
         self,
@@ -458,31 +372,34 @@ class Executor:
     ) -> Tuple[Any, int, int, Optional[int]]:
         """The charged-read pass: run ``scan(read)`` and measure its I/O.
 
-        ``read`` is the executor's page reader, through the batch
-        ``page_cache`` when one is given (:func:`read_page`).  Returns
-        what ``scan`` returned plus the seeks and sequential reads it
-        charged and the buffer pool's cold misses (None without a pool
-        in the path), all under the I/O lock.
+        ``read`` is the executor's page reader.  With a batch
+        ``page_cache`` it is the shared-scan read protocol: a cached
+        page is served without touching storage, a miss is read once and
+        shared.  Returns what ``scan`` returned plus the seeks and
+        sequential reads it charged and the buffer pool's cold misses
+        (None without a pool), all under the I/O lock.
         """
-        reader = self._reader
-        read = (
-            reader
-            if page_cache is None
-            else lambda page_id: read_page(reader, page_id, page_cache)
-        )
+        read = self._reader
+        if page_cache is not None:
+            reader, cache = read, page_cache
+
+            def shared_read(page_id: int) -> Any:
+                page = cache.get(page_id)
+                if page is None:
+                    page = cache[page_id] = reader(page_id)
+                return page
+
+            read = shared_read
+        pool = self._pool
         with self._io_lock:
             stats = self._disk.stats
             seeks_before = stats.seeks
             seq_before = stats.sequential_reads
-            misses_before = self._pool.stats.misses if self._pool_in_path else 0
+            misses_before = pool.stats.misses if pool is not None else 0
             value = scan(read)
             seeks = stats.seeks - seeks_before
             sequential = stats.sequential_reads - seq_before
-            cold = (
-                self._pool.stats.misses - misses_before
-                if self._pool_in_path
-                else None
-            )
+            cold = pool.stats.misses - misses_before if pool is not None else None
         return value, seeks, sequential, cold
 
     def _scan(
@@ -505,30 +422,49 @@ class Executor:
                 )
         return records, over_read
 
-    @staticmethod
-    def _stamp(sp, result: RangeQueryResult, cold: Optional[int]) -> None:
-        """Attribute an execution's I/O profile to its ``kind="io"`` span."""
-        sp.set("seeks", result.seeks)
-        sp.set("sequential_reads", result.sequential_reads)
-        sp.set("pages", result.pages_read)
-        sp.set("over_read", result.over_read)
-        sp.set("records", len(result.records))
+    def _report(
+        self,
+        sp: Any,
+        started: float,
+        plan: QueryPlan,
+        seeks: int,
+        sequential: int,
+        over_read: int,
+        records: int,
+        cold: Optional[int],
+    ) -> None:
+        """The one report of an execution's realized I/O.
+
+        Sets the I/O attributes of the execution's ``kind="io"`` span
+        ``sp``, observes the execution metrics, and notifies the
+        workload recorder.  ``started`` is 0.0 when metrics were off as
+        the execution began: it then has no start to time from, and
+        records no metrics even if they were switched on meanwhile.
+        """
+        pages = seeks + sequential
+        sp.set("seeks", seeks)
+        sp.set("sequential_reads", sequential)
+        sp.set("pages", pages)
+        sp.set("over_read", over_read)
+        sp.set("records", records)
         if cold is not None:
             sp.set("pool_misses", cold)
-
-    def _finish(
-        self, started: float, plan, result: RangeQueryResult, cold: Optional[int]
-    ) -> None:
-        """Per-execution metrics and the workload-recorder notification."""
-        if METRICS.enabled:
-            _observe_execution(started, len(result.records), result.over_read)
+        if started:
+            _QUERIES.inc()
+            # inc(0) leaves a counter unchanged but still pays its
+            # locked slow path, and most executions over-read nothing.
+            if records:
+                _QUERY_RECORDS.inc(records)
+            if over_read:
+                _QUERY_OVER_READ.inc(over_read)
+            _QUERY_LATENCY.observe(time.perf_counter() - started)
         if self._recorder is not None:
             self._recorder.record_executed(
                 plan.rect.lengths,
-                seeks=result.seeks,
-                pages=result.pages_read,
-                records=len(result.records),
-                over_read=result.over_read,
+                seeks=seeks,
+                pages=pages,
+                records=records,
+                over_read=over_read,
                 cold_misses=cold,
             )
 
@@ -565,29 +501,21 @@ class Executor:
                 sequential_reads=sequential,
                 over_read=over_read,
             )
-            self._stamp(sp, result, cold)
             sp.set("runs", len(plan.scan_runs))
-        self._finish(started, plan, result, cold)
+            self._report(
+                sp, started, plan, seeks, sequential, over_read, len(records), cold
+            )
         return result
 
     def stream(self, plan: QueryPlan) -> PlanStream:
         """Open a lazy page-at-a-time stream over ``plan``.
 
-        The streaming counterpart of :meth:`execute`: same reader, same
-        page sequence, identical accounting when fully drained, but one
-        page of records resident at a time and early-exit on abandon.
-        Each charged read takes the I/O lock.
+        The streaming counterpart of :meth:`execute`: the same charged
+        read pass, page sequence and report — identical when fully
+        drained — but one page of records resident at a time and
+        early-exit on abandon.  Each charged read takes the I/O lock.
         """
-        return PlanStream(
-            self._disk,
-            self._layout,
-            plan,
-            self._reader,
-            pool=self._pool,
-            pool_in_path=self._pool_in_path,
-            io_lock=self._io_lock,
-            recorder=self._recorder,
-        )
+        return PlanStream(self, plan)
 
     def execute_batch(self, plans: Sequence[QueryPlan]) -> BatchResult:
         """Run a workload of plans as one shared, key-ordered scan.

@@ -229,7 +229,7 @@ class Planner:
             sp.set("curve", self._curve.name)
             sp.set("runs", len(runs))
             sp.set("scan_runs", len(scan_runs))
-            if METRICS.enabled:
+            if started:  # 0.0: metrics were off as planning began
                 _PLANS.inc()
                 _PLAN_LATENCY.observe(time.perf_counter() - started)
         if self._recorder is not None:

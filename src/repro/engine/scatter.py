@@ -530,14 +530,15 @@ def _gather_reader(
 class ScatterGatherExecutor(Executor):
     """Executes sharded plans: one key-ordered pass, per-shard attribution.
 
-    Construction, the page reader, the buffer pool, the recorder and the
-    shared I/O lock are :class:`~repro.engine.executor.Executor`'s.  A
-    sharded plan runs as a single charged pass over the *global* plan's
-    pages — page for page the sequence the single-index executor reads,
-    which keeps the measured seeks/pages identical to unsharded
-    execution — while the fragments' clipped runs are filtered in shard
-    order.  Concatenating the fragments' records in shard order *is*
-    global key order, because shards are ascending key intervals.
+    Construction, the buffer pool, the recorder, the shared I/O lock,
+    the charged read pass and the execution report are
+    :class:`~repro.engine.executor.Executor`'s.  A sharded plan runs as
+    a single charged pass over the *global* plan's pages — page for page
+    the sequence the single-index executor reads, which keeps the
+    measured seeks/pages identical to unsharded execution — while the
+    fragments' clipped runs are filtered in shard order.  Concatenating
+    the fragments' records in shard order *is* global key order, because
+    shards are ascending key intervals.
     """
 
     def execute(
@@ -602,9 +603,11 @@ class ScatterGatherExecutor(Executor):
                 per_shard=tuple(per_shard),
                 fanout_cost=splan.fanout_cost,
             )
-            self._stamp(sp, result, cold)
             sp.set("fan_out", len(splan.fragments))
-        self._finish(started, plan, result, cold)
+            self._report(
+                sp, started, plan, seeks, sequential, result.over_read,
+                len(records), cold,
+            )
         return result
 
     def stream(self, splan) -> PlanStream:

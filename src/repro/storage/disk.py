@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from typing import Iterable, Set, Tuple
 
-from ..costmodel import DEFAULT_COST_MODEL, CostModel
+from ..costmodel import IOProfile
 from ..errors import PageError
 from ..obs.metrics import METRICS
 
@@ -59,30 +59,13 @@ def replay_reads(page_spans: Iterable[Tuple[int, int]]) -> Tuple[int, int]:
 
 
 @dataclass
-class DiskStats:
+class DiskStats(IOProfile):
     """Counters accumulated by a :class:`SimulatedDisk`."""
 
     seeks: int = 0
     sequential_reads: int = 0
     pages_written: int = 0
     pages_retired: int = 0
-
-    @property
-    def pages_read(self) -> int:
-        """Total page reads (seek or sequential)."""
-        return self.seeks + self.sequential_reads
-
-    def cost(
-        self,
-        seek_cost: float = DEFAULT_COST_MODEL.seek_cost,
-        read_cost: float = DEFAULT_COST_MODEL.read_cost,
-    ) -> float:
-        """Simulated elapsed time of all reads, in milliseconds by default.
-
-        Defaults come from the shared :class:`~repro.engine.cost.CostModel`,
-        so measured costs use the same constants as planner estimates.
-        """
-        return CostModel(seek_cost, read_cost).io_cost(self.seeks, self.sequential_reads)
 
 
 @dataclass

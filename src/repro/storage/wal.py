@@ -248,7 +248,7 @@ class WriteAheadLog:
             sp.set("op", str(op[0]))
             sp.set("bytes", len(frame))
             sp.set("synced", synced)
-            if METRICS.enabled:
+            if started:  # 0.0: metrics were off as the append began
                 _APPENDS.inc()
                 _APPEND_BYTES.inc(len(frame))
                 if synced:

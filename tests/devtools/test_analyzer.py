@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.engine.executor as executor_module
 from repro.devtools.analyzer import ALL_RULES, lint_tree
 from repro.devtools.findings import Finding, LintReport, load_baseline
 
@@ -180,6 +181,43 @@ class TestCleanTargets:
             "Histogram._fold_locked::Exception#1",
             "scan_wal::Exception#1",
         }
+
+
+class TestPlanStreamNotifyOnce:
+    """``notify-once`` keeps guarding the real ``PlanStream``: breaking
+    either half of its exactly-once contract in a copy of
+    ``engine/executor.py`` yields exactly one finding."""
+
+    EXECUTOR = Path(executor_module.__file__)
+    GUARD = "        if self._recorded:\n            return\n"
+    FINALLY = "        finally:\n            self._finalize()\n"
+
+    def _lint_copy(self, tmp_path, source):
+        path = tmp_path / "executor.py"
+        path.write_text(source)
+        report = lint_tree(
+            src=path, use_baseline=False, rules=["notify-once"], repo_root=tmp_path
+        )
+        return [(f.rule, f.key) for f in report.findings]
+
+    def test_executor_copy_is_clean(self, tmp_path):
+        assert self._lint_copy(tmp_path, self.EXECUTOR.read_text()) == []
+
+    def test_dropping_the_once_guard_is_flagged(self, tmp_path):
+        source = self.EXECUTOR.read_text()
+        assert source.count(self.GUARD) == 1
+        findings = self._lint_copy(tmp_path, source.replace(self.GUARD, ""))
+        assert findings == [
+            ("notify-once", "executor.py::PlanStream._finalize::guard")
+        ]
+
+    def test_dropping_the_finally_notifier_is_flagged(self, tmp_path):
+        source = self.EXECUTOR.read_text()
+        assert source.count(self.FINALLY) == 1
+        seeded = source.replace(self.FINALLY, "        finally:\n            pass\n")
+        assert self._lint_copy(tmp_path, seeded) == [
+            ("notify-once", "executor.py::PlanStream._run::finally")
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -206,23 +206,6 @@ class TestBufferPoolWiring:
         assert warm.pages_read == 0
         assert pool.stats.hits >= cold.pages_read
 
-    def test_explicit_reader_wins_over_pool(self):
-        from repro.adaptive import WorkloadRecorder
-        from repro.engine import Executor
-        from repro.storage.buffer import BufferPool
-
-        index = build_index("onion", 8, [(x, y) for x in range(8) for y in range(8)])
-        pool = BufferPool(index.disk, capacity=64)
-        recorder = WorkloadRecorder()
-        executor = Executor(
-            index.disk, index.page_layout, reader=index.disk.read, pool=pool,
-            recorder=recorder,
-        )
-        executor.execute(index.plan(Rect((1, 1), (5, 5))))
-        assert pool.stats.accesses == 0  # the pool was bypassed by the reader
-        # A bypassed pool must not fake "fully warm" cold-miss telemetry.
-        assert recorder.observations()[-1].cold_misses is None
-
     def test_index_buffer_pages_served_through_pool(self):
         index = build_index(
             "onion", 16, [(x, y) for x in range(16) for y in range(16)],

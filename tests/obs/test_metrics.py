@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+from functools import partial
 
 import pytest
 
@@ -225,3 +226,121 @@ def test_global_registry_picks_up_engine_counters(global_metrics):
     latency = global_metrics.get("repro_query_latency_seconds").snapshot()
     assert latency["count"] == 1
     assert latency["sum"] > 0
+
+
+# ---------------------------------------------------------------------------
+# metrics switched on mid-operation
+# ---------------------------------------------------------------------------
+
+
+def _switched_on(fn):
+    """``fn``, enabling the global registry before it runs."""
+
+    def switched(*args, **kwargs):
+        enable_metrics()
+        return fn(*args, **kwargs)
+
+    return switched
+
+
+def _small_store(shards=1):
+    from repro.curves import make_curve
+    from repro.index import SFCIndex, ShardedSFCIndex
+
+    curve = make_curve("onion", 8, 2)
+    if shards == 1:
+        store = SFCIndex(curve, page_capacity=4)
+    else:
+        store = ShardedSFCIndex(curve, num_shards=shards, page_capacity=4)
+    store.bulk_load([(x, y) for x in range(8) for y in range(8)])
+    store.flush()
+    return store
+
+
+def _mid_execute(monkeypatch, tmp_path, shards=1, drain_cursor=False):
+    """Execute (or drain a cursor) with metrics switched on at the first
+    page: ``repro_query_latency_seconds``."""
+    from repro.api import Query
+    from repro.engine import executor
+    from repro.geometry import Rect
+
+    store = _small_store(shards)
+    monkeypatch.setattr(executor, "scan_page", _switched_on(executor.scan_page))
+    query = Query.rect(Rect((0, 0), (5, 5)))
+    if drain_cursor:
+        return lambda: store.cursor(query).fetchall()
+    return lambda: store.execute(query)
+
+
+def _mid_plan(monkeypatch, tmp_path):
+    """Plan with metrics switched on while the planner computes the key
+    runs: ``repro_plan_latency_seconds``."""
+    from repro.engine.planner import Planner
+    from repro.geometry import Rect
+
+    store = _small_store()
+    monkeypatch.setattr(Planner, "key_runs", _switched_on(Planner.key_runs))
+    return lambda: store.plan(Rect((1, 1), (6, 4)))
+
+
+def _mid_knn(monkeypatch, tmp_path):
+    """kNN search with metrics switched on at its first box expansion:
+    ``repro_knn_latency_seconds``."""
+    store = _small_store()
+    monkeypatch.setattr(store, "execute", _switched_on(store.execute))
+    return lambda: store.knn((3, 3), 4)
+
+
+def _mid_wal_append(monkeypatch, tmp_path):
+    """WAL append with metrics switched on when the frame is written:
+    ``repro_wal_append_latency_seconds``."""
+    from repro.storage.wal import FileOps, WriteAheadLog
+
+    class SwitchingOps(FileOps):
+        def write(self, handle, data):
+            enable_metrics()
+            super().write(handle, data)
+
+    wal = WriteAheadLog(tmp_path / "ops.wal", ops=SwitchingOps(), sync=False)
+
+    def append():
+        try:
+            wal.append(("insert", (1, 2), None))
+        finally:
+            wal.close()
+
+    return append
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        _mid_execute,
+        partial(_mid_execute, shards=3),
+        partial(_mid_execute, drain_cursor=True),
+        _mid_plan,
+        _mid_knn,
+        _mid_wal_append,
+    ],
+    ids=["execute", "execute-sharded", "cursor", "plan", "knn", "wal-append"],
+)
+def test_switching_metrics_on_mid_operation_records_no_bogus_latency(
+    monkeypatch, tmp_path, operation
+):
+    """An operation that started with metrics off has no start time to
+    measure from: it must skip its latency sample rather than record the
+    raw clock as a duration."""
+    disable_metrics()
+    METRICS.reset()
+    try:
+        operation(monkeypatch, tmp_path)()
+        assert METRICS.enabled, "the operation never switched metrics on"
+        bogus = {
+            name: snap["max"]
+            for name, snap in METRICS.render_json()["histograms"].items()
+            if snap["count"] and snap["max"] >= 1.0
+        }
+        assert bogus == {}
+    finally:
+        METRICS.reset()
+        disable_metrics()
