@@ -54,9 +54,9 @@ class RectUnion:
 
     Covers exactly the cells contained in at least one member rect.
     Duck-types the part of the :class:`~repro.geometry.Rect` surface the
-    engine touches: ``contains`` (the executor's record filter),
-    ``lengths`` and ``dim`` (bounding-box telemetry for the workload
-    recorder).
+    engine touches: ``contains`` (the executor's filter of gap-merged
+    runs), ``lengths`` and ``dim`` (bounding-box telemetry for the
+    workload recorder).
     """
 
     rects: Tuple[Rect, ...]

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import abc
 import bisect
+import itertools
 import threading
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -51,7 +52,7 @@ from ..curves.registry import make_curve
 from ..devtools.annotations import guarded_by
 from ..engine.cache import PlanCache
 from ..engine.cost import DEFAULT_COST_MODEL, CostModel
-from ..engine.executor import Record
+from ..engine.executor import Page, Record
 from ..engine.plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
@@ -149,26 +150,27 @@ def pack_layout(
 ) -> PageLayout:
     """Pack ``(key, record)`` pairs (ascending keys) into disk pages.
 
-    The single statement of the flush packing rule — pages filled to
-    ``page_capacity``, first/last keys recorded for binary-searchable
-    scans — shared by every store; the sharded index's
+    The single statement of the flush packing rule, and the only code
+    that builds a :class:`~repro.engine.executor.Page`: pages filled to
+    ``page_capacity``, each holding its keys and records as two
+    parallel columns, with first/last keys recorded in the layout for
+    binary-searchable spans.  Every key must be its record's curve key
+    under the curve the layout will serve (CONTRIBUTING invariant 14):
+    exact scan runs are sliced from ``Page.keys`` without a geometric
+    test.  Shared by every store; the sharded index's
     byte-identical-layout guarantee (and with it shard transparency)
     rests on all flush paths using this one function.
     """
     layout = PageLayout()
-    page: List[Tuple[int, Record]] = []
-    for key, record in records:
-        if not page:
-            layout.first_keys.append(key)
-        page.append((key, record))
-        if len(page) == page_capacity:
-            layout.last_keys.append(key)
-            layout.page_ids.append(disk.allocate(page))
-            page = []
-    if page:
-        layout.last_keys.append(page[-1][0])
-        layout.page_ids.append(disk.allocate(page))
-    return layout
+    entries = iter(records)
+    while True:
+        chunk = list(itertools.islice(entries, page_capacity))
+        if not chunk:
+            return layout
+        keys, page_records = zip(*chunk)
+        layout.first_keys.append(keys[0])
+        layout.last_keys.append(keys[-1])
+        layout.page_ids.append(disk.allocate(Page(keys, page_records)))
 
 
 def _coalesce_runs(runs: List[KeyRun]) -> List[KeyRun]:
@@ -194,8 +196,9 @@ def merge_plans(
     once), gap merging is re-applied to the *union* — matching what
     planning the union region directly would produce — and page spans
     are resolved against ``layout``.  The plan's region is the
-    :class:`~repro.api.query.RectUnion` of the member rects, so the
-    executors' record filter admits exactly the union's cells.
+    :class:`~repro.api.query.RectUnion` of the member rects: an exact
+    run of the union holds only the union's cells, and the filter of a
+    gap-merged run admits exactly them.
     """
     if not plans:
         raise InvalidQueryError("merge_plans needs at least one plan")

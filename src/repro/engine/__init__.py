@@ -25,7 +25,7 @@ executor:
   fragments (priced with the cost model plus a fan-out penalty) and a
   :class:`ScatterGatherExecutor` — an :class:`Executor` whose one
   key-ordered I/O pass keeps sharded execution observationally
-  identical to single-index execution while it filters each shard's
+  identical to single-index execution while it scans each shard's
   fragment inline and attributes records and I/O per shard.
 
 :class:`repro.SFCIndex` wires the single-node pieces together and

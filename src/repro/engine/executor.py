@@ -2,8 +2,17 @@
 
 Execution is the only part of a range query that touches the (simulated)
 disk: the plan says which pages each scan run covers, the executor reads
-them — through the buffer pool when one is configured — filters records,
-and reports the measured I/O profile as a :class:`RangeQueryResult`.
+them — through the buffer pool when one is configured — slices out each
+run's records, and reports the measured I/O profile as a
+:class:`RangeQueryResult`.
+
+A flushed :class:`Page` holds two parallel, key-ordered columns, so
+:func:`scan_page` finds a run's records by bisecting the page's keys.
+An *exact* scan run — one of the plan's key runs, the paper's clusters —
+covers only keys of cells inside the query, so its slice is returned
+whole, with no geometric test.  Only a gap-merged run can hold cells
+outside the query: its slice is filtered by the query region, and the
+records it discards are the run's over-read.
 
 Every execution — :meth:`Executor.execute`, the scatter–gather
 ``execute`` and a :class:`PlanStream` — charges its page reads through
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -31,7 +41,7 @@ from ..obs.metrics import METRICS
 from ..obs.trace import open_span as _obs_open_span
 from ..obs.trace import span as _obs_span
 from ..storage.buffer import BufferPool
-from ..storage.disk import SimulatedDisk
+from ..storage.disk import DISK_SEEKS, DISK_SEQUENTIAL_READS, SimulatedDisk
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .plan import PageLayout, QueryPlan
 
@@ -40,6 +50,7 @@ __all__ = [
     "RangeQueryResult",
     "BatchResult",
     "Executor",
+    "Page",
     "PlanStream",
     "execution_order",
     "resolved_spans",
@@ -65,6 +76,25 @@ class Record:
     payload: Any = None
 
 
+@dataclass(frozen=True)
+class Page:
+    """One flushed disk page: two parallel columns in ascending key order.
+
+    ``keys[i]`` is the curve key of ``records[i]`` — ``curve.index(
+    records[i].point)`` under the curve of the layout generation the
+    page belongs to (CONTRIBUTING invariant 14).  Built only by
+    :func:`repro.api.store.pack_layout`.
+    """
+
+    __slots__ = ("keys", "records")
+
+    keys: Tuple[int, ...]
+    records: Tuple[Record, ...]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
 def resolved_spans(plan: QueryPlan, layout: PageLayout):
     """The plan's page spans, resolving layout-free plans on the spot."""
     if plan.page_spans is not None:
@@ -72,22 +102,32 @@ def resolved_spans(plan: QueryPlan, layout: PageLayout):
     return tuple(layout.span(start, end) for start, end in plan.scan_runs)
 
 
-def scan_page(page, start: int, end: int, rect, records: List[Record]) -> int:
-    """Filter one page's records into ``records``; returns the over-read.
+def scan_page(page: Page, start: int, end: int, region, records: List[Record]) -> int:
+    """Append ``page``'s records keyed in ``[start, end]`` to ``records``;
+    return the over-read.
 
-    The single statement of the filter rule — keys inside ``[start,
-    end]`` whose points miss ``rect`` are tolerated-gap over-reads —
-    shared by both executors (the shard-transparency contract depends
-    on them filtering identically).
+    The run's slice of the page is found by bisecting ``page.keys``.
+    ``region`` is None for an exact scan run (see
+    :attr:`~repro.engine.plan.QueryPlan.scan_exact`): every key of it is
+    a cell inside the query, so the slice is appended whole.  A
+    gap-merged run passes the query region instead; records of the
+    slice whose points miss it sat in a tolerated gap and count as
+    over-read.  The single statement of the scan rule, shared by every
+    execution path (the shard-transparency contract depends on them
+    scanning identically).
     """
+    keys = page.keys
+    lo = bisect_left(keys, start)
+    hi = bisect_right(keys, end, lo)
+    if region is None:
+        records += page.records[lo:hi]
+        return 0
     over_read = 0
-    if page[-1][0] >= start:
-        for key, record in page:
-            if start <= key <= end:
-                if rect.contains(record.point):
-                    records.append(record)
-                else:
-                    over_read += 1
+    for record in page.records[lo:hi]:
+        if region.contains(record.point):
+            records.append(record)
+        else:
+            over_read += 1
     return over_read
 
 
@@ -246,11 +286,13 @@ class PlanStream:
 
     def _run(self) -> Iterator[List[Record]]:
         plan = self._plan
-        rect = plan.rect
         charged = self._executor._charged
         page_ids = self._executor.layout.page_ids
         try:
-            for (start, end), (first, last) in zip(plan.scan_runs, self._spans):
+            for (start, end), (first, last), exact in zip(
+                plan.scan_runs, self._spans, plan.scan_exact
+            ):
+                region = None if exact else plan.rect
                 for position in range(first, last + 1):
                     page_id = page_ids[position]
                     page, seeks, sequential, cold = charged(
@@ -262,7 +304,7 @@ class PlanStream:
                         self._cold += cold
                     self._pages_pulled += 1
                     matched: List[Record] = []
-                    self._over_read += scan_page(page, start, end, rect, matched)
+                    self._over_read += scan_page(page, start, end, region, matched)
                     self._records += len(matched)
                     yield matched
         finally:
@@ -323,7 +365,7 @@ class Executor:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
         executed plan reports its shape and realized I/O profile.
     io_lock:
-        Lock held across each execution's read-and-filter pass (and
+        Lock held across each execution's read-and-scan pass (and
         around each streamed read).  Pass one *shared* lock when several
         threads or executor generations read the same disk: every store
         hands each executor generation its single I/O lock, since a
@@ -404,21 +446,25 @@ class Executor:
 
     def _scan(
         self,
-        runs: Sequence[Tuple[int, int]],
+        plan: QueryPlan,
         spans: Sequence[Tuple[int, int]],
-        rect,
         read: Callable[[int], Any],
     ) -> Tuple[List[Record], int]:
-        """The filter loop: every page of every ``(scan run, page span)``
-        pair, fetched through ``read`` and filtered by :func:`scan_page`.
-        Returns the matched records, in key order, and the over-read."""
+        """The scan loop: every page of every ``(scan run, page span)``
+        pair of ``plan``, fetched through ``read`` and sliced by
+        :func:`scan_page` — filtered by the plan's region only for a
+        gap-merged run.  Returns the matched records, in key order, and
+        the over-read."""
         page_ids = self._layout.page_ids
         records: List[Record] = []
         over_read = 0
-        for (start, end), (first, last) in zip(runs, spans):
+        for (start, end), (first, last), exact in zip(
+            plan.scan_runs, spans, plan.scan_exact
+        ):
+            region = None if exact else plan.rect
             for position in range(first, last + 1):
                 over_read += scan_page(
-                    read(page_ids[position]), start, end, rect, records
+                    read(page_ids[position]), start, end, region, records
                 )
         return records, over_read
 
@@ -436,8 +482,10 @@ class Executor:
         """The one report of an execution's realized I/O.
 
         Sets the I/O attributes of the execution's ``kind="io"`` span
-        ``sp``, observes the execution metrics, and notifies the
-        workload recorder.  ``started`` is 0.0 when metrics were off as
+        ``sp``, observes the execution metrics — the disk's seek and
+        sequential-read counters included: ``SimulatedDisk.read`` keeps
+        no counter tick on the per-page path, and every read runs inside
+        a charged pass — and notifies the workload recorder.  ``started`` is 0.0 when metrics were off as
         the execution began: it then has no start to time from, and
         records no metrics even if they were switched on meanwhile.
         """
@@ -453,6 +501,10 @@ class Executor:
             _QUERIES.inc()
             # inc(0) leaves a counter unchanged but still pays its
             # locked slow path, and most executions over-read nothing.
+            if seeks:
+                DISK_SEEKS.inc(seeks)
+            if sequential:
+                DISK_SEQUENTIAL_READS.inc(sequential)
             if records:
                 _QUERY_RECORDS.inc(records)
             if over_read:
@@ -491,7 +543,7 @@ class Executor:
         # untraced result.
         with _obs_span("execute", kind="io") as sp:
             (records, over_read), seeks, sequential, cold = self._charged(
-                lambda read: self._scan(plan.scan_runs, spans, plan.rect, read),
+                lambda read: self._scan(plan, spans, read),
                 _page_cache,
             )
             result = RangeQueryResult(

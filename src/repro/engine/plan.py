@@ -127,6 +127,20 @@ class QueryPlan:
         merged = sum(end - start + 1 for start, end in self.scan_runs)
         return merged - exact
 
+    @functools.cached_property
+    def scan_exact(self) -> Tuple[bool, ...]:
+        """Per scan run: True when it is one of the exact ``runs``.
+
+        An exact scan run holds only keys of cells inside the query (for
+        a clipped shard fragment, the clip of an exact run still does),
+        so the executor slices its records by key with no geometric
+        test.  A gap-merged run — or a clipped piece of one — can hold
+        tolerated-gap cells and is filtered by :attr:`rect`.  Cached on
+        the (immutable) plan, so a cached plan computes it once.
+        """
+        exact = set(self.runs)
+        return tuple(run in exact for run in self.scan_runs)
+
     # ------------------------------------------------------------------
     # Cost prediction
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ layer:
 * :class:`ScatterGatherExecutor`, an
   :class:`~repro.engine.executor.Executor`, executes a sharded plan in
   one key-ordered pass that charges exactly the page sequence the
-  single index would read, filters each fragment's clipped runs inline
+  single index would read, scans each fragment's clipped runs inline
   in shard order, and gathers the per-shard records in key order.
 
 **Shard-transparency by construction.**  Storage is shared (the
@@ -344,7 +344,7 @@ class ShardedRangeQueryResult(RangeQueryResult):
         """Simulated latency with the shards scattered over ``workers``.
 
         A cost-model estimate over the per-shard I/O — fan-out penalty
-        plus :func:`makespan` — not a measurement: the executor filters
+        plus :func:`makespan` — not a measurement: the executor scans
         every shard inline, on the calling thread.
         """
         return _parallel_cost(
@@ -502,7 +502,7 @@ def _gather_reader(
     """A page reader for the fragments' scans that reads exactly the
     global plan's page sequence.
 
-    Filtering the fragments in shard order requests the global sequence
+    Scanning the fragments in shard order requests the global sequence
     of pages with one repeat wherever a shard boundary cuts a run inside
     a page: both clipped halves scan that page.  A request for the next
     page of the global sequence goes through ``read``; any other request
@@ -536,7 +536,7 @@ class ScatterGatherExecutor(Executor):
     a single charged pass over the *global* plan's pages — page for page
     the sequence the single-index executor reads, which keeps the
     measured seeks/pages identical to unsharded execution — while the
-    fragments' clipped runs are filtered in shard order.  Concatenating
+    fragments' clipped runs are scanned in shard order.  Concatenating
     the fragments' records in shard order *is* global key order, because
     shards are ascending key intervals.
     """
@@ -559,10 +559,7 @@ class ScatterGatherExecutor(Executor):
             fragment_read = _gather_reader(plan, layout, read)
             return [
                 self._scan(
-                    fragment.plan.scan_runs,
-                    resolved_spans(fragment.plan, layout),
-                    plan.rect,
-                    fragment_read,
+                    fragment.plan, resolved_spans(fragment.plan, layout), fragment_read
                 )
                 for fragment in splan.fragments
             ]

@@ -38,6 +38,11 @@ WorkloadShape = Tuple[int, ...]
 #: Memo cache for exact per-shape costs, shared across re-scores.
 ScoreCache = MutableMapping[Tuple[SpaceFillingCurve, WorkloadShape], float]
 
+#: Expected seeks equal to this many decimals rank as a tie, kept in
+#: candidate order: rescaling the weights moves an exact tie by a few
+#: ulps either way, and must not reorder the ranking.
+_TIE_DECIMALS = 9
+
 
 @dataclass(frozen=True)
 class CurveScore:
@@ -120,7 +125,7 @@ def advise_histogram(
                 per_shape=per_shape,
             )
         )
-    scores.sort(key=lambda s: s.expected_seeks)
+    scores.sort(key=lambda s: round(s.expected_seeks, _TIE_DECIMALS))
     return scores
 
 

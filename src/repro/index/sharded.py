@@ -33,7 +33,7 @@ Queries scatter and gather through :mod:`repro.engine.scatter`: the
 per-shard fragments and the
 :class:`~repro.engine.scatter.ScatterGatherExecutor` charges one
 key-ordered I/O pass (identical to unsharded execution — the
-shard-transparency the differential suite proves) while it filters
+shard-transparency the differential suite proves) while it scans
 each fragment inline, in shard order.
 
 The index is safe to hammer from many threads under the store's one

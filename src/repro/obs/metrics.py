@@ -77,13 +77,23 @@ def _bucket_exponent(value: float) -> int:
 class Counter:
     """Monotone counter. ``inc`` is a no-op while the registry is disabled.
 
-    The unit increment — the hot path on every page read — bypasses the
-    lock entirely: ``next`` on an :class:`itertools.count` is a single
-    C call, atomic under the GIL, so concurrent unit ``inc`` calls can
-    never lose a tick.  Non-unit amounts take the validated lock path.
+    Both write paths bypass the lock.  The unit increment: ``next`` on
+    an :class:`itertools.count` is a single C call, atomic under the
+    GIL, so concurrent unit ``inc`` calls can never lose a tick.  A
+    non-unit amount — the executor's per-execution seek, sequential-read
+    and record counts — is validated and appended to a pending list
+    (``list.append`` is atomic under the GIL, so no increment is lost)
+    and folded into the total under the lock by readers, or when the
+    pending batch reaches ``_PENDING_LIMIT``: the scheme
+    :class:`Histogram` uses, because an uncontended lock round trip
+    costs several times the rest of the increment.
     """
 
-    __slots__ = ("name", "help", "_registry", "_lock", "_ticks", "_base")
+    __slots__ = ("name", "help", "_registry", "_lock", "_ticks", "_pending", "_base")
+
+    #: Fold the pending list when a write sees it this large, bounding
+    #: memory for a hot counter that is never scraped.
+    _PENDING_LIMIT = 4096
 
     def __init__(self, name: str, help_text: str, registry: "MetricsRegistry") -> None:
         self.name = name
@@ -91,7 +101,10 @@ class Counter:
         self._registry = registry
         self._lock = threading.Lock()
         self._ticks = itertools.count()  # unit incs; GIL-atomic
-        self._base = 0.0  # non-unit incs; guarded-by: _lock
+        # Non-unit incs: written lock-free (GIL-atomic appends), folded
+        # only with _lock held (see _fold_locked).
+        self._pending: List[float] = []
+        self._base = 0.0  # folded non-unit incs; guarded-by: _lock
 
     def inc(self, amount: float = 1) -> None:
         if not self._registry.enabled:
@@ -103,10 +116,30 @@ class Counter:
             value = amount if type(amount) is float else float(amount)
             if not value >= 0.0:  # negative or NaN
                 raise ValueError(amount)
-            with self._lock:
-                self._base += value
         except Exception:
             self._registry._count_error()
+            return
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= self._PENDING_LIMIT:
+            with self._lock:
+                self._fold_locked()
+
+    @guarded_by("_lock")
+    def _fold_locked(self) -> None:
+        """Add the pending increments to the total, in arrival order.
+
+        Safe against concurrent lock-free appends for the reason
+        :meth:`Histogram._fold_locked` is: only the prefix captured up
+        front is read and deleted.
+        """
+        pending = self._pending
+        upto = len(pending)
+        total = self._base
+        for value in pending[:upto]:
+            total += value
+        self._base = total
+        del pending[:upto]
 
     def _ticks_so_far(self) -> int:
         # itertools.count exposes its next value through its pickle
@@ -116,10 +149,12 @@ class Counter:
     @property
     def value(self) -> float:
         with self._lock:
+            self._fold_locked()
             return self._base + self._ticks_so_far()
 
     def reset(self) -> None:
         with self._lock:
+            self._fold_locked()
             self._base = 0.0
             self._ticks = itertools.count()
 

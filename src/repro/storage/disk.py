@@ -24,10 +24,13 @@ from ..obs.metrics import METRICS
 
 __all__ = ["DiskStats", "SimulatedDisk", "PARKED_HEAD", "replay_reads"]
 
-# Bound once at import: the disabled-path cost per read is one flag
-# check inside Counter.inc (see benchmarks/test_bench_obs.py).
-_SEEKS = METRICS.counter("repro_disk_seeks_total", "page reads that moved the disk head")
-_SEQUENTIAL = METRICS.counter(
+# Read-side counters, ticked once per execution, not per page read:
+# every read runs inside the executor's charged pass, whose report
+# (Executor._report) adds the execution's seeks and sequential reads.
+# A per-page Counter.inc would cost a measurable share of a key-sliced
+# scan (see benchmarks/test_bench_obs.py).
+DISK_SEEKS = METRICS.counter("repro_disk_seeks_total", "page reads that moved the disk head")
+DISK_SEQUENTIAL_READS = METRICS.counter(
     "repro_disk_sequential_reads_total", "page reads that followed the previous page"
 )
 _WRITES = METRICS.counter("repro_disk_pages_written_total", "pages allocated or overwritten")
@@ -99,10 +102,8 @@ class SimulatedDisk:
             raise PageError(f"page {page_id} was reclaimed")
         if page_id == self._head + 1:
             self.stats.sequential_reads += 1
-            _SEQUENTIAL.inc()
         else:
             self.stats.seeks += 1
-            _SEEKS.inc()
         self._head = page_id
         return self._pages[page_id]
 

@@ -5,11 +5,13 @@ import bisect
 import numpy as np
 import pytest
 
+from repro.api import Query
+from repro.api.query import RectUnion
 from repro.core.runs import merge_runs_with_gaps, query_runs
 from repro.curves import make_curve
 from repro.engine import ExecutionPolicy
 from repro.geometry import Rect
-from repro.index import SFCIndex
+from repro.index import SFCIndex, ShardedSFCIndex
 
 
 def build_index(name, side, points, page_capacity=8, **kwargs):
@@ -42,14 +44,14 @@ def seed_range_query(index, rect, gap_tolerance=0):
             if first_key > end:
                 break
             page = reader(directory.page_ids[page_pos])
-            if page[-1][0] >= start:
-                for key, record in page:
+            if page.keys[-1] >= start:
+                for key, record in zip(page.keys, page.records):
                     if start <= key <= end:
                         if rect.contains(record.point):
                             records.append(record)
                         else:
                             over_read += 1
-            if page[-1][0] > end:
+            if page.keys[-1] > end:
                 break
             page_pos += 1
     return (
@@ -62,28 +64,38 @@ def seed_range_query(index, rect, gap_tolerance=0):
 
 
 class TestFacadeEquivalence:
-    @pytest.mark.parametrize("name", ["onion", "hilbert", "zorder"])
+    #: Every registry curve that builds at side 16 (peano needs a power of 3).
+    @pytest.mark.parametrize(
+        "name",
+        ["onion", "onion-nd", "hilbert", "zorder", "gray", "snake", "rowmajor", "columnmajor"],
+    )
     @pytest.mark.parametrize("gap", [0, 6, 50])
     def test_range_query_identical_to_seed_scan(self, name, gap, rng):
         """Acceptance: the facade reproduces the pre-engine behavior
-        byte for byte — same records in the same order, same counters."""
+        byte for byte — same records in the same order, same counters.
+
+        400 points on 256 cells at page capacities 1, 3 and 8: runs
+        start and end mid-page, and duplicate keys straddle page
+        boundaries, so key slicing must agree with the seed's
+        per-record filter at every cut."""
         points = rng.integers(0, 16, size=(400, 2))
-        via_engine = build_index(name, 16, points)
-        reference = build_index(name, 16, points)
-        for _ in range(25):
-            lo = rng.integers(0, 16, size=2)
-            hi = np.minimum(lo + rng.integers(0, 9, size=2), 15)
-            rect = Rect(tuple(int(l) for l in lo), tuple(int(h) for h in hi))
-            result = via_engine.range_query(rect, gap_tolerance=gap)
-            records, runs, seeks, sequential, over = seed_range_query(
-                reference, rect, gap_tolerance=gap
-            )
-            assert result.records == records  # identical order, not just set
-            assert result.runs == runs
-            assert result.over_read == over
-            # exact page spans may skip the seed's speculative extra read
-            # before a page-aligned run start, never add pages
-            assert result.pages_read <= seeks + sequential
+        for page_capacity in (1, 3, 8):
+            via_engine = build_index(name, 16, points, page_capacity=page_capacity)
+            reference = build_index(name, 16, points, page_capacity=page_capacity)
+            for _ in range(25):
+                lo = rng.integers(0, 16, size=2)
+                hi = np.minimum(lo + rng.integers(0, 9, size=2), 15)
+                rect = Rect(tuple(int(l) for l in lo), tuple(int(h) for h in hi))
+                result = via_engine.range_query(rect, gap_tolerance=gap)
+                records, runs, seeks, sequential, over = seed_range_query(
+                    reference, rect, gap_tolerance=gap
+                )
+                assert result.records == records  # identical order, not just set
+                assert result.runs == runs
+                assert result.over_read == over
+                # exact page spans may skip the seed's speculative extra
+                # read before a page-aligned run start, never add pages
+                assert result.pages_read <= seeks + sequential
 
     def test_facade_equivalence_with_buffer_pool(self, rng):
         points = rng.integers(0, 16, size=(300, 2))
@@ -97,6 +109,65 @@ class TestFacadeEquivalence:
             records, runs, seeks, sequential, over = seed_range_query(reference, rect)
             assert result.records == records
             assert result.pages_read <= seeks + sequential
+
+
+class TestExactRunsSkipTheFilter:
+    """At gap tolerance 0 every scan run is one of the query's exact key
+    runs, so no read path may test a record's geometry: with the
+    region tests patched to raise, every read still answers exactly."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_gap_zero_reads_never_test_geometry(self, num_shards, monkeypatch, rng):
+        curve = make_curve("onion", 16, 2)
+        if num_shards == 1:
+            store = SFCIndex(curve, page_capacity=4)
+        else:
+            store = ShardedSFCIndex(curve, num_shards=num_shards, page_capacity=4)
+        points = [tuple(int(c) for c in p) for p in rng.integers(0, 16, size=(400, 2))]
+        store.bulk_load(points, payloads=range(len(points)))
+        store.flush()
+        rect_a, rect_b = Rect((2, 3), (9, 11)), Rect((6, 8), (14, 15))
+        center, k = (7, 7), 12
+
+        def payloads(records):
+            return sorted(record.payload for record in records)
+
+        def reads():
+            return (
+                payloads(store.execute(Query.rect(rect_a)).records),
+                payloads(store.cursor(Query.rect(rect_a)).fetchall()),
+                [round(d, 9) for d in store.knn(center, k).distances],
+                payloads(store.execute(Query.union_of([rect_a, rect_b])).records),
+            )
+
+        def inside(*rects):
+            return sorted(
+                i for i, p in enumerate(points) if any(r.contains(p) for r in rects)
+            )
+
+        nearest = sorted(
+            float(np.hypot(x - center[0], y - center[1])) for x, y in points
+        )[:k]
+        brute_force = (
+            inside(rect_a),
+            inside(rect_a),
+            [round(d, 9) for d in nearest],
+            inside(rect_a, rect_b),
+        )
+        # Planning legitimately tests geometry (boundary run
+        # construction), so the first pass fills the plan cache with
+        # every plan, kNN's expansion boxes included; the patched pass
+        # below then only executes.
+        assert reads() == brute_force
+        misses = store.plan_cache.stats.misses
+
+        def forbidden(self, cell):
+            raise AssertionError(f"geometric test of {cell} on an exact run")
+
+        monkeypatch.setattr(Rect, "contains", forbidden)
+        monkeypatch.setattr(RectUnion, "contains", forbidden)
+        assert reads() == brute_force
+        assert store.plan_cache.stats.misses == misses
 
 
 class TestBatchExecution:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.api import merge_plans
 from repro.core.clustering import clustering_number
 from repro.curves import make_curve
 from repro.engine import CostModel, ExecutionPolicy, Planner, QueryPlan
@@ -100,6 +101,35 @@ class TestQueryPlanShape:
         covered = sum(e - s + 1 for s, e in merged.scan_runs)
         assert merged.gap_cells == covered - rect.volume
         assert merged.num_scan_runs < exact.num_scan_runs
+
+
+class TestScanExactness:
+    """``QueryPlan.scan_exact``: a scan run skips the geometric filter
+    exactly when it is one of the plan's exact key runs."""
+
+    def test_gap_zero_every_scan_run_is_exact(self, rng):
+        planner = Planner(make_curve("hilbert", 16, 2))
+        for _ in range(20):
+            lo = rng.integers(0, 16, size=2)
+            hi = [min(int(l) + int(e), 15) for l, e in zip(lo, rng.integers(0, 9, 2))]
+            plan = planner.plan(Rect(tuple(int(l) for l in lo), tuple(hi)))
+            assert plan.scan_exact == (True,) * plan.num_scan_runs
+
+    def test_gap_merged_runs_are_inexact_unmerged_exact(self):
+        planner = Planner(make_curve("hilbert", 16, 2))
+        plan = planner.plan(Rect((2, 3), (9, 11)), ExecutionPolicy(gap_tolerance=6))
+        for (start, end), exact in zip(plan.scan_runs, plan.scan_exact):
+            # an unmerged scan run covers one exact run, a merged one several
+            covered = [run for run in plan.runs if start <= run[0] and run[1] <= end]
+            assert exact == (len(covered) == 1)
+        assert set(plan.scan_exact) == {True, False}
+
+    def test_union_of_overlapping_rects_is_exact(self):
+        index = full_grid_index("onion", side=16, page_capacity=4)
+        plans = [index.plan(Rect((2, 2), (9, 8))), index.plan(Rect((6, 5), (13, 12)))]
+        union = merge_plans(plans, index.page_layout)
+        assert len(union.runs) < sum(len(plan.runs) for plan in plans)  # overlap
+        assert union.scan_exact == (True,) * union.num_scan_runs
 
 
 class TestEstimates:

@@ -117,6 +117,22 @@ class TestShardedPlanner:
             for start, end in fragment.plan.scan_runs:
                 assert lo <= start <= end <= hi
 
+    def test_shard_cut_tolerated_gap_clips_to_an_inexact_run(self):
+        """A shard boundary inside a merged run's tolerated gap leaves a
+        clipped run that is no clip of an exact run: it is filtered."""
+        rect = Rect((0, 3), (5, 5))
+        splan = self.planner.plan(rect, ExecutionPolicy(gap_tolerance=6))
+        assert splan.plan.scan_runs == ((23, 25), (44, 63))
+        assert splan.plan.scan_exact == (True, False)
+        (boundary,) = [lo for lo, _ in self.shards if 44 < lo <= 63]
+        # the boundary cuts the merged run inside a gap between exact runs
+        assert not any(s <= k <= e for s, e in splan.plan.runs for k in (boundary - 1, boundary))
+        by_shard = {f.shard[0]: f.plan for f in splan.fragments}
+        clipped = by_shard[boundary]
+        assert clipped.scan_runs == ((boundary, 63),)
+        assert clipped.scan_exact == (False,)
+        assert by_shard[16].scan_exact == (True,)  # untouched exact run
+
     def test_estimated_cost_adds_fanout_penalty(self):
         rect = Rect((0, 0), (7, 7))
         splan = self.planner.plan(rect)
