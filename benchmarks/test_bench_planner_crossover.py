@@ -2,22 +2,24 @@
 
 The planner routes run construction through the O(volume) bulk
 ``index_many`` path or the curve's structural path (boundary shell /
-prefix blocks).  The old rule was a hardcoded ``volume <= 1024``; the
-new rule is curve-aware: boundary-capable curves vectorize while
-``volume <= VECTORIZE_SURFACE_RATIO × surface_cells``; prefix-contiguous
-and exhaustive-only curves vectorize up to a large volume cap, because
-their structural alternative (per-block Python recursion, or the same
-exhaustive scan) measures slower than one bulk kernel call at every
-realistic size.  This file measures both paths across rect sizes and
-asserts the heuristic picks the faster side away from the crossover —
-the empirical justification for the constants.
+prefix blocks).  The rule is curve-aware: boundary-capable curves
+vectorize while ``volume <= VECTORIZE_SURFACE_RATIO × surface_cells``;
+prefix-contiguous and exhaustive-only curves vectorize up to a large
+volume cap, because their structural alternative (per-block Python
+recursion, or the same exhaustive scan) measures slower than one bulk
+kernel call at every realistic size.  This file measures both paths
+across rect sizes and asserts the heuristic picks the faster side away
+from the crossover — the empirical justification for the constants.
+The 2-D onion curve is outside the crossover: ``query_runs`` builds its
+runs in closed form from the rect's corners, which beats both kernel
+paths at every size.
 """
 
 import time
 
 import pytest
 
-from repro.core.runs import query_runs, query_runs_vectorized
+from repro.core.runs import _runs_boundary, query_runs, query_runs_vectorized
 from repro.curves import make_curve
 from repro.engine.planner import VECTORIZE_SURFACE_RATIO, Planner
 from repro.geometry import Rect
@@ -42,7 +44,7 @@ def _measure(curve, length):
     )
 
 
-@pytest.mark.parametrize("name", ["hilbert", "onion"])
+@pytest.mark.parametrize("name", ["hilbert"])
 def test_boundary_curves_heuristic_picks_winner_away_from_crossover(name):
     """At the extremes the measured winner matches the heuristic choice."""
     curve = make_curve(name, SIDE, 2)
@@ -59,6 +61,21 @@ def test_boundary_curves_heuristic_picks_winner_away_from_crossover(name):
     # loaded CI runners; locally the winners lead by 2.5-6x.
     assert vec_small <= bound_small * 3, (name, vec_small, bound_small)
     assert bound_big <= vec_big * 3, (name, bound_big, vec_big)
+
+
+def test_onion_closed_form_beats_both_kernel_paths():
+    """The planner never vectorizes the 2-D onion curve: at both extremes
+    the closed form is faster than the bulk kernel and the boundary
+    shell (locally about 9x ahead of the faster of the two)."""
+    curve = make_curve("onion", SIDE, 2)
+    planner = Planner(curve)
+    for length in (4, 100):
+        rect = Rect.from_origin((3, 5), (length, length))
+        assert not planner._use_vectorized(rect)
+        closed = _time(query_runs, curve, rect)
+        vectorized = _time(query_runs_vectorized, curve, rect)
+        boundary = _time(_runs_boundary, curve, rect)
+        assert closed < min(vectorized, boundary), (length, closed, vectorized, boundary)
 
 
 @pytest.mark.parametrize("name", ["zorder", "gray"])

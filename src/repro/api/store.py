@@ -211,11 +211,7 @@ def merge_plans(
         if policy.gap_tolerance
         else runs
     )
-    page_spans = (
-        tuple(layout.span(start, end) for start, end in scan_runs)
-        if layout is not None
-        else None
-    )
+    page_spans = layout.spans(scan_runs) if layout is not None else None
     return QueryPlan(
         curve=plans[0].curve,
         rect=RectUnion(tuple(plan.rect for plan in plans)),

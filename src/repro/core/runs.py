@@ -5,10 +5,15 @@ A rect query maps to ``c(q, π)`` contiguous key runs under a curve; a
 "seek" each, in the paper's motivation).  This module computes the runs
 themselves, not just their number:
 
-* for continuous / sparse-jump curves: cluster *starts* are cells whose
-  predecessor lies outside the query, cluster *ends* are cells whose
-  successor lies outside — both live on the boundary shell (plus jump
-  cells and universe endpoints), so the runs are found in O(surface);
+* for the 2-D onion curve: closed form, from the rect's corners alone —
+  the rect's arcs of each ring it cuts, plus one interval for the rings
+  wholly inside it (:func:`repro.curves.onion2d.onion2d_rect_runs`);
+  no cell is keyed;
+* for other continuous / sparse-jump curves: cluster *starts* are cells
+  whose predecessor lies outside the query, cluster *ends* are cells
+  whose successor lies outside — both live on the boundary shell (plus
+  jump cells and universe endpoints), so the runs are found in
+  O(surface);
 * for prefix-contiguous curves: merged aligned-block ranges;
 * otherwise: runs of the sorted key set (O(volume)).
 
@@ -23,11 +28,17 @@ from typing import List, Tuple
 import numpy as np
 
 from ..curves.base import SpaceFillingCurve
+from ..curves.onion2d import OnionCurve2D, onion2d_rect_runs
 from ..geometry import Rect
 from .clustering import _contains_many, boundary_cells_array
 from .prefix_ranges import block_ranges, merge_ranges
 
-__all__ = ["query_runs", "query_runs_vectorized", "merge_runs_with_gaps"]
+__all__ = [
+    "has_closed_form_runs",
+    "query_runs",
+    "query_runs_vectorized",
+    "merge_runs_with_gaps",
+]
 
 KeyRun = Tuple[int, int]  # inclusive (start_key, end_key)
 
@@ -130,6 +141,12 @@ def query_runs_vectorized(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
     return _runs_exhaustive(curve, rect)
 
 
+def has_closed_form_runs(curve: SpaceFillingCurve) -> bool:
+    """True when :func:`query_runs` computes ``curve``'s runs in closed form
+    from the rect's corners, calling no curve kernel (the 2-D onion curve)."""
+    return isinstance(curve, OnionCurve2D)
+
+
 def query_runs(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
     """Inclusive key runs ``[(start, end), …]`` covering exactly ``rect``.
 
@@ -137,6 +154,8 @@ def query_runs(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
     number under the curve.
     """
     rect.check_fits(curve.side)
+    if has_closed_form_runs(curve):
+        return onion2d_rect_runs(curve.side, rect.lo, rect.hi)
     if curve.is_continuous or curve.has_sparse_discontinuities:
         return _runs_boundary(curve, rect)
     if curve.is_prefix_contiguous:

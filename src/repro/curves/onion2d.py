@@ -17,6 +17,14 @@ the layer-offset closed form (all complete rings strictly outside layer
 and is vectorized with numpy.  The literal recursion is kept as
 :func:`onion2d_index_recursive` and used as the reference in tests.
 
+The same ring structure gives a rect's key runs without keying a cell
+(:func:`onion2d_rect_runs`): the rect cuts each side of a ring in one
+*arc* of consecutive keys, so its runs are those arcs in ring-then-side
+order, joined where one ends on the key before the next begins.  The
+rings lying wholly inside the rect are the curve's last keys and
+collapse into one run, so only the rings the rect's border cuts are
+visited.
+
 The paper assumes an even side; this implementation also supports odd
 sides (the innermost layer degenerates to a single cell), which the
 inductive definition extends to naturally.
@@ -25,7 +33,7 @@ inductive definition extends to naturally.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -124,6 +132,73 @@ def onion2d_point_array(keys: np.ndarray, side) -> np.ndarray:
     u = np.where(j == 1, 0, u)
     v = np.where(j == 1, 0, v)
     return np.stack([u + t - 1, v + t - 1], axis=1).astype(np.int64)
+
+
+def onion2d_rect_runs(
+    side: int, lo: Tuple[int, int], hi: Tuple[int, int]
+) -> List[Tuple[int, int]]:
+    """Inclusive key runs of the rect ``[lo, hi]``, sorted, from its corners.
+
+    Ring ``t`` is the border of the square ``[a, b]²`` (``a = t − 1``,
+    ``b = side − t``, side ``j = b − a + 1``), keyed after the ``base =
+    side² − j²`` cells of the outer rings: its bottom side holds ``base
+    + x − a``, its right side ``base + j − 1 + y − a`` (``y ≥ a + 1``),
+    its top side ``base + 3j − 3 − (x − a)`` (``x ≤ b − 1``) and its left
+    side ``base + 4j − 4 − (y − a)`` (``a + 1 ≤ y ≤ b − 1``).  The rect
+    cuts each side in one interval, an *arc* of consecutive keys, so
+    walking the rings outward-in and their sides in key order yields the
+    arcs sorted; an arc that starts on the key after the previous run's
+    end extends that run.  Rings ``t ≥ max(x0+1, y0+1, side−x1,
+    side−y1)`` lie wholly inside the rect and are one key interval
+    running to the curve's last key, so the loop visits only the rings
+    the rect's border cuts: O(side) integer steps at most, and no cell
+    is keyed.
+
+    ``lo`` and ``hi`` must be the corners of a rect inside the universe;
+    callers validate it (:func:`repro.core.runs.query_runs` does).
+    """
+    s = int(side)
+    x0, y0 = int(lo[0]), int(lo[1])
+    x1, y1 = int(hi[0]), int(hi[1])
+    rings = (s + 1) // 2
+    # The rect's outermost ring, the outermost ring wholly inside it
+    # (none when full > rings), and the innermost ring it reaches (an
+    # upper bound only when it holds a whole ring; the loop stops at
+    # full then).
+    first = min(x0, y0, s - 1 - x1, s - 1 - y1) + 1
+    full = max(x0, y0, s - 1 - x1, s - 1 - y1) + 1
+    last = min(x1 + 1, y1 + 1, s - x0, s - y0)
+    arcs: List[Tuple[int, int]] = []
+    # A cut ring has a <= x1, y1 and b >= x0, y0: the rect reaches its
+    # square, so each test below only asks which sides it reaches.
+    for t in range(first, min(full, last + 1)):
+        a, b = t - 1, s - t
+        j = b - a + 1
+        # Key origins with base and a folded in: (x, a) is keyed bottom +
+        # x, (b, y) right + y, (x, b) top − x and (a, y) left − y.
+        bottom = s * s - j * j - a
+        right = bottom + j - 1
+        top = bottom + 3 * j - 3 + 2 * a
+        left = bottom + 4 * j - 4 + 2 * a
+        xa, ya = max(x0, a), max(y0, a + 1)
+        if y0 <= a:
+            arcs.append((bottom + xa, bottom + min(x1, b)))
+        if b <= x1 and ya <= min(y1, b):
+            arcs.append((right + ya, right + min(y1, b)))
+        if b <= y1 and xa <= min(x1, b - 1):
+            arcs.append((top - min(x1, b - 1), top - xa))
+        if x0 <= a and ya <= min(y1, b - 1):
+            arcs.append((left - min(y1, b - 1), left - ya))
+    if full <= rings:
+        j = s - 2 * (full - 1)
+        arcs.append((s * s - j * j, s * s - 1))
+    runs: List[Tuple[int, int]] = []
+    for start, end in arcs:
+        if runs and runs[-1][1] + 1 == start:
+            runs[-1] = (runs[-1][0], end)
+        else:
+            runs.append((start, end))
+    return runs
 
 
 def _ring_position(u: int, v: int, j: int) -> int:

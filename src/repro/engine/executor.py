@@ -99,7 +99,7 @@ def resolved_spans(plan: QueryPlan, layout: PageLayout):
     """The plan's page spans, resolving layout-free plans on the spot."""
     if plan.page_spans is not None:
         return plan.page_spans
-    return tuple(layout.span(start, end) for start, end in plan.scan_runs)
+    return layout.spans(plan.scan_runs)
 
 
 def scan_page(page: Page, start: int, end: int, region, records: List[Record]) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -76,6 +76,12 @@ class PageLayout:
         first = bisect.bisect_left(self.last_keys, start)
         last = bisect.bisect_right(self.first_keys, end) - 1
         return first, last
+
+    def spans(self, runs: Iterable[KeyRun]) -> Tuple[PageSpan, ...]:
+        """The :meth:`span` of each key run, in order: the page spans of a
+        plan's scan runs.  The single statement of span resolution, shared
+        by planned, merged, scattered and layout-free plans."""
+        return tuple(self.span(start, end) for start, end in runs)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,21 @@ inspect and compare plans (e.g. rank curves by ``estimated_cost``) before
 touching the disk, and lets the :class:`~repro.engine.cache.PlanCache`
 reuse them across repeated queries.
 
-Run construction dispatches between :func:`repro.core.runs.query_runs`
-(boundary/prefix machinery, O(surface)) and the bulk-vectorized
-:func:`repro.core.runs.query_runs_vectorized` (one ``index_many`` call
-over the rect's cells, O(volume)).  The crossover is *curve-aware*: the
-vectorized path wins while the rect's volume stays within a small factor
-of its boundary-shell surface (the boundary path touches each surface
-cell with several kernel invocations), and it requires the curve to ship
-a true numpy ``index_many`` kernel.  ``benchmarks/
-test_bench_planner_crossover.py`` measures the two paths across rect
-sizes and justifies the factor.
+Run construction goes through :func:`repro.core.runs.query_runs`.  For
+the 2-D onion curve that is a closed form: the runs follow from the
+rect's corners (its arcs of each onion ring it cuts, and one interval
+for the rings wholly inside it), with no curve kernel call, faster than
+either kernel-based construction at every rect size, so the planner
+always takes it.  For every other curve the planner picks between
+``query_runs`` (boundary/prefix machinery, O(surface)) and the
+bulk-vectorized :func:`repro.core.runs.query_runs_vectorized` (one
+``index_many`` call over the rect's cells, O(volume)).  That crossover
+is *curve-aware*: the vectorized path wins while the rect's volume stays
+within a small factor of its boundary-shell surface (the boundary path
+touches each surface cell with several kernel invocations), and it
+requires the curve to ship a true numpy ``index_many`` kernel.
+``benchmarks/test_bench_planner_crossover.py`` measures the paths across
+rect sizes and justifies the factor.
 
 The planner also precomputes **expected-seeks tables** without planning
 any query: :meth:`Planner.expected_seeks` is the exact mean clustering
@@ -30,7 +35,12 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.runs import merge_runs_with_gaps, query_runs, query_runs_vectorized
+from ..core.runs import (
+    has_closed_form_runs,
+    merge_runs_with_gaps,
+    query_runs,
+    query_runs_vectorized,
+)
 from ..core.sweep import sweep_average_clustering
 from ..curves.base import SpaceFillingCurve
 from ..obs.metrics import METRICS
@@ -41,7 +51,6 @@ from ..geometry import Rect
 
 __all__ = [
     "Planner",
-    "VECTORIZE_VOLUME_MAX",
     "VECTORIZE_SURFACE_RATIO",
     "VECTORIZE_PREFIX_VOLUME_MAX",
 ]
@@ -50,10 +59,6 @@ _PLANS = METRICS.counter("repro_planner_plans_total", "range-query plans produce
 _PLAN_LATENCY = METRICS.histogram(
     "repro_plan_latency_seconds", "wall time of Planner.plan"
 )
-
-#: Legacy fixed crossover: pass ``vectorize_volume_max`` explicitly to
-#: restore a pure volume cap (0 disables the vectorized path).
-VECTORIZE_VOLUME_MAX = 1024
 
 #: Curve-aware crossover for boundary-capable (continuous / sparse-jump)
 #: curves: vectorize while ``volume <= ratio × surface_cells``.  The
@@ -86,18 +91,16 @@ def _surface_cells(rect: Rect) -> int:
 class Planner:
     """Produces :class:`QueryPlan` objects for one curve.
 
+    Key runs come from the closed form for the 2-D onion curve, and from
+    the cheaper side of the surface/volume crossover for every other
+    curve (see the module docstring).
+
     Parameters
     ----------
     curve:
         The curve keys are computed under.
     cost_model:
         Prices attached to every plan (estimated costs use it).
-    vectorize_volume_max:
-        ``None`` (default) selects the curve-aware surface-vs-volume
-        heuristic.  An explicit integer restores the legacy fixed cap:
-        rects up to that volume use the bulk ``index_many`` run
-        construction when the curve ships a vectorized kernel; ``0``
-        disables the fast path entirely.
     recorder:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every built
         plan is reported (shape + predicted seeks) so the adaptive
@@ -109,18 +112,17 @@ class Planner:
         self,
         curve: SpaceFillingCurve,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        vectorize_volume_max: Optional[int] = None,
         recorder=None,
     ):
         self._curve = curve
         self._cost_model = cost_model
-        self._vectorize_volume_max = vectorize_volume_max
         self._recorder = recorder
         # Only curves that override the base (loop-based) kernel benefit
         # from the O(volume) bulk path.
         self._has_vector_kernel = (
             type(curve).index_many is not SpaceFillingCurve.index_many
         )
+        self._closed_form = has_closed_form_runs(curve)
         self._expected_seeks: Dict[Tuple[int, ...], float] = {}
 
     @property
@@ -140,10 +142,8 @@ class Planner:
 
     def _use_vectorized(self, rect: Rect) -> bool:
         """Route ``rect`` through the O(volume) bulk path?"""
-        if not self._has_vector_kernel or rect.volume == 0:
+        if self._closed_form or not self._has_vector_kernel or rect.volume == 0:
             return False
-        if self._vectorize_volume_max is not None:
-            return rect.volume <= self._vectorize_volume_max
         if self._curve.is_continuous or self._curve.has_sparse_discontinuities:
             return rect.volume <= VECTORIZE_SURFACE_RATIO * _surface_cells(rect)
         return rect.volume <= VECTORIZE_PREFIX_VOLUME_MAX
@@ -212,11 +212,7 @@ class Planner:
                 if policy.gap_tolerance
                 else runs
             )
-            page_spans = (
-                tuple(layout.span(start, end) for start, end in scan_runs)
-                if layout is not None
-                else None
-            )
+            page_spans = layout.spans(scan_runs) if layout is not None else None
             plan = QueryPlan(
                 curve=self._curve,
                 rect=rect,

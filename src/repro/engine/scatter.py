@@ -123,11 +123,7 @@ def scatter_plan(
             if not scan_runs:
                 continue
             runs = clip_runs(plan.runs, shard)
-            page_spans = (
-                tuple(layout.span(start, end) for start, end in scan_runs)
-                if layout is not None
-                else None
-            )
+            page_spans = layout.spans(scan_runs) if layout is not None else None
             fragments.append(
                 ShardFragment(
                     shard_id=shard_id,

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.runs import query_runs_vectorized
 from repro.curves import OnionCurve2D, onion2d_index_recursive
-from repro.curves.onion2d import onion2d_index_array, onion2d_point_array
+from repro.curves.onion2d import (
+    onion2d_index_array,
+    onion2d_point_array,
+    onion2d_rect_runs,
+)
 from repro.errors import OutOfUniverseError
+from repro.geometry import Rect
 
 
 class TestPaperDefinition:
@@ -114,3 +120,32 @@ class TestVectorized:
         keys = np.arange(curve.size, dtype=np.int64)
         cells = curve.point_many(keys)
         assert (curve.index_many(cells) == keys).all()
+
+
+class TestRectRuns:
+    """The closed-form key runs of a rect equal the runs of its sorted
+    keys (one bulk ``index_many`` over every cell)."""
+
+    @pytest.mark.parametrize("side", range(1, 13))
+    def test_every_rect_matches_keyed_cells(self, side):
+        """Both parities, 1-wide rects, the 1- and 2-cell centre rings
+        and the full universe, at every corner pair."""
+        curve = OnionCurve2D(side)
+        spans = [(lo, hi) for lo in range(side) for hi in range(lo, side)]
+        for x0, x1 in spans:
+            for y0, y1 in spans:
+                rect = Rect((x0, y0), (x1, y1))
+                assert onion2d_rect_runs(side, rect.lo, rect.hi) == (
+                    query_runs_vectorized(curve, rect)
+                ), rect
+
+    @given(st.data())
+    def test_large_sides_match_keyed_cells(self, data):
+        side = data.draw(st.integers(255, 257))
+        coordinate = st.integers(0, side - 1)
+        x0, x1 = sorted(data.draw(st.tuples(coordinate, coordinate)))
+        y0, y1 = sorted(data.draw(st.tuples(coordinate, coordinate)))
+        rect = Rect((x0, y0), (x1, y1))
+        assert onion2d_rect_runs(side, rect.lo, rect.hi) == query_runs_vectorized(
+            OnionCurve2D(side), rect
+        )

@@ -46,6 +46,9 @@ class TestPageLayout:
         assert layout.span(5, 25) == (0, 2)
         assert layout.span(10, 10) == (1, 1)  # page-aligned, no spill read
         assert layout.span(31, 40) == (3, 3)
+        runs = [(0, 9), (5, 25), (10, 10), (31, 40)]
+        assert layout.spans(runs) == ((0, 0), (0, 2), (1, 1), (3, 3))
+        assert layout.spans([]) == ()
 
     def test_span_finds_duplicate_spill(self):
         # page 0 ends with key 10, page 1 starts with more copies of 10

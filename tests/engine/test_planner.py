@@ -1,15 +1,17 @@
 """Planner: run construction paths, policies, layout handling."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.exact import exact_average_clustering
+from repro.api import Query
 from repro.core.runs import merge_runs_with_gaps, query_runs, query_runs_vectorized
-from repro.curves import make_curve
+from repro.curves import OnionCurve2D, make_curve
 from repro.curves.base import SpaceFillingCurve
 from repro.engine import ExecutionPolicy, Planner
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
-from repro.index import SFCIndex
+from repro.index import SFCIndex, ShardedSFCIndex
 
 
 class TestRunConstruction:
@@ -24,12 +26,12 @@ class TestRunConstruction:
 
     def test_planner_small_rects_use_vector_path(self, rng):
         curve = make_curve("hilbert", 32, 2)
-        fast = Planner(curve, vectorize_volume_max=4096)
-        slow = Planner(curve, vectorize_volume_max=0)
+        planner = Planner(curve)
         for _ in range(20):
             lo = rng.integers(0, 24, size=2)
             rect = Rect.from_origin(tuple(int(l) for l in lo), (8, 8))
-            assert fast.key_runs(rect) == slow.key_runs(rect)
+            assert planner._use_vectorized(rect)
+            assert planner.key_runs(rect) == query_runs(curve, rect)
 
     def test_vector_path_requires_true_kernel(self):
         class LoopCurve(SpaceFillingCurve):
@@ -58,21 +60,13 @@ class TestRunConstruction:
         assert not planner._use_vectorized(Rect.from_origin((0, 0), (60, 60)))
 
     def test_heuristic_matches_runs_regardless_of_path(self, rng):
-        curve = make_curve("onion", 32, 2)
+        curve = make_curve("hilbert", 32, 2)
         planner = Planner(curve)
         for _ in range(15):
             lo = rng.integers(0, 16, size=2)
             lengths = tuple(int(v) for v in rng.integers(1, 17, size=2))
             rect = Rect.from_origin(tuple(int(l) for l in lo), lengths)
             assert planner.key_runs(rect) == query_runs(curve, rect)
-
-    def test_explicit_volume_cap_still_honored(self):
-        """Legacy fixed cap: an explicit int overrides the heuristic."""
-        curve = make_curve("hilbert", 32, 2)
-        capped = Planner(curve, vectorize_volume_max=0)
-        big = Planner(curve, vectorize_volume_max=1 << 20)
-        assert not capped._use_vectorized(Rect.from_origin((0, 0), (2, 2)))
-        assert big._use_vectorized(Rect.from_origin((0, 0), (30, 30)))
 
     def test_exhaustive_only_curves_always_vectorize(self):
         """Curves with a kernel but no boundary/prefix capability would
@@ -81,6 +75,50 @@ class TestRunConstruction:
         planner = Planner(curve)
         assert planner._has_vector_kernel
         assert planner._use_vectorized(Rect.from_origin((0, 0), (14, 14)))
+
+
+class TestKernelFreeOnionReads:
+    """2-D onion key runs follow from a rect's corners, so once the store
+    is loaded no read keys a cell: with the curve kernels patched to
+    raise, every read still answers exactly."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_reads_call_no_curve_kernel(self, num_shards, monkeypatch, rng):
+        side = 16
+        curve = make_curve("onion", side, 2)
+        if num_shards == 1:
+            store = SFCIndex(curve, page_capacity=4)
+        else:
+            store = ShardedSFCIndex(curve, num_shards=num_shards, page_capacity=4)
+        cells = rng.integers(0, side, size=(400, 2))
+        points = [tuple(int(c) for c in p) for p in cells]
+        store.bulk_load(points, payloads=range(len(points)))
+        store.flush()
+
+        def forbidden(self, array):
+            raise AssertionError("curve kernel called on the read path")
+
+        monkeypatch.setattr(OnionCurve2D, "index_many", forbidden)
+        monkeypatch.setattr(OnionCurve2D, "point_many", forbidden)
+        # The whole universe, a corner rect and a 1-wide column through
+        # every ring, then random rects.
+        rects = [Rect((0, 0), (15, 15)), Rect((0, 0), (5, 2)), Rect((7, 0), (7, 15))]
+        for _ in range(20):
+            lo = rng.integers(0, side, size=2)
+            hi = np.minimum(lo + rng.integers(0, side, size=2), side - 1)
+            rects.append(Rect(tuple(int(l) for l in lo), tuple(int(h) for h in hi)))
+        for rect in rects:
+            inside = sorted(i for i, p in enumerate(points) if rect.contains(p))
+            executed = store.execute(Query.rect(rect)).records
+            streamed = store.cursor(Query.rect(rect)).fetchall()
+            assert sorted(record.payload for record in executed) == inside
+            assert sorted(record.payload for record in streamed) == inside
+        for center in [(0, 0), (7, 8), (15, 3)]:
+            nearest = sorted(
+                float(np.hypot(x - center[0], y - center[1])) for x, y in points
+            )[:12]
+            distances = store.knn(center, 12).distances
+            assert [round(d, 9) for d in distances] == [round(d, 9) for d in nearest]
 
 
 class TestExpectedSeeks:
