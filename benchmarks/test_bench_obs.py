@@ -30,6 +30,7 @@ artifacts next to the other ``BENCH_*.json`` trajectories.
 import gc
 import json
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ import pytest
 
 from repro.api import Query
 from repro.curves import make_curve
+from repro.errors import PageError
 from repro.geometry import Rect
 from repro.index import SFCIndex
 from repro.obs import METRICS, disable_metrics, enable_metrics, start_trace
@@ -77,27 +79,22 @@ class UninstrumentedDisk(SimulatedDisk):
     """
 
     def allocate(self, payload) -> int:
-        self._pages.append(payload)
+        self._pages.append(weakref.ref(payload))
         self.stats.pages_written += 1
         return len(self._pages) - 1
 
-    def write(self, page_id: int, payload) -> None:
-        self._check(page_id)
-        self._pages[page_id] = payload
-        self.stats.pages_written += 1
-
     def read(self, page_id: int):
-        self._check(page_id)
-        if page_id in self._reclaimed:
-            from repro.errors import PageError
-
-            raise PageError(f"page {page_id} was reclaimed")
+        if not 0 <= page_id < len(self._pages):
+            raise PageError(f"page {page_id} out of range [0, {len(self._pages)})")
+        payload = self._pages[page_id]()
+        if payload is None:
+            raise PageError(f"page {page_id} was freed")
         if page_id == self._head + 1:
             self.stats.sequential_reads += 1
         else:
             self.stats.seeks += 1
         self._head = page_id
-        return self._pages[page_id]
+        return payload
 
 
 def _points():

@@ -21,6 +21,7 @@ drifting.  ``SpatialStore`` hoists that facade into one abstract base:
   pages from the key-ordered :meth:`_flush_entries` and installs them
   via the epoch-bumping :meth:`_install_layout` (the sharded layer's
   byte-identical-layout guarantee rests on this single packing rule);
+  a layout is derived state, so flushing never writes the WAL;
 * **one query surface** — :meth:`plan` / :meth:`explain` /
   :meth:`range_query` / :meth:`range_query_batch` remain, now thin
   facades over the composable front door: :meth:`execute` runs a
@@ -53,7 +54,7 @@ from ..devtools.annotations import guarded_by
 from ..engine.cache import PlanCache
 from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import Page, Record
-from ..engine.plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
+from ..engine.plan import ExecutionPolicy, PageLayout, QueryPlan
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
 from ..obs.trace import span as _obs_span
@@ -160,6 +161,13 @@ def pack_layout(
     test.  Shared by every store; the sharded index's
     byte-identical-layout guarantee (and with it shard transparency)
     rests on all flush paths using this one function.
+
+    The layout owns the pages it packs and the disk holds them weakly,
+    so they are freed with the layout's last reader; each leaves an
+    80-byte dead weakref under its page id, since ids are never reused.
+    The pages are a pure function of the records and the curve, which
+    is why a flush is never logged: recovery packs the same pages again
+    on its first read.
     """
     layout = PageLayout()
     entries = iter(records)
@@ -168,21 +176,11 @@ def pack_layout(
         if not chunk:
             return layout
         keys, page_records = zip(*chunk)
+        page = Page(keys, page_records)
         layout.first_keys.append(keys[0])
         layout.last_keys.append(keys[-1])
-        layout.page_ids.append(disk.allocate(Page(keys, page_records)))
-
-
-def _coalesce_runs(runs: List[KeyRun]) -> List[KeyRun]:
-    """Merge overlapping or adjacent sorted key runs into maximal runs."""
-    merged: List[KeyRun] = []
-    for start, end in runs:
-        if merged and start <= merged[-1][1] + 1:
-            last_start, last_end = merged[-1]
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
-    return merged
+        layout.pages.append(page)
+        layout.page_ids.append(disk.allocate(page))
 
 
 def merge_plans(
@@ -205,12 +203,8 @@ def merge_plans(
     if len(plans) == 1:
         return plans[0]
     policy = plans[0].policy
-    runs = _coalesce_runs(sorted(run for plan in plans for run in plan.runs))
-    scan_runs = (
-        merge_runs_with_gaps(runs, policy.gap_tolerance)
-        if policy.gap_tolerance
-        else runs
-    )
+    runs = merge_runs_with_gaps(sorted(run for plan in plans for run in plan.runs), 0)
+    scan_runs = merge_runs_with_gaps(runs, policy.gap_tolerance)
     page_spans = layout.spans(scan_runs) if layout is not None else None
     return QueryPlan(
         curve=plans[0].curve,
@@ -368,8 +362,8 @@ class SpatialStore(abc.ABC):
 
         Taken under the mutex so planning and execution never mix layout
         generations; everything expensive then runs outside it — a
-        snapshot stays readable after a reflush because the simulated
-        disk is append-only.
+        snapshot stays readable after a reflush because it holds its
+        layout, which owns its pages (the disk holds them weakly).
         """
         with self._mutex:
             if self._layout is None or self._executor is None:
@@ -636,13 +630,12 @@ class SpatialStore(abc.ABC):
     def _invalidate_layout(self) -> None:
         """Drop the flushed layout (callers hold the mutex).
 
-        The dropped layout's disk pages are retired — dead for
-        live-page accounting, still readable for any in-flight reader
-        of the old generation — so repeated write/flush cycles cannot
-        leak simulated disk.
+        The dropped layout owns its pages and the disk holds them only
+        weakly, so they stay readable for any in-flight reader of the
+        old generation and are freed with its last reader (an 80-byte
+        dead weakref stays under each never-reused page id): repeated
+        write/flush cycles cannot leak simulated disk.
         """
-        if self._layout is not None:
-            self._disk.retire(self._layout.page_ids)
         self._layout = None
         self._executor = None
 
@@ -658,10 +651,9 @@ class SpatialStore(abc.ABC):
         check-then-access is not atomic against a clear.  (This is the
         one site that takes ``_io_lock`` while holding ``_mutex`` — the
         edge that fixes the canonical lock order.)  The superseded
-        layout's pages are retired (see :meth:`_invalidate_layout`).
+        layout's pages are freed with its last reader (see
+        :meth:`_invalidate_layout`).
         """
-        if self._layout is not None:
-            self._disk.retire(self._layout.page_ids)
         self._layout = layout
         self._epoch += 1
         if self._pool is not None:
@@ -678,11 +670,13 @@ class SpatialStore(abc.ABC):
         :func:`pack_layout` — the one packing rule every store flushes
         through — and the new layout is installed via
         :meth:`_install_layout` (epoch bump, buffer pool and plan cache
-        invalidated: both refer to the previous layout).
+        invalidated: both refer to the previous layout).  Nothing is
+        logged: the layout is a pure function of the logged records and
+        the curve, so a read never writes the WAL and recovery rebuilds
+        the same pages when it first reads.
         """
         with self._mutex:
             with _obs_span("flush", kind="storage") as sp:
-                self._log_durable(("flush",))
                 layout = pack_layout(
                     self._disk, self._page_capacity, self._flush_entries()
                 )

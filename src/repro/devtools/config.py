@@ -88,7 +88,7 @@ class ResourcePair:
 
 #: The acquire/release pairs the resource-lifecycle rule knows about.
 #: Cursor/PlanStream close, Trace span end, WAL / page-file handle
-#: close, raw fd close and BufferPool pin/unpin.
+#: close and raw fd close.
 RESOURCE_PAIRS: Tuple[ResourcePair, ...] = (
     ResourcePair(
         kind="span", rule="span-balance",
@@ -111,10 +111,6 @@ RESOURCE_PAIRS: Tuple[ResourcePair, ...] = (
         kind="fd", rule="resource-lifecycle",
         acquires=("open",), releases=("close",),
         receivers=("os",), release_funcs=("close",),
-    ),
-    ResourcePair(
-        kind="pin", rule="resource-lifecycle",
-        acquires=("pin",), releases=("unpin",),
     ),
 )
 

@@ -75,6 +75,8 @@ __all__ = [
     "module_units",
     "run_forward",
     "scan_walk",
+    "self_attr",
+    "self_call_name",
 ]
 
 _S = TypeVar("_S")
@@ -556,13 +558,21 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``attr`` when ``node`` is ``self.<attr>``, else None."""
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
     ):
         return node.attr
+    return None
+
+
+def self_call_name(node: ast.AST) -> Optional[str]:
+    """``name`` when ``node`` is a ``self.<name>(...)`` call, else None."""
+    if isinstance(node, ast.Call):
+        return self_attr(node.func)
     return None
 
 
@@ -590,14 +600,14 @@ def class_summaries(
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
             ):
-                attr = _self_attr(node.value)
+                attr = self_attr(node.value)
                 if attr is not None and is_lock(attr):
                     aliases[node.targets[0].id] = attr
         for node in _own_nodes(item):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for with_item in node.items:
                     expr = with_item.context_expr
-                    attr = _self_attr(expr)
+                    attr = self_attr(expr)
                     if attr is None and isinstance(expr, ast.Name):
                         attr = aliases.get(expr.id)
                     if attr is not None and is_lock(attr):
@@ -607,7 +617,7 @@ def class_summaries(
                 if kind is not None:
                     summary.returns_kind = kind
             elif isinstance(node, ast.Call):
-                attr = _self_attr(node.func)
+                attr = self_attr(node.func)
                 if attr is not None:
                     summary.calls.add(attr)
         summaries[item.name] = summary

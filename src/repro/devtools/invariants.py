@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .config import MATRIX_VARIABLE_NAMES, NOTIFY_CALLS
+from .dataflow import self_attr, self_call_name
 from .findings import Finding
 
 __all__ = [
@@ -49,23 +50,6 @@ __all__ = [
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _self_call_name(node: ast.AST) -> Optional[str]:
-    """``name`` when ``node`` is a ``self.<name>(...)`` call, else None."""
-    if isinstance(node, ast.Call):
-        return _self_attr(node.func)
-    return None
 
 
 def _functions(tree: ast.AST) -> Iterable[Tuple[str, ast.FunctionDef]]:
@@ -99,7 +83,7 @@ def check_epoch_bumps(tree: ast.AST, relpath: str) -> List[Finding]:
         for node in _own_nodes(func):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr == "_layout" and not (
                         isinstance(node.value, ast.Constant)
                         and node.value.value is None
@@ -108,9 +92,9 @@ def check_epoch_bumps(tree: ast.AST, relpath: str) -> List[Finding]:
                     if attr == "_epoch":
                         bumps_epoch = True
             elif isinstance(node, ast.AugAssign):
-                if _self_attr(node.target) == "_epoch":
+                if self_attr(node.target) == "_epoch":
                     bumps_epoch = True
-            elif _self_call_name(node) == "_install_layout":
+            elif self_call_name(node) == "_install_layout":
                 bumps_epoch = True
         if installs_layout is not None and not bumps_epoch:
             findings.append(
@@ -162,14 +146,14 @@ def _has_once_guard(func: ast.FunctionDef) -> bool:
     for node in _own_nodes(func):
         if isinstance(node, ast.If):
             test = node.test
-            attr = _self_attr(test)
+            attr = self_attr(test)
             if attr is not None and any(
                 isinstance(stmt, ast.Return) for stmt in node.body
             ):
                 bail_flags.add(attr)
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if (
                     attr is not None
                     and isinstance(node.value, ast.Constant)
@@ -220,7 +204,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
             if func.name in notifiers:
                 return True
             for node in _own_nodes(func):
-                callee = _self_call_name(node)
+                callee = self_call_name(node)
                 if callee in methods and callee not in seen:
                     if reaches_notifier(methods[callee], seen | {callee}):
                         return True
@@ -250,7 +234,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
                         n for stmt in node.finalbody for n in ast.walk(stmt)
                     ]
                     for call in final_calls:
-                        callee = _self_call_name(call)
+                        callee = self_call_name(call)
                         if callee in notifiers or _calls_notify([call]):
                             protected = True
             if not protected:

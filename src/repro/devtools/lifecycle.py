@@ -4,8 +4,8 @@ Generalizes the historical ``span-balance`` rule onto the shared CFG of
 :mod:`repro.devtools.dataflow`: anything acquired through a call in the
 :data:`~repro.devtools.config.RESOURCE_PAIRS` table — a floating trace
 span, a ``Cursor``/``PlanStream``, a WAL or page-file handle, a raw
-``os.open`` fd, a buffer-pool pin — must reach its release on every CFG
-path out of the acquiring function, exception edges included.
+``os.open`` fd — must reach its release on every CFG path out of the
+acquiring function, exception edges included.
 
 The span row reports under the historical ``span-balance`` rule name
 with the historical keys and messages (the baseline and the seeded
@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import dataflow
 from .config import RESOURCE_PAIRS, ResourcePair
-from .dataflow import CFGNode, FunctionUnit
+from .dataflow import CFGNode, FunctionUnit, self_attr
 from .findings import Finding
 
 __all__ = ["check_resource_lifecycle"]
@@ -97,16 +97,6 @@ def _is_provider(name: str) -> bool:
     return False
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 @dataclass(frozen=True)
 class _Acq:
     """One statically tracked acquisition site inside a function."""
@@ -132,7 +122,7 @@ def _collect_acquires(
         # One-level interprocedural: self._helper() returning an
         # acquire call counts as the acquisition itself.
         if isinstance(value, ast.Call):
-            attr = _self_attr(value.func)
+            attr = self_attr(value.func)
             if attr is not None and attr in returns_kind:
                 return returns_kind[attr]
         return None
@@ -505,7 +495,7 @@ def _check_stored_resources(tree: ast.AST, relpath: str) -> List[Finding]:
                     if pair is None:
                         continue
                     for target in node.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None and attr not in stored:
                             stored[attr] = (node.lineno, pair)
         if not stored:
@@ -515,7 +505,7 @@ def _check_stored_resources(tree: ast.AST, relpath: str) -> List[Finding]:
             aliases: Dict[str, str] = {}  # local name -> stored attr
             for node in dataflow._own_nodes(func):
                 if isinstance(node, ast.Assign):
-                    attr = _self_attr(node.value)
+                    attr = self_attr(node.value)
                     if attr in stored:
                         for target in node.targets:
                             if isinstance(target, ast.Name):
@@ -527,7 +517,7 @@ def _check_stored_resources(tree: ast.AST, relpath: str) -> List[Finding]:
                 ):
                     continue
                 receiver = node.func.value
-                attr = _self_attr(receiver)
+                attr = self_attr(receiver)
                 if attr is None and isinstance(receiver, ast.Name):
                     attr = aliases.get(receiver.id)
                 if attr in stored and node.func.attr in stored[attr][1].releases:

@@ -52,7 +52,7 @@ from .config import (
     DECLARED_LOCK_ORDER,
     GLOBAL_LOCKS,
 )
-from .dataflow import CFGNode, FunctionUnit, MethodSummary
+from .dataflow import CFGNode, FunctionUnit, MethodSummary, self_attr
 from .findings import Finding
 
 __all__ = ["LockLint", "lint_lock_discipline"]
@@ -111,17 +111,6 @@ def _decorator_guards(func: ast.AST) -> List[str]:
     return guards
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when ``node`` is ``self.<attr>``, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _collect_guard_comments(source: str) -> Dict[int, Tuple[str, bool]]:
     """``{line_number: (lock_name, standalone)}`` for every guard comment.
 
@@ -162,7 +151,7 @@ def _build_class_model(
         else:
             continue
         for target in targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is None:
                 continue
             if isinstance(node, ast.Assign) and _is_lock_ctor(node.value):
@@ -308,7 +297,7 @@ class LockLint:
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
             ):
-                attr = _self_attr(node.value)
+                attr = self_attr(node.value)
                 if attr is not None and self._is_lock(attr):
                     aliases[node.targets[0].id] = attr
         return aliases
@@ -369,7 +358,7 @@ class LockLint:
                             )
                         )
             for sub in dataflow.scan_walk(node):
-                attr = _self_attr(sub)
+                attr = self_attr(sub)
                 if (
                     check_guards
                     and attr is not None
@@ -412,7 +401,7 @@ class LockLint:
                             )
                     # One-level interprocedural: a self._helper() call
                     # site contributes held -> helper-acquired edges.
-                    callee = _self_attr(sub.func)
+                    callee = self_attr(sub.func)
                     if callee is not None and callee in summaries:
                         for acquired in sorted(summaries[callee].acquires):
                             if acquired in held:

@@ -43,31 +43,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import dataflow
 from .config import CHAIN_OP_NAMES, DURABLE_APPLY_CALLS, WAL_LOG_CALLS
-from .dataflow import CFGNode, FunctionUnit
+from .dataflow import CFGNode, FunctionUnit, self_attr, self_call_name
 from .findings import Finding
 
 __all__ = ["check_durability_ordering", "check_exception_flow"]
-
-
-def _self_call_name(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and isinstance(node.func.value, ast.Name)
-        and node.func.value.id == "self"
-    ):
-        return node.func.attr
-    return None
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _ops_like(node: ast.AST) -> bool:
@@ -96,7 +75,7 @@ class _LoggedAnalysis(dataflow.Analysis):
     def transfer(self, state: bool, node: CFGNode) -> Tuple[bool, bool]:
         out = state
         for sub in dataflow.scan_walk(node):
-            if _self_call_name(sub) in WAL_LOG_CALLS:
+            if self_call_name(sub) in WAL_LOG_CALLS:
                 out = True
         # The exception edge may fire before the log call completed.
         return out, state
@@ -146,7 +125,7 @@ def check_durability_ordering(
 
 def _check_log_then_apply(unit: FunctionUnit, relpath: str) -> List[Finding]:
     logs = any(
-        _self_call_name(node) in WAL_LOG_CALLS
+        self_call_name(node) in WAL_LOG_CALLS
         for node in dataflow._own_nodes(unit.func)
     )
     if not logs:
@@ -162,7 +141,7 @@ def _check_log_then_apply(unit: FunctionUnit, relpath: str) -> List[Finding]:
         for sub in dataflow.scan_walk(node):
             label: Optional[str] = None
             line = node.line
-            callee = _self_call_name(sub)
+            callee = self_call_name(sub)
             if callee in DURABLE_APPLY_CALLS:
                 label = callee
                 line = sub.lineno
@@ -171,9 +150,9 @@ def _check_log_then_apply(unit: FunctionUnit, relpath: str) -> List[Finding]:
                     sub.targets if isinstance(sub, ast.Assign) else [sub.target]
                 )
                 for target in targets:
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr is None and isinstance(target, ast.Subscript):
-                        attr = _self_attr(target.value)
+                        attr = self_attr(target.value)
                     if attr is not None:
                         label = f"self.{attr}"
                         line = sub.lineno

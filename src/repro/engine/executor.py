@@ -83,10 +83,12 @@ class Page:
     ``keys[i]`` is the curve key of ``records[i]`` — ``curve.index(
     records[i].point)`` under the curve of the layout generation the
     page belongs to (CONTRIBUTING invariant 14).  Built only by
-    :func:`repro.api.store.pack_layout`.
+    :func:`repro.api.store.pack_layout`; owned by its
+    :class:`~repro.engine.plan.PageLayout`, while the disk holds it
+    weakly.
     """
 
-    __slots__ = ("keys", "records")
+    __slots__ = ("keys", "records", "__weakref__")
 
     keys: Tuple[int, ...]
     records: Tuple[Record, ...]

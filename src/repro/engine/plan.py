@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -52,11 +52,20 @@ class ExecutionPolicy:
 @dataclass
 class PageLayout:
     """Key layout of the flushed pages: page ``i`` holds keys in
-    ``[first_keys[i], last_keys[i]]``."""
+    ``[first_keys[i], last_keys[i]]``.
+
+    The layout owns its pages: ``pages[i]`` is the
+    :class:`~repro.engine.executor.Page` stored under ``page_ids[i]``,
+    which the :class:`~repro.storage.disk.SimulatedDisk` holds only
+    weakly.  A superseded layout's pages are therefore freed when its
+    last reader (a store snapshot, an executor, an open cursor) drops
+    it, leaving an 80-byte dead weakref under each never-reused id.
+    """
 
     first_keys: List[int] = field(default_factory=list)
     page_ids: List[int] = field(default_factory=list)
     last_keys: List[int] = field(default_factory=list)
+    pages: List[Any] = field(default_factory=list)
 
     @property
     def num_pages(self) -> int:

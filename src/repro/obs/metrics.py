@@ -80,7 +80,10 @@ class Counter:
     Both write paths bypass the lock.  The unit increment: ``next`` on
     an :class:`itertools.count` is a single C call, atomic under the
     GIL, so concurrent unit ``inc`` calls can never lose a tick.  A
-    non-unit amount — the executor's per-execution seek, sequential-read
+    reader takes one tick too, under the lock, and subtracts the ticks
+    earlier reads took: the count's pickle support, its only other view
+    of the position, is deprecated since Python 3.12.  A non-unit
+    amount — the executor's per-execution seek, sequential-read
     and record counts — is validated and appended to a pending list
     (``list.append`` is atomic under the GIL, so no increment is lost)
     and folded into the total under the lock by readers, or when the
@@ -89,7 +92,9 @@ class Counter:
     costs several times the rest of the increment.
     """
 
-    __slots__ = ("name", "help", "_registry", "_lock", "_ticks", "_pending", "_base")
+    __slots__ = (
+        "name", "help", "_registry", "_lock", "_ticks", "_reads", "_pending", "_base"
+    )
 
     #: Fold the pending list when a write sees it this large, bounding
     #: memory for a hot counter that is never scraped.
@@ -100,7 +105,8 @@ class Counter:
         self.help = help_text
         self._registry = registry
         self._lock = threading.Lock()
-        self._ticks = itertools.count()  # unit incs; GIL-atomic
+        self._ticks = itertools.count()  # unit incs and reads; GIL-atomic
+        self._reads = 0  # ticks taken by readers; guarded-by: _lock
         # Non-unit incs: written lock-free (GIL-atomic appends), folded
         # only with _lock held (see _fold_locked).
         self._pending: List[float] = []
@@ -141,22 +147,26 @@ class Counter:
         self._base = total
         del pending[:upto]
 
-    def _ticks_so_far(self) -> int:
-        # itertools.count exposes its next value through its pickle
-        # protocol; consumed ticks == next value since counts start at 0.
-        return self._ticks.__reduce__()[1][0]
+    @guarded_by("_lock")
+    def _ticks_locked(self) -> int:
+        """Unit increments so far: the count's next value, less the
+        ticks earlier reads took (counts start at 0)."""
+        ticks = next(self._ticks) - self._reads
+        self._reads += 1
+        return ticks
 
     @property
     def value(self) -> float:
         with self._lock:
             self._fold_locked()
-            return self._base + self._ticks_so_far()
+            return self._base + self._ticks_locked()
 
     def reset(self) -> None:
         with self._lock:
             self._fold_locked()
             self._base = 0.0
             self._ticks = itertools.count()
+            self._reads = 0
 
 
 class Gauge:

@@ -14,9 +14,9 @@ classic 10 ms seek / 0.1 ms-per-page sequential ratio).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-
-from typing import Iterable, Set, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from ..costmodel import IOProfile
 from ..errors import PageError
@@ -33,7 +33,7 @@ DISK_SEEKS = METRICS.counter("repro_disk_seeks_total", "page reads that moved th
 DISK_SEQUENTIAL_READS = METRICS.counter(
     "repro_disk_sequential_reads_total", "page reads that followed the previous page"
 )
-_WRITES = METRICS.counter("repro_disk_pages_written_total", "pages allocated or overwritten")
+_WRITES = METRICS.counter("repro_disk_pages_written_total", "pages allocated")
 
 #: Head position whose successor is *not* sequential: a parked head.
 PARKED_HEAD = -2
@@ -68,88 +68,60 @@ class DiskStats(IOProfile):
     seeks: int = 0
     sequential_reads: int = 0
     pages_written: int = 0
-    pages_retired: int = 0
 
 
 @dataclass
 class SimulatedDisk:
-    """An append-only page store that charges seeks for non-sequential reads."""
+    """An append-only page store that charges seeks for non-sequential reads.
+
+    The disk holds each page through a :class:`weakref.ref`: the
+    :class:`~repro.engine.plan.PageLayout` that packed a page owns it.
+    A reflush supersedes a layout but frees nothing itself; the
+    superseded generation's pages are freed when its last reader — a
+    store snapshot, an executor, an open cursor — drops the layout, and
+    reading a freed page raises :class:`~repro.errors.PageError`.  Page
+    ids are never reused, so a freed page leaves an 80-byte dead weakref
+    under its id.
+    """
 
     stats: DiskStats = field(default_factory=DiskStats)
-    _pages: list = field(default_factory=list)
+    _pages: List[weakref.ref[Any]] = field(default_factory=list)
     _head: int = PARKED_HEAD
-    _dead: Set[int] = field(default_factory=set)
-    _reclaimed: Set[int] = field(default_factory=set)
 
     def allocate(self, payload) -> int:
-        """Store ``payload`` in a fresh page and return its page id."""
-        self._pages.append(payload)
+        """Store ``payload`` in a fresh page and return its page id.
+
+        The disk keeps only a weak reference: the page lives as long as
+        the caller (a layout) keeps ``payload``.
+        """
+        self._pages.append(weakref.ref(payload))
         self.stats.pages_written += 1
         _WRITES.inc()
         return len(self._pages) - 1
 
-    def write(self, page_id: int, payload) -> None:
-        """Overwrite an existing page in place (no read-head movement)."""
-        self._check(page_id)
-        self._pages[page_id] = payload
-        self.stats.pages_written += 1
-        _WRITES.inc()
-
     def read(self, page_id: int):
         """Read a page, charging a seek unless it follows the previous read."""
-        self._check(page_id)
-        if page_id in self._reclaimed:
-            raise PageError(f"page {page_id} was reclaimed")
+        if not 0 <= page_id < len(self._pages):
+            raise PageError(f"page {page_id} out of range [0, {len(self._pages)})")
+        payload = self._pages[page_id]()
+        if payload is None:
+            raise PageError(f"page {page_id} was freed")
         if page_id == self._head + 1:
             self.stats.sequential_reads += 1
         else:
             self.stats.seeks += 1
         self._head = page_id
-        return self._pages[page_id]
-
-    def _check(self, page_id: int) -> None:
-        if not 0 <= page_id < len(self._pages):
-            raise PageError(f"page {page_id} out of range [0, {len(self._pages)})")
-
-    def retire(self, page_ids: Iterable[int]) -> None:
-        """Mark pages dead (superseded by a newer layout).
-
-        Retirement is accounting, not destruction: a retired page stays
-        readable so an in-flight reader of the previous layout
-        generation (a streaming cursor, a sharded scan between per-page
-        lock acquisitions) is never yanked out from under.  Dead pages
-        stop counting toward :attr:`num_live_pages` immediately and
-        their storage is released by the next :meth:`reclaim`.
-        """
-        for page_id in page_ids:
-            self._check(page_id)
-            if page_id not in self._dead:
-                self._dead.add(page_id)
-                self.stats.pages_retired += 1
-
-    def reclaim(self) -> int:
-        """Free the storage of every retired page; return how many.
-
-        After reclaim a dead page's payload is gone and reading it
-        raises :class:`~repro.errors.PageError` — call only when no
-        reader can still hold a plan over a superseded layout.
-        """
-        freed = 0
-        for page_id in self._dead - self._reclaimed:
-            self._pages[page_id] = None
-            self._reclaimed.add(page_id)
-            freed += 1
-        return freed
+        return payload
 
     @property
     def num_pages(self) -> int:
-        """Number of pages ever allocated (live and dead)."""
+        """Number of pages ever allocated (live and freed)."""
         return len(self._pages)
 
     @property
     def num_live_pages(self) -> int:
-        """Pages belonging to the currently installed layouts."""
-        return len(self._pages) - len(self._dead)
+        """Pages not yet freed: those of layouts some reader still holds."""
+        return sum(ref() is not None for ref in self._pages)
 
     def reset_stats(self) -> None:
         """Zero the counters and park the read head."""

@@ -278,11 +278,14 @@ def _build_store(state: Dict[str, Any], extra: Dict[str, Any]):
 def _apply(store, op: Tuple[Any, ...]) -> bool:
     """Replay one WAL operation through the store's public surface.
 
-    Returns False for bookkeeping frames (``header``, ``checkpoint``)
-    that carry no mutation.
+    Returns False for frames that carry no mutation: the ``header`` and
+    ``checkpoint`` bookkeeping frames, and the ``flush`` frames of logs
+    written before flushes stopped being logged.  A flushed layout is
+    derived state, packed again from the replayed records on the
+    recovered store's first read.
     """
     kind = op[0]
-    if kind in ("header", "checkpoint"):
+    if kind in ("header", "checkpoint", "flush"):
         return False
     if kind == "insert":
         store.insert(op[1], op[2])
@@ -296,8 +299,6 @@ def _apply(store, op: Tuple[Any, ...]) -> bool:
 
         matcher = op[2]
         store.delete(op[1], ANY if matcher[0] == "any" else matcher[1])
-    elif kind == "flush":
-        store.flush()
     elif kind == "migrate":
         from ..curves.registry import make_curve
 

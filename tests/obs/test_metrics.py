@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
+import warnings
 from functools import partial
 
 import pytest
@@ -44,6 +45,23 @@ def test_counter_increments(registry):
     c.inc()
     c.inc(4)
     assert c.value == 5
+
+
+def test_counter_reads_without_itertools_pickle_support(registry):
+    """Python 3.12 deprecates copy and pickle support for itertools
+    objects and 3.14 removes it: a read must not go through it, and
+    repeated reads must not count as increments."""
+    c = registry.counter("repro_test_total", "help")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for expected in (1, 2, 3):
+            c.inc()
+            assert c.value == expected
+        assert c.value == 3
+        c.reset()
+        assert c.value == 0
+        c.inc()
+        assert c.value == 1
 
 
 def test_counter_noop_when_disabled():

@@ -7,12 +7,18 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 
+class Payload(str):
+    """A page payload the disk can hold weakly."""
+
+
 @pytest.fixture
 def disk():
+    # The disk holds pages weakly: the fixture keeps them alive.
+    payloads = [Payload(f"page-{i}") for i in range(10)]
     d = SimulatedDisk()
-    for i in range(10):
-        d.allocate(f"page-{i}")
-    return d
+    for payload in payloads:
+        d.allocate(payload)
+    yield d
 
 
 class TestBasics:

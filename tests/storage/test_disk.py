@@ -6,51 +6,51 @@ from repro.errors import PageError
 from repro.storage.disk import DiskStats, SimulatedDisk
 
 
+class Payload(str):
+    """A page payload the disk can hold weakly; each test keeps its own."""
+
+
+def _disk(count):
+    """A disk of ``count`` pages, plus the payloads that keep them alive."""
+    disk = SimulatedDisk()
+    payloads = [Payload(f"p{i}") for i in range(count)]
+    for payload in payloads:
+        disk.allocate(payload)
+    return disk, payloads
+
+
 class TestAllocation:
     def test_allocate_returns_consecutive_ids(self):
         disk = SimulatedDisk()
-        assert [disk.allocate(f"p{i}") for i in range(4)] == [0, 1, 2, 3]
+        payloads = [Payload(f"p{i}") for i in range(4)]
+        assert [disk.allocate(p) for p in payloads] == [0, 1, 2, 3]
         assert disk.num_pages == 4
         assert disk.stats.pages_written == 4
 
-    def test_write_in_place(self):
-        disk = SimulatedDisk()
-        pid = disk.allocate("old")
-        disk.write(pid, "new")
-        assert disk.read(pid) == "new"
-
     def test_invalid_page_rejected(self):
-        disk = SimulatedDisk()
-        disk.allocate("a")
+        disk, _payloads = _disk(1)
         with pytest.raises(PageError):
             disk.read(1)
         with pytest.raises(PageError):
             disk.read(-1)
-        with pytest.raises(PageError):
-            disk.write(5, "x")
 
 
 class TestSeekAccounting:
     def test_first_read_is_a_seek(self):
-        disk = SimulatedDisk()
-        disk.allocate("a")
+        disk, _payloads = _disk(1)
         disk.read(0)
         assert disk.stats.seeks == 1
         assert disk.stats.sequential_reads == 0
 
     def test_sequential_run_charges_one_seek(self):
-        disk = SimulatedDisk()
-        for i in range(5):
-            disk.allocate(i)
+        disk, _payloads = _disk(5)
         for i in range(5):
             disk.read(i)
         assert disk.stats.seeks == 1
         assert disk.stats.sequential_reads == 4
 
     def test_backward_read_is_a_seek(self):
-        disk = SimulatedDisk()
-        for i in range(3):
-            disk.allocate(i)
+        disk, _payloads = _disk(3)
         disk.read(2)  # seek
         disk.read(1)  # seek (backwards)
         disk.read(2)  # sequential again: follows page 1
@@ -58,25 +58,20 @@ class TestSeekAccounting:
         assert disk.stats.sequential_reads == 1
 
     def test_rereading_same_page_is_a_seek(self):
-        disk = SimulatedDisk()
-        disk.allocate("a")
+        disk, _payloads = _disk(1)
         disk.read(0)
         disk.read(0)
         assert disk.stats.seeks == 2
 
     def test_two_disjoint_runs(self):
-        disk = SimulatedDisk()
-        for i in range(10):
-            disk.allocate(i)
+        disk, _payloads = _disk(10)
         for i in (0, 1, 2, 7, 8, 9):
             disk.read(i)
         assert disk.stats.seeks == 2
         assert disk.stats.sequential_reads == 4
 
     def test_reset_stats_parks_the_head(self):
-        disk = SimulatedDisk()
-        disk.allocate("a")
-        disk.allocate("b")
+        disk, _payloads = _disk(2)
         disk.read(0)
         disk.reset_stats()
         disk.read(1)  # would have been sequential without the reset

@@ -121,6 +121,28 @@ class TestDurableRoundtrip:
         recovered = recover(tmp_path / "d")
         assert _signature(recovered) == _signature(store)
 
+    def test_reads_log_no_flush_frames(self, kind, tmp_path):
+        """A flushed layout is derived state: a read never writes the log."""
+        store = _build(kind, tmp_path)
+        store.insert((1, 1), "a")
+        store.range_query(FULL)
+        store.insert((2, 2), "b")
+        store.range_query(FULL)
+        frames = scan_wal(tmp_path / "d" / wal_file_name(0)).frames
+        assert [op[0] for _, op in frames] == ["header", "insert", "insert"]
+
+    def test_flush_frames_of_older_logs_replay_as_nothing(self, kind, tmp_path):
+        """Logs written while flushes were still logged recover to the
+        same records, and only their mutations count as replayed."""
+        store = _build(kind, tmp_path)
+        for i, point in enumerate([(1, 1), (2, 2), (1, 1)]):
+            store.durability.log(("flush",))
+            store.insert(point, i)
+        store.durability.log(("flush",))
+        recovered = recover(tmp_path / "d")
+        assert recovered.durability.last_recovery.frames_replayed == 3
+        assert _signature(recovered) == _signature(store)
+
     def test_torn_tail_is_truncated_and_reported(self, kind, tmp_path):
         store = _build(kind, tmp_path)
         _populate(store)

@@ -1,13 +1,15 @@
-"""Page retirement: repeated flushes must not leak simulated disk.
+"""Page lifetime: a superseded layout's pages are freed with its last reader.
 
-Before this regression suite, every ``flush()`` appended a fresh copy
-of all pages to the append-only :class:`SimulatedDisk` and the
-superseded layout's pages stayed live forever — N flushes grew the
-store N-fold.  Now ``_install_layout`` / ``_invalidate_layout`` retire
-the outgoing layout's pages: still readable (an in-flight reader of
-the old generation must survive) but dead for accounting, and
-reclaimable once no reader can hold a stale plan.
+Every ``flush()`` packs a fresh copy of all pages onto the append-only
+:class:`SimulatedDisk`.  The disk holds each page weakly and the
+:class:`~repro.engine.plan.PageLayout` that packed it owns it, so a
+superseded generation stays readable for as long as a reader (a store
+snapshot, an executor, an open cursor) holds its layout, and is freed
+when the last one drops it: repeated flushes cannot grow the store.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -19,6 +21,10 @@ SIDE = 8
 FULL = Rect.from_origin((0, 0), (SIDE, SIDE))
 
 
+class Payload(str):
+    """A page payload the disk can hold weakly."""
+
+
 def _build(kind):
     curve = make_curve("onion", SIDE, 2)
     if kind == "single":
@@ -27,37 +33,37 @@ def _build(kind):
 
 
 class TestDiskAccounting:
-    def test_retire_marks_dead_but_readable(self):
+    def test_a_page_lives_while_its_owner_holds_it(self):
         disk = SimulatedDisk()
-        pages = [disk.allocate(f"page-{i}") for i in range(4)]
-        disk.retire(pages[:2])
+        payloads = [Payload(f"page-{i}") for i in range(4)]
+        pages = [disk.allocate(payload) for payload in payloads]
+        del payloads[:2]
         assert disk.num_pages == 4
         assert disk.num_live_pages == 2
-        assert disk.stats.pages_retired == 2
-        assert disk.read(pages[0]) == "page-0"  # retired != unreadable
-
-    def test_retire_is_idempotent(self):
-        disk = SimulatedDisk()
-        page = disk.allocate("p")
-        disk.retire([page])
-        disk.retire([page])
-        assert disk.stats.pages_retired == 1
-        assert disk.num_live_pages == 0
-
-    def test_retire_validates_page_ids(self):
-        disk = SimulatedDisk()
-        with pytest.raises(PageError):
-            disk.retire([7])
+        assert disk.read(pages[2]) == "page-2"
 
     def test_reclaim_frees_storage_and_poisons_reads(self):
         disk = SimulatedDisk()
-        pages = [disk.allocate(f"page-{i}") for i in range(3)]
-        disk.retire(pages[:2])
-        assert disk.reclaim() == 2
-        assert disk.reclaim() == 0  # nothing left to free
-        with pytest.raises(PageError, match="reclaimed"):
+        payloads = [Payload(f"page-{i}") for i in range(3)]
+        pages = [disk.allocate(payload) for payload in payloads]
+        del payloads[0]
+        with pytest.raises(PageError, match="freed"):
             disk.read(pages[0])
-        assert disk.read(pages[2]) == "page-2"  # live page untouched
+        assert disk.stats.pages_read == 0  # a failed read charges nothing
+        assert disk.read(pages[1]) == "page-1"  # live pages untouched
+
+    def test_retire_validates_page_ids(self):
+        """A read checks its id against every id ever allocated: a freed
+        id is never reused, and an id past the end is out of range."""
+        disk = SimulatedDisk()
+        disk.allocate(Payload("dropped at once"))
+        kept = Payload("kept")
+        assert disk.allocate(kept) == 1
+        assert (disk.num_pages, disk.num_live_pages) == (2, 1)
+        with pytest.raises(PageError, match="freed"):
+            disk.read(0)
+        with pytest.raises(PageError, match="out of range"):
+            disk.read(2)
 
 
 @pytest.mark.parametrize("kind", ["single", "sharded"])
@@ -67,16 +73,17 @@ class TestStoreLiveness:
         store.bulk_load([(x, y) for x in range(SIDE) for y in range(SIDE)])
         store.flush()
         live = store.disk.num_live_pages
-        assert live > 0
+        assert live == store.page_layout.num_pages > 0
         for cycle in range(5):
             store.insert((1, 1), f"churn-{cycle}")
             store.delete((1, 1), f"churn-{cycle}")
             result = store.range_query(FULL)  # forces a reflush
             assert len(result.records) == SIDE * SIDE
-            assert store.disk.num_live_pages == live, f"leak at cycle {cycle}"
-        # The dead copies are what the append-only disk accumulated.
-        assert store.disk.num_pages > live
-        assert store.disk.stats.pages_retired == store.disk.num_pages - live
+            assert store.disk.num_live_pages == store.page_layout.num_pages == live, (
+                f"leak at cycle {cycle}"
+            )
+        # Every superseded generation was freed, none reused an id.
+        assert store.disk.num_pages == 6 * live
 
     def test_explicit_double_flush_retires_previous_layout(self, kind):
         store = _build(kind)
@@ -99,21 +106,32 @@ class TestStoreLiveness:
         store = _build(kind)
         store.bulk_load([(x, y) for x in range(SIDE) for y in range(SIDE)])
         store.range_query(FULL)
+        first = store.page_layout
+        page = weakref.ref(first.pages[0])
+        page_id = first.page_ids[0]
+        del first
         store.insert((2, 2), "x")
-        store.range_query(FULL)  # reflush: first layout now dead
-        freed = store.disk.reclaim()
-        assert freed > 0
+        store.range_query(FULL)  # reflush: the first layout is superseded
+        gc.collect()
+        assert page() is None
+        with pytest.raises(PageError, match="freed"):
+            store.disk.read(page_id)
         result = store.range_query(FULL)
         assert len(result.records) == SIDE * SIDE + 1
 
     def test_streaming_reader_survives_a_reflush(self, kind):
-        """Retirement (not reclaim) is what a layout swap does, so a
-        cursor that snapshotted the old generation keeps streaming."""
+        """A cursor holds its executor, whose layout owns its pages, so a
+        cursor that snapshotted the old generation keeps streaming; the
+        generation is freed once the cursor is gone."""
         store = _build(kind)
         store.bulk_load([(x, y) for x in range(SIDE) for y in range(SIDE)])
         cursor = store.cursor(Query.rect(FULL))
         first = next(iter(cursor))
         store.insert((3, 3), "mid-scan")
-        store.flush()  # retires the generation the cursor is reading
+        store.flush()  # supersedes the generation the cursor is reading
+        assert store.disk.num_live_pages > store.page_layout.num_pages
         rows = [first] + list(cursor)
         assert len(rows) == SIDE * SIDE
+        del cursor
+        gc.collect()
+        assert store.disk.num_live_pages == store.page_layout.num_pages
