@@ -318,8 +318,8 @@ def obs_records(index):
         }
         records.append(record)
 
-    # Per-query wall latency of the enabled path, through the same
-    # histogram estimator the live metrics plane serves (satellite a).
+    # Per-query wall latency of the enabled path: nearest-rank order
+    # statistics of the raw samples.
     enable_metrics()
     try:
         latency = wall_latency_stats(

@@ -86,9 +86,7 @@ def sharded_records(rects, single_index):
     """The scaling curve + transparency checks, written to the artifact."""
     baseline = single_index.range_query_batch(rects)
     index = _build_sharded()
-    t0 = time.perf_counter()
     batch = index.range_query_batch(rects)
-    wall = time.perf_counter() - t0
     # Per-query wall latency of individual scatter-gather scans (the
     # batch above amortizes planning; this is the interactive path).
     laps = []
@@ -117,7 +115,6 @@ def sharded_records(rects, single_index):
                 "avg_fan_out": round(batch.total_fan_out / len(rects), 3),
                 "sim_batch_ms": round(sim_ms, 2),
                 "sim_throughput_qps": round(len(rects) / (sim_ms / 1000.0), 1),
-                "wall_batch_seconds": round(wall, 6),
                 **latency,
             }
         )

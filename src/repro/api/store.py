@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import abc
 import bisect
-import itertools
 import threading
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,7 +53,7 @@ from ..devtools.annotations import guarded_by
 from ..engine.cache import PlanCache
 from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import Page, Record
-from ..engine.plan import ExecutionPolicy, PageLayout, QueryPlan
+from ..engine.plan import ExecutionPolicy, PageLayout, QueryPlan, key_column
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
 from ..obs.trace import span as _obs_span
@@ -149,18 +148,18 @@ def pack_layout(
     page_capacity: int,
     records: Iterable[Tuple[int, Record]],
 ) -> PageLayout:
-    """Pack ``(key, record)`` pairs (ascending keys) into disk pages.
+    """Pack ``(key, record)`` pairs (ascending keys) into a page layout.
 
     The single statement of the flush packing rule, and the only code
-    that builds a :class:`~repro.engine.executor.Page`: pages filled to
-    ``page_capacity``, each holding its keys and records as two
-    parallel columns, with first/last keys recorded in the layout for
-    binary-searchable spans.  Every key must be its record's curve key
-    under the curve the layout will serve (CONTRIBUTING invariant 14):
-    exact scan runs are sliced from ``Page.keys`` without a geometric
-    test.  Shared by every store; the sharded index's
-    byte-identical-layout guarantee (and with it shard transparency)
-    rests on all flush paths using this one function.
+    that builds a :class:`~repro.engine.executor.Page`: the layout's key
+    and record columns hold the pairs in order, and pages are filled to
+    ``page_capacity``, so page ``p`` holds the records at positions
+    ``[p * page_capacity, (p + 1) * page_capacity)``.  Every key must be
+    its record's curve key under the curve the layout will serve
+    (CONTRIBUTING invariant 14): exact scan runs are sliced from the
+    record column without a geometric test.  Shared by every store; the
+    sharded index's byte-identical-layout guarantee (and with it shard
+    transparency) rests on all flush paths using this one function.
 
     The layout owns the pages it packs and the disk holds them weakly,
     so they are freed with the layout's last reader; each leaves an
@@ -169,18 +168,22 @@ def pack_layout(
     is why a flush is never logged: recovery packs the same pages again
     on its first read.
     """
-    layout = PageLayout()
-    entries = iter(records)
-    while True:
-        chunk = list(itertools.islice(entries, page_capacity))
-        if not chunk:
-            return layout
-        keys, page_records = zip(*chunk)
-        page = Page(keys, page_records)
-        layout.first_keys.append(keys[0])
-        layout.last_keys.append(keys[-1])
-        layout.pages.append(page)
-        layout.page_ids.append(disk.allocate(page))
+    keys: List[int] = []
+    column: List[Record] = []
+    for key, record in records:
+        keys.append(key)
+        column.append(record)
+    pages = [
+        Page(min(page_capacity, len(column) - start))
+        for start in range(0, len(column), page_capacity)
+    ]
+    return PageLayout(
+        capacity=page_capacity,
+        keys=key_column(keys),
+        records=tuple(column),
+        page_ids=[disk.allocate(page) for page in pages],
+        pages=pages,
+    )
 
 
 def merge_plans(

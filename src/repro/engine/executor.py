@@ -2,21 +2,22 @@
 
 Execution is the only part of a range query that touches the (simulated)
 disk: the plan says which pages each scan run covers, the executor reads
-them — through the buffer pool when one is configured — slices out each
-run's records, and reports the measured I/O profile as a
-:class:`RangeQueryResult`.
+them — through the buffer pool when one is configured — to charge their
+I/O, and reports the measured I/O profile as a :class:`RangeQueryResult`.
 
-A flushed :class:`Page` holds two parallel, key-ordered columns, so
-:func:`scan_page` finds a run's records by bisecting the page's keys.
-An *exact* scan run — one of the plan's key runs, the paper's clusters —
-covers only keys of cells inside the query, so its slice is returned
+The records come from the layout, not from the pages read: a
+:class:`~repro.engine.plan.PageLayout` is one key column and one record
+column, so a run's records are one slice of the record column, found by
+searching the key column (:meth:`PageLayout.bounds`).  An *exact* scan
+run — one of the plan's key runs, the paper's clusters — covers only
+keys of cells inside the query, so :func:`slice_run` returns its slice
 whole, with no geometric test.  Only a gap-merged run can hold cells
 outside the query: its slice is filtered by the query region, and the
 records it discards are the run's over-read.
 
 Every execution — :meth:`Executor.execute`, the scatter–gather
 ``execute`` and a :class:`PlanStream` — charges its page reads through
-:meth:`Executor._charged` and reports them once, through
+:meth:`Executor._read` and reports them once, through
 :meth:`Executor._report`: the I/O attributes of its ``kind="io"`` span,
 the execution metrics and the workload-recorder notification.
 
@@ -31,9 +32,8 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..costmodel import IOProfile
 from ..geometry import Cell
@@ -54,7 +54,7 @@ __all__ = [
     "PlanStream",
     "execution_order",
     "resolved_spans",
-    "scan_page",
+    "slice_run",
 ]
 
 
@@ -78,23 +78,21 @@ class Record:
 
 @dataclass(frozen=True)
 class Page:
-    """One flushed disk page: two parallel columns in ascending key order.
+    """One flushed disk page: what a read returns, sized by its record count.
 
-    ``keys[i]`` is the curve key of ``records[i]`` — ``curve.index(
-    records[i].point)`` under the curve of the layout generation the
-    page belongs to (CONTRIBUTING invariant 14).  Built only by
-    :func:`repro.api.store.pack_layout`; owned by its
-    :class:`~repro.engine.plan.PageLayout`, while the disk holds it
-    weakly.
+    The page's records are its slice of the layout's record column
+    (:class:`~repro.engine.plan.PageLayout`); a read charges I/O and
+    returns the page, whose ``len`` is the number of records it holds.
+    Built only by :func:`repro.api.store.pack_layout`; owned by its
+    layout, while the disk holds it weakly.
     """
 
-    __slots__ = ("keys", "records", "__weakref__")
+    __slots__ = ("size", "__weakref__")
 
-    keys: Tuple[int, ...]
-    records: Tuple[Record, ...]
+    size: int
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.size
 
 
 def resolved_spans(plan: QueryPlan, layout: PageLayout):
@@ -104,11 +102,12 @@ def resolved_spans(plan: QueryPlan, layout: PageLayout):
     return layout.spans(plan.scan_runs)
 
 
-def scan_page(page: Page, start: int, end: int, region, records: List[Record]) -> int:
-    """Append ``page``'s records keyed in ``[start, end]`` to ``records``;
-    return the over-read.
+def slice_run(
+    column: Sequence[Record], lo: int, hi: int, region, records: List[Record]
+) -> int:
+    """Append the run's records ``column[lo:hi]`` to ``records``; return
+    the over-read.
 
-    The run's slice of the page is found by bisecting ``page.keys``.
     ``region`` is None for an exact scan run (see
     :attr:`~repro.engine.plan.QueryPlan.scan_exact`): every key of it is
     a cell inside the query, so the slice is appended whole.  A
@@ -118,14 +117,11 @@ def scan_page(page: Page, start: int, end: int, region, records: List[Record]) -
     execution path (the shard-transparency contract depends on them
     scanning identically).
     """
-    keys = page.keys
-    lo = bisect_left(keys, start)
-    hi = bisect_right(keys, end, lo)
     if region is None:
-        records += page.records[lo:hi]
+        records += column[lo:hi]
         return 0
     over_read = 0
-    for record in page.records[lo:hi]:
+    for record in column[lo:hi]:
         if region.contains(record.point):
             records.append(record)
         else:
@@ -203,10 +199,11 @@ class PlanStream:
     A view over the :class:`Executor` that opened it: the stream keeps
     only its own tallies, and reads, charges and reports through the
     executor.  Iterating the stream yields one list of region-matched
-    records per page read, in key order.  Each page is charged by
-    :meth:`Executor._charged`, one page per call under the executor's
-    I/O lock, along the run/span walk :meth:`Executor.execute` takes, so
-    a fully drained stream charges identical seeks, sequential reads and
+    records per page read, in key order: the part of the run's slice of
+    the record column that lies on that page.  Each page is charged by
+    :meth:`Executor._read`, one page per call under the executor's I/O
+    lock, along the run/span walk :meth:`Executor.execute` takes, so a
+    fully drained stream charges identical seeks, sequential reads and
     over-read — the differential suites in ``tests/api`` prove the
     equivalence.  An abandoned stream charges only the pages it actually
     pulled, which is where a row limit's early-exit saving comes from.
@@ -288,25 +285,26 @@ class PlanStream:
 
     def _run(self) -> Iterator[List[Record]]:
         plan = self._plan
-        charged = self._executor._charged
-        page_ids = self._executor.layout.page_ids
+        read = self._executor._read
+        layout = self._executor.layout
+        cap, column = layout.capacity, layout.records
         try:
-            for (start, end), (first, last), exact in zip(
-                plan.scan_runs, self._spans, plan.scan_exact
+            for (first, last), lo, hi, exact in zip(
+                self._spans, *layout.bounds(plan.scan_runs), plan.scan_exact
             ):
                 region = None if exact else plan.rect
                 for position in range(first, last + 1):
-                    page_id = page_ids[position]
-                    page, seeks, sequential, cold = charged(
-                        lambda read: read(page_id), None
-                    )
+                    seeks, sequential, cold = read(((position, position),))
                     self._seeks += seeks
                     self._sequential += sequential
                     if cold is not None:
                         self._cold += cold
                     self._pages_pulled += 1
                     matched: List[Record] = []
-                    self._over_read += scan_page(page, start, end, region, matched)
+                    edge = position * cap  # the page's first record position
+                    self._over_read += slice_run(
+                        column, max(lo, edge), min(hi, edge + cap), region, matched
+                    )
                     self._records += len(matched)
                     yield matched
         finally:
@@ -367,8 +365,8 @@ class Executor:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
         executed plan reports its shape and realized I/O profile.
     io_lock:
-        Lock held across each execution's read-and-scan pass (and
-        around each streamed read).  Pass one *shared* lock when several
+        Lock held across each execution's read pass (and around each
+        streamed read).  Pass one *shared* lock when several
         threads or executor generations read the same disk: every store
         hands each executor generation its single I/O lock, since a
         query racing a reflush would otherwise interleave reads with the
@@ -409,65 +407,55 @@ class Executor:
     # ------------------------------------------------------------------
     # The read pass and the report (shared by every execution)
     # ------------------------------------------------------------------
-    def _charged(
+    def _read(
         self,
-        scan: Callable[[Callable[[int], Any]], Any],
-        page_cache: Optional[dict],
-    ) -> Tuple[Any, int, int, Optional[int]]:
-        """The charged-read pass: run ``scan(read)`` and measure its I/O.
+        spans: Sequence[Tuple[int, int]],
+        shared_pages: Optional[Set[int]] = None,
+    ) -> Tuple[int, int, Optional[int]]:
+        """The charged-read pass: read every page of the inclusive page
+        ``spans`` and measure the I/O.
 
-        ``read`` is the executor's page reader.  With a batch
-        ``page_cache`` it is the shared-scan read protocol: a cached
-        page is served without touching storage, a miss is read once and
-        shared.  Returns what ``scan`` returned plus the seeks and
-        sequential reads it charged and the buffer pool's cold misses
-        (None without a pool), all under the I/O lock.
+        Each page goes through the executor's page reader.  With a batch's
+        ``shared_pages`` it is the shared-scan read protocol: a page the
+        batch already read is not read again, a miss is read once and
+        added.  Returns the seeks and sequential reads charged and the
+        buffer pool's cold misses (None without a pool), all measured
+        under the I/O lock.
         """
         read = self._reader
-        if page_cache is not None:
-            reader, cache = read, page_cache
-
-            def shared_read(page_id: int) -> Any:
-                page = cache.get(page_id)
-                if page is None:
-                    page = cache[page_id] = reader(page_id)
-                return page
-
-            read = shared_read
+        page_ids = self._layout.page_ids
         pool = self._pool
         with self._io_lock:
             stats = self._disk.stats
             seeks_before = stats.seeks
             seq_before = stats.sequential_reads
             misses_before = pool.stats.misses if pool is not None else 0
-            value = scan(read)
+            for first, last in spans:
+                for position in range(first, last + 1):
+                    page_id = page_ids[position]
+                    if shared_pages is None:
+                        read(page_id)
+                    elif page_id not in shared_pages:
+                        shared_pages.add(page_id)
+                        read(page_id)
             seeks = stats.seeks - seeks_before
             sequential = stats.sequential_reads - seq_before
             cold = pool.stats.misses - misses_before if pool is not None else None
-        return value, seeks, sequential, cold
+        return seeks, sequential, cold
 
-    def _scan(
-        self,
-        plan: QueryPlan,
-        spans: Sequence[Tuple[int, int]],
-        read: Callable[[int], Any],
-    ) -> Tuple[List[Record], int]:
-        """The scan loop: every page of every ``(scan run, page span)``
-        pair of ``plan``, fetched through ``read`` and sliced by
-        :func:`scan_page` — filtered by the plan's region only for a
-        gap-merged run.  Returns the matched records, in key order, and
-        the over-read."""
-        page_ids = self._layout.page_ids
+    def _slice(self, plan: QueryPlan) -> Tuple[List[Record], int]:
+        """The records of every scan run of ``plan``, in key order, and
+        the over-read: each run is one slice of the layout's record
+        column (:func:`slice_run`), filtered by the plan's region only
+        for a gap-merged run."""
+        column = self._layout.records
+        lo, hi = self._layout.bounds(plan.scan_runs)
         records: List[Record] = []
         over_read = 0
-        for (start, end), (first, last), exact in zip(
-            plan.scan_runs, spans, plan.scan_exact
-        ):
-            region = None if exact else plan.rect
-            for position in range(first, last + 1):
-                over_read += scan_page(
-                    read(page_ids[position]), start, end, region, records
-                )
+        for start, end, exact in zip(lo, hi, plan.scan_exact):
+            over_read += slice_run(
+                column, start, end, None if exact else plan.rect, records
+            )
         return records, over_read
 
     def _report(
@@ -528,15 +516,15 @@ class Executor:
     def execute(
         self,
         plan: QueryPlan,
-        _page_cache: Optional[dict] = None,
+        _shared_pages: Optional[Set[int]] = None,
     ) -> RangeQueryResult:
         """Run ``plan`` and return records plus the measured I/O profile.
 
         Each scan run is read as one sequential page sweep; the first
         page of a sweep costs a seek unless it directly follows the
         previous read (the disk's accounting, not the executor's).
-        ``_page_cache`` is the batch path's shared-scan buffer: pages
-        found there are served without touching the storage at all.
+        ``_shared_pages`` is the batch path's shared-scan state: pages
+        the batch already read are not read again.
         """
         spans = resolved_spans(plan, self._layout)
         started = time.perf_counter() if METRICS.enabled else 0.0
@@ -544,10 +532,8 @@ class Executor:
         # these, and the differential suite holds the sum equal to the
         # untraced result.
         with _obs_span("execute", kind="io") as sp:
-            (records, over_read), seeks, sequential, cold = self._charged(
-                lambda read: self._scan(plan, spans, read),
-                _page_cache,
-            )
+            seeks, sequential, cold = self._read(spans, _shared_pages)
+            records, over_read = self._slice(plan)
             result = RangeQueryResult(
                 records=records,
                 runs=len(plan.scan_runs),
@@ -579,9 +565,8 @@ class Executor:
         reads arrive in ascending order and inter-query seeks become
         sequential reads; and page reads are shared across the batch
         (shared-scan / multi-query optimization), so a page needed by
-        several queries is read once.  Memory for the shared pages is
-        bounded by the batch's distinct page footprint and is released
-        when the call returns.
+        several queries is read once.  The shared state is the set of
+        the batch's distinct page ids, released when the call returns.
 
         Per-query results report the I/O actually incurred while that
         query ran (shared pages cost nothing), so the aggregate counters
@@ -590,11 +575,11 @@ class Executor:
         """
         order = execution_order(plans)
         results: List[Optional[RangeQueryResult]] = [None] * len(plans)
-        page_cache: dict = {}
+        shared_pages: Set[int] = set()
         total_seeks = total_sequential = total_over = 0
         with _obs_span("execute_batch", kind="batch") as sp:
             for i in order:
-                result = self.execute(plans[i], _page_cache=page_cache)
+                result = self.execute(plans[i], _shared_pages=shared_pages)
                 results[i] = result
                 total_seeks += result.seeks
                 total_sequential += result.sequential_reads

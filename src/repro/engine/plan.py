@@ -12,10 +12,11 @@ page-aligned layouts ``estimated_seeks`` equals the clustering number.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -23,7 +24,7 @@ from ..geometry import Rect
 from ..storage.disk import replay_reads
 from .cost import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["ExecutionPolicy", "PageLayout", "QueryPlan", "KeyRun", "PageSpan"]
+__all__ = ["ExecutionPolicy", "PageLayout", "QueryPlan", "KeyRun", "PageSpan", "key_column"]
 
 KeyRun = Tuple[int, int]  # inclusive (start_key, end_key)
 PageSpan = Tuple[int, int]  # inclusive (first, last) positions in a PageLayout
@@ -49,22 +50,40 @@ class ExecutionPolicy:
             )
 
 
+#: The largest int64.  An int64 key column holds only keys below it (see
+#: :func:`key_column`), so a run bound clamped to it searches exactly.
+_INT64_MAX = 2**63 - 1
+
+
+def key_column(keys: Sequence[int]) -> np.ndarray:
+    """The key column of ascending curve ``keys``: ``int64`` when every
+    key is below :data:`_INT64_MAX`, else exact Python ints (``object``);
+    numpy would infer ``uint64`` or ``float64`` for larger keys."""
+    exact = not keys or keys[-1] < _INT64_MAX
+    return np.array(keys, dtype=np.int64 if exact else object)
+
+
 @dataclass
 class PageLayout:
-    """Key layout of the flushed pages: page ``i`` holds keys in
-    ``[first_keys[i], last_keys[i]]``.
+    """The flushed layout: a key column and a record column, in key order.
 
-    The layout owns its pages: ``pages[i]`` is the
-    :class:`~repro.engine.executor.Page` stored under ``page_ids[i]``,
+    ``keys[i]`` is the curve key of ``records[i]``.  Page ``p`` holds
+    the records ``[p * capacity, (p + 1) * capacity)``, so a run's
+    records are one slice of ``records`` and its pages follow from the
+    slice's ends.
+
+    The layout owns its pages: ``pages[p]`` is the sized
+    :class:`~repro.engine.executor.Page` stored under ``page_ids[p]``,
     which the :class:`~repro.storage.disk.SimulatedDisk` holds only
     weakly.  A superseded layout's pages are therefore freed when its
     last reader (a store snapshot, an executor, an open cursor) drops
     it, leaving an 80-byte dead weakref under each never-reused id.
     """
 
-    first_keys: List[int] = field(default_factory=list)
+    capacity: int
+    keys: np.ndarray
+    records: Tuple[Any, ...]
     page_ids: List[int] = field(default_factory=list)
-    last_keys: List[int] = field(default_factory=list)
     pages: List[Any] = field(default_factory=list)
 
     @property
@@ -72,25 +91,47 @@ class PageLayout:
         """Number of pages in the layout."""
         return len(self.page_ids)
 
-    def span(self, start: int, end: int) -> PageSpan:
-        """Inclusive page positions a scan of keys ``[start, end]`` touches.
+    def bounds(self, runs: Sequence[KeyRun]) -> Tuple[List[int], List[int]]:
+        """``(lo, hi)``: run ``i``'s records are ``records[lo[i]:hi[i]]``.
 
-        Exact on both ends: the first page is the earliest whose *last*
-        key reaches ``start`` (so duplicate keys spilling past a page
-        boundary are still found, without speculatively reading the
-        previous page), the last page is the final one whose *first* key
-        is still ``<= end``.  An empty span (``last < first``) means no
-        pages hold keys of the run.
+        One search of the key column for every run start and one for
+        every run end.
         """
-        first = bisect.bisect_left(self.last_keys, start)
-        last = bisect.bisect_right(self.first_keys, end) - 1
-        return first, last
+        if not runs:
+            return [], []
+        starts, ends = zip(*runs)
+        keys = self.keys
+        if keys.dtype != object and max(ends) > _INT64_MAX:
+            starts = tuple(min(key, _INT64_MAX) for key in starts)
+            ends = tuple(min(key, _INT64_MAX) for key in ends)
+        lo = keys.searchsorted(starts, side="left")
+        hi = keys.searchsorted(ends, side="right")
+        return lo.tolist(), hi.tolist()
 
-    def spans(self, runs: Iterable[KeyRun]) -> Tuple[PageSpan, ...]:
-        """The :meth:`span` of each key run, in order: the page spans of a
-        plan's scan runs.  The single statement of span resolution, shared
-        by planned, merged, scattered and layout-free plans."""
-        return tuple(self.span(start, end) for start, end in runs)
+    def span(self, start: int, end: int) -> PageSpan:
+        """The :meth:`spans` entry of the one run ``[start, end]``."""
+        return self.spans(((start, end),))[0]
+
+    def spans(self, runs: Sequence[KeyRun]) -> Tuple[PageSpan, ...]:
+        """Inclusive page positions each key run touches, in order.
+
+        Exact on both ends: the first page holds the run's first record
+        (so duplicate keys spilling past a page boundary are found
+        without reading the previous page) and the last page holds its
+        last.  A run over a gap inside one page reads that page; a run
+        past the largest key reads nothing.  An empty span (``last <
+        first``) means no pages hold keys of the run.  The single
+        statement of span resolution, shared by planned, merged,
+        scattered and layout-free plans.
+        """
+        cap = self.capacity
+        size = len(self.keys)
+        num_pages = self.num_pages
+        lo, hi = self.bounds(runs)
+        return tuple(
+            (num_pages if start == size else start // cap, (end - 1) // cap)
+            for start, end in zip(lo, hi)
+        )
 
 
 @dataclass(frozen=True)

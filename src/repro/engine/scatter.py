@@ -16,8 +16,9 @@ layer:
 * :class:`ScatterGatherExecutor`, an
   :class:`~repro.engine.executor.Executor`, executes a sharded plan in
   one key-ordered pass that charges exactly the page sequence the
-  single index would read, scans each fragment's clipped runs inline
-  in shard order, and gathers the per-shard records in key order.
+  single index would read, then slices each fragment's clipped runs
+  from the layout's record column in shard order, which gathers the
+  per-shard records in key order.
 
 **Shard-transparency by construction.**  Storage is shared (the
 disaggregated-storage idiom): shards own key intervals and their own
@@ -30,19 +31,21 @@ and pages read as the unsharded index, for every curve, page capacity,
 shard map and gap tolerance.  The differential suite in
 ``tests/index/test_sharded_equivalence.py`` proves this.
 
-Per-shard attribution is a *second* accounting: each fragment's I/O is
-replayed independently (its own head).  ``parallel_cost(workers)`` and
-:func:`makespan` price those per-shard costs as if the shards ran on
-that many workers — a simulated cost-model estimate: no code here runs
-in parallel.  Serial totals prove transparency; per-shard replays price
-the scatter.
+Per-shard attribution is a *second* accounting, taken from the plan
+rather than from a second scan: each fragment's I/O is its predicted
+page reads, replayed independently (its own head), and its records are
+its clipped runs' slices of the record column.
+``parallel_cost(workers)`` and :func:`makespan` price those per-shard
+costs as if the shards ran on that many workers — a simulated
+cost-model estimate: no code here runs in parallel.  Serial totals
+prove transparency; per-shard replays price the scatter.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -492,85 +495,50 @@ def _validated_shards(shards: Sequence[Shard], key_space: int) -> Tuple[Shard, .
     return tiled
 
 
-def _gather_reader(
-    plan: QueryPlan, layout: PageLayout, read: Callable[[int], object]
-) -> Callable[[int], object]:
-    """A page reader for the fragments' scans that reads exactly the
-    global plan's page sequence.
-
-    Scanning the fragments in shard order requests the global sequence
-    of pages with one repeat wherever a shard boundary cuts a run inside
-    a page: both clipped halves scan that page.  A request for the next
-    page of the global sequence goes through ``read``; any other request
-    is such a repeat and gets the page just read again, uncharged.
-    """
-    page_ids = layout.page_ids
-    pending = (
-        page_ids[position]
-        for first, last in resolved_spans(plan, layout)
-        for position in range(first, last + 1)
-    )
-    expected = next(pending, None)
-    last_page = None
-
-    def fragment_read(page_id: int) -> object:
-        nonlocal expected, last_page
-        if page_id == expected:
-            last_page = read(page_id)
-            expected = next(pending, None)
-        return last_page
-
-    return fragment_read
-
-
 class ScatterGatherExecutor(Executor):
     """Executes sharded plans: one key-ordered pass, per-shard attribution.
 
     Construction, the buffer pool, the recorder, the shared I/O lock,
-    the charged read pass and the execution report are
-    :class:`~repro.engine.executor.Executor`'s.  A sharded plan runs as
-    a single charged pass over the *global* plan's pages — page for page
-    the sequence the single-index executor reads, which keeps the
-    measured seeks/pages identical to unsharded execution — while the
-    fragments' clipped runs are scanned in shard order.  Concatenating
-    the fragments' records in shard order *is* global key order, because
-    shards are ascending key intervals.
+    the charged read pass, the record slices and the execution report
+    are :class:`~repro.engine.executor.Executor`'s.  A sharded plan runs
+    as a single charged pass over the *global* plan's pages — page for
+    page the sequence the single-index executor reads, which keeps the
+    measured seeks/pages identical to unsharded execution — and then
+    slices each fragment's clipped runs from the record column, in shard
+    order.  Concatenating the fragments' records in shard order *is*
+    global key order, because shards are ascending key intervals.
+
+    :meth:`execute` does not call :meth:`Executor.execute`: a sharded
+    execution is one execution, so it opens one execution span, and
+    ``perfbench`` (which times both methods by name) counts it once.
     """
 
     def execute(
         self,
         splan: ShardedPlan,
-        _page_cache: Optional[dict] = None,
+        _shared_pages: Optional[Set[int]] = None,
     ) -> ShardedRangeQueryResult:
         """Run one sharded plan and gather the per-shard results.
 
-        ``_page_cache`` is the batch path's shared-scan state.  Each
+        ``_shared_pages`` is the batch path's shared-scan state.  Each
         shard's :class:`ShardStats` carries its fragment's records and
         over-read plus the fragment's I/O replayed on its own head.
         """
         plan = splan.plan
-        layout = self._layout
-
-        def scan(read):
-            fragment_read = _gather_reader(plan, layout, read)
-            return [
-                self._scan(
-                    fragment.plan, resolved_spans(fragment.plan, layout), fragment_read
-                )
-                for fragment in splan.fragments
-            ]
-
         started = time.perf_counter() if METRICS.enabled else 0.0
         # One canonical kind="io" span for the charged pass; the
         # per-fragment children use kind="shard" — a second accounting
         # of the same pages, excluded from Trace.io_totals exactly like
         # ShardStats is excluded from the serial totals.
         with _obs_span("scatter_execute", kind="io") as sp:
-            filtered, seeks, sequential, cold = self._charged(scan, _page_cache)
+            seeks, sequential, cold = self._read(
+                resolved_spans(plan, self._layout), _shared_pages
+            )
             records: List[Record] = []
             per_shard = []
-            for fragment, (shard_records, shard_over) in zip(splan.fragments, filtered):
-                records.extend(shard_records)
+            for fragment in splan.fragments:
+                shard_records, shard_over = self._slice(fragment.plan)
+                records += shard_records
                 frag_seeks, frag_seq = fragment.plan._predicted_reads
                 per_shard.append(
                     ShardStats(

@@ -34,24 +34,32 @@ def seed_range_query(index, rect, gap_tolerance=0):
     seeks_before = index.disk.stats.seeks
     seq_before = index.disk.stats.sequential_reads
     reader = index.buffer_pool.read if index.buffer_pool is not None else index.disk.read
+    # Each page's keys and records, cut from the layout's columns.
+    cap = directory.capacity
+    pages = [
+        (directory.keys[i : i + cap].tolist(), directory.records[i : i + cap])
+        for i in range(0, len(directory.records), cap)
+    ]
+    first_keys = [keys[0] for keys, _ in pages]
     records = []
     over_read = 0
     for start, end in scan_runs:
-        page_pos = bisect.bisect_left(directory.first_keys, start) - 1
+        page_pos = bisect.bisect_left(first_keys, start) - 1
         page_pos = max(page_pos, 0)
         while page_pos < len(directory.page_ids):
-            first_key = directory.first_keys[page_pos]
+            first_key = first_keys[page_pos]
             if first_key > end:
                 break
-            page = reader(directory.page_ids[page_pos])
-            if page.keys[-1] >= start:
-                for key, record in zip(page.keys, page.records):
+            reader(directory.page_ids[page_pos])
+            page_keys, page_records = pages[page_pos]
+            if page_keys[-1] >= start:
+                for key, record in zip(page_keys, page_records):
                     if start <= key <= end:
                         if rect.contains(record.point):
                             records.append(record)
                         else:
                             over_read += 1
-            if page.keys[-1] > end:
+            if page_keys[-1] > end:
                 break
             page_pos += 1
     return (
@@ -168,6 +176,47 @@ class TestExactRunsSkipTheFilter:
         monkeypatch.setattr(RectUnion, "contains", forbidden)
         assert reads() == brute_force
         assert store.plan_cache.stats.misses == misses
+
+
+class TestKeysBeyondInt64:
+    """A z-order store of side 2**32 keys cells up to 2**64 - 1, past
+    what an int64 key column holds, and plans runs ending there."""
+
+    SIDE = 2**32
+    TOP = SIDE - 1
+
+    def test_keys_past_2_to_the_63(self):
+        index = SFCIndex(make_curve("zorder", self.SIDE, 2), page_capacity=2)
+        top = self.TOP
+        for point in [(0, 0), (1, 1), (2**31, 5), (top - 1, top), (top, top)]:
+            index.insert(point)
+        index.flush()
+        assert index.curve.index((top, top)) == 2**64 - 1
+        cases = [
+            (Rect((0, 0), (top, top)), 5, 1, 2),
+            (Rect((2**31, 0), (top, top)), 3, 2, 1),
+            (Rect((0, 0), (2**31 - 1, top)), 2, 1, 1),
+        ]
+        for rect, records, seeks, sequential in cases:
+            index.disk.reset_stats()
+            result = index.range_query(rect)
+            assert len(result.records) == records, rect
+            assert (result.seeks, result.sequential_reads) == (seeks, sequential), rect
+        universe = Query.rect(Rect((0, 0), (top, top)))
+        assert len(index.cursor(universe).fetchall()) == 5
+
+    def test_runs_past_2_to_the_63_over_smaller_keys(self):
+        """Keys 2**62 - 1 and 2**62 sit in an int64 column, apart by less
+        than a float64 resolves there; the rect's runs start at 2**62 and
+        end at 2**64 - 1, and must find exactly the one record."""
+        index = SFCIndex(make_curve("zorder", self.SIDE, 2), page_capacity=2)
+        inside = (2**31, 0)
+        for point in [(0, 0), (2**31 - 1, 2**31 - 1), inside]:
+            index.insert(point)
+        rect = Rect(inside, (self.TOP, self.TOP))
+        assert index.plan(rect).runs == ((2**62, 2**63 - 1), (3 * 2**62, 2**64 - 1))
+        assert [r.point for r in index.range_query(rect).records] == [inside]
+        assert [r.point for r in index.cursor(Query.rect(rect)).fetchall()] == [inside]
 
 
 class TestBatchExecution:

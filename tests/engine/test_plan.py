@@ -1,17 +1,19 @@
 """QueryPlan: immutability, estimates, the clustering link, explain()."""
 
+import bisect
 import dataclasses
 
 import pytest
 
-from repro.api import merge_plans
+from repro.api import merge_plans, pack_layout
 from repro.core.clustering import clustering_number
 from repro.curves import make_curve
 from repro.engine import CostModel, ExecutionPolicy, Planner, QueryPlan
-from repro.engine.plan import PageLayout
+from repro.engine.executor import Record
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
 from repro.index import SFCIndex
+from repro.storage.disk import SimulatedDisk
 
 
 def full_grid_index(name="onion", side=8, page_capacity=1, **kwargs):
@@ -35,36 +37,62 @@ class TestExecutionPolicy:
         assert ExecutionPolicy(3) != ExecutionPolicy(4)
 
 
+def packed(page_capacity, keys):
+    """A layout packed from ascending ``keys`` the way a flush packs one."""
+    entries = [(key, Record((key,), i)) for i, key in enumerate(keys)]
+    return pack_layout(SimulatedDisk(), page_capacity, entries)
+
+
+def first_last_key_span(page_capacity, keys, start, end):
+    """The page span of run ``[start, end]`` by the first/last-key rule:
+    from the first page whose last key reaches ``start`` to the last
+    page whose first key is still ``<= end``."""
+    pages = [keys[i : i + page_capacity] for i in range(0, len(keys), page_capacity)]
+    first = bisect.bisect_left([page[-1] for page in pages], start)
+    last = bisect.bisect_right([page[0] for page in pages], end) - 1
+    return first, last
+
+
 class TestPageLayout:
+    #: Ascending keys with duplicates: 24 fill every page at capacities
+    #: 1, 2, 3 and 8; dropping the last leaves a partial last page at
+    #: capacities 2, 3 and 8.
+    KEYS = [2, 4, 4, 4, 4, 7, 9, 9, 13, 14, 14, 14, 14, 14, 20, 22, 25, 25, 25,
+            30, 31, 33, 33, 36]
+
+    @pytest.mark.parametrize("page_capacity", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count", [24, 23])
+    def test_spans_follow_the_first_last_key_rule(self, page_capacity, count):
+        """Every run over the key range, among them runs before the first
+        key, past the last key, inside a gap within a page and over
+        duplicates spilling across a page boundary."""
+        keys = self.KEYS[:count]
+        layout = packed(page_capacity, keys)
+        for start in range(0, keys[-1] + 3):
+            for end in range(start, keys[-1] + 3):
+                expected = first_last_key_span(page_capacity, keys, start, end)
+                assert layout.spans([(start, end)]) == (expected,), (start, end)
+
     def test_span_covers_run_pages(self):
-        layout = PageLayout(
-            first_keys=[0, 10, 20, 30],
-            page_ids=[0, 1, 2, 3],
-            last_keys=[9, 19, 29, 39],
-        )
-        assert layout.span(0, 9) == (0, 0)
-        assert layout.span(5, 25) == (0, 2)
-        assert layout.span(10, 10) == (1, 1)  # page-aligned, no spill read
-        assert layout.span(31, 40) == (3, 3)
+        layout = packed(10, range(40))
         runs = [(0, 9), (5, 25), (10, 10), (31, 40)]
         assert layout.spans(runs) == ((0, 0), (0, 2), (1, 1), (3, 3))
         assert layout.spans([]) == ()
 
     def test_span_finds_duplicate_spill(self):
         # page 0 ends with key 10, page 1 starts with more copies of 10
-        layout = PageLayout(
-            first_keys=[0, 10, 20], page_ids=[0, 1, 2], last_keys=[10, 19, 29]
-        )
-        assert layout.span(10, 10) == (0, 1)
+        layout = packed(2, [0, 10, 10, 19, 20, 29])
+        assert layout.spans([(10, 10)]) == ((0, 1),)
 
     def test_empty_span_before_first_page(self):
-        layout = PageLayout(first_keys=[10, 20], page_ids=[0, 1], last_keys=[19, 29])
-        first, last = layout.span(0, 5)
+        layout = packed(2, [10, 19, 20, 29])
+        ((first, last),) = layout.spans([(0, 5)])
         assert last < first
 
     def test_num_pages(self):
-        layout = PageLayout(first_keys=[0], page_ids=[7], last_keys=[5])
+        layout = packed(8, [0, 3, 5])
         assert layout.num_pages == 1
+        assert len(layout.pages[0]) == 3
 
 
 class TestQueryPlanShape:

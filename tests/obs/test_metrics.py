@@ -277,13 +277,13 @@ def _small_store(shards=1):
 
 def _mid_execute(monkeypatch, tmp_path, shards=1, drain_cursor=False):
     """Execute (or drain a cursor) with metrics switched on at the first
-    page: ``repro_query_latency_seconds``."""
+    run slice: ``repro_query_latency_seconds``."""
     from repro.api import Query
     from repro.engine import executor
     from repro.geometry import Rect
 
     store = _small_store(shards)
-    monkeypatch.setattr(executor, "scan_page", _switched_on(executor.scan_page))
+    monkeypatch.setattr(executor, "slice_run", _switched_on(executor.slice_run))
     query = Query.rect(Rect((0, 0), (5, 5)))
     if drain_cursor:
         return lambda: store.cursor(query).fetchall()
