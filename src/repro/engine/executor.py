@@ -83,7 +83,7 @@ class Page:
     The page's records are its slice of the layout's record column
     (:class:`~repro.engine.plan.PageLayout`); a read charges I/O and
     returns the page, whose ``len`` is the number of records it holds.
-    Built only by :func:`repro.api.store.pack_layout`; owned by its
+    Built only by :func:`repro.api.store.pack_columns`; owned by its
     layout, while the disk holds it weakly.
     """
 

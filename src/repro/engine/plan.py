@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,11 +55,12 @@ class ExecutionPolicy:
 _INT64_MAX = 2**63 - 1
 
 
-def key_column(keys: Sequence[int]) -> np.ndarray:
-    """The key column of ascending curve ``keys``: ``int64`` when every
-    key is below :data:`_INT64_MAX`, else exact Python ints (``object``);
-    numpy would infer ``uint64`` or ``float64`` for larger keys."""
-    exact = not keys or keys[-1] < _INT64_MAX
+def key_column(keys: Union[Sequence[int], np.ndarray]) -> np.ndarray:
+    """The key column of ascending curve ``keys`` (a list, or a merged
+    column): ``int64`` when every key is below :data:`_INT64_MAX`, else
+    exact Python ints (``object``); numpy would infer ``uint64`` or
+    ``float64`` for larger keys."""
+    exact = len(keys) == 0 or keys[-1] < _INT64_MAX
     return np.array(keys, dtype=np.int64 if exact else object)
 
 
