@@ -5,13 +5,13 @@ pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
 
 1. **snapshot** — the index hands over a consistent ``(version,
    records)`` view of its contents (taken under the store mutex,
-   walking the key intervals in key order);
+   walking its B+-tree in key order);
 2. **re-key** — the records' cells are mapped to keys under the target
    curve in bounded ``batch_size`` chunks (one vectorized ``index_many``
    call per chunk); queries keep serving from the old layout the whole
    time — nothing the serving path reads has been touched;
-3. **cutover** — the index atomically installs the re-keyed records: new
-   B+-tree(s), a shadow :class:`~repro.engine.plan.PageLayout` packed
+3. **cutover** — the index atomically installs the re-keyed records: a
+   new B+-tree, a shadow :class:`~repro.engine.plan.PageLayout` packed
    onto the same append-only page store (old pages stay readable for
    in-flight queries), new planner and executor, epoch bumped, plan
    cache and buffer pool invalidated.  The cutover *refuses* if writes
@@ -100,8 +100,8 @@ class OnlineMigrator:
     ``_migration_cutover()``, the re-entrant ``_mutex`` and ``epoch``)
     once for :class:`~repro.index.spatial.SFCIndex` and
     :class:`~repro.index.sharded.ShardedSFCIndex` alike: the cutover
-    re-routes every record through the store's shard map and repacks
-    the shared page store across interval boundaries, so shard
+    files every record into one new tree and packs one page layout, and
+    a sharded store keeps its shard map of key intervals, so shard
     transparency survives the migration.
 
     Parameters

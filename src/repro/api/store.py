@@ -6,16 +6,17 @@ copy of the serving facade — insert/delete/bulk-load, point queries,
 flush, planning, EXPLAIN, range queries, migration — and the two kept
 drifting.  ``SpatialStore`` hoists that facade into one abstract base:
 
-* **one storage topology** — a shard map of contiguous key intervals
-  with one B+-tree and one record count per interval; the single-node
-  store is the map with one interval, so routing, the key-ordered
-  flush walk, snapshots and the migration cutover exist once;
+* **one storage topology** — one B+-tree of key buckets and one record
+  count for all records, so the key-ordered flush walk, snapshots and
+  the migration cutover exist once; a sharded store's shard map is key
+  intervals its planner clips plans to, not a second way to store
+  records;
 * **one lock model** — a re-entrant ``_mutex`` and a shared
   ``_io_lock`` created by the constructor, so every store is
   thread-safe under the same discipline;
 * **one write path** — :meth:`insert` / :meth:`bulk_load` /
-  :meth:`delete` key points under the store's mutex and route records
-  to their interval's tree (a bulk load in one vectorized lookup), so
+  :meth:`delete` key points under the store's mutex and file records
+  into the one tree (a bulk load keyed in one vectorized call), so
   ingestion semantics cannot diverge;
 * **one flush protocol** — :meth:`flush` merges the keys written
   since the last install into that layout's columns, or walks the
@@ -42,7 +43,6 @@ and :meth:`~SpatialStore._make_executor`.
 from __future__ import annotations
 
 import abc
-import bisect
 import threading
 from itertools import chain
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -88,7 +88,7 @@ ANY = _AnyPayload()
 
 #: A flush merges the keys written since the last install while they
 #: number at most this fraction of the previous layout's records; past
-#: it, writes stop tracking keys and the next flush walks the trees.  A
+#: it, writes stop tracking keys and the next flush walks the tree.  A
 #: merge costs about 5 us per written key, a walk a fixed Python pass
 #: over every record: on a 20,000-record onion store of side 256 (2-core
 #: x86-64, Python 3.11, numpy 2.4; median of 11), merging 1,250 keys
@@ -193,7 +193,7 @@ def pack_columns(
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
     the layout will serve (CONTRIBUTING invariant 14): exact scan runs
     are sliced from the record column without a geometric test.  Both
-    flush paths end here — :func:`pack_layout` from the walked trees and
+    flush paths end here — :func:`pack_layout` from the walked tree and
     :meth:`SpatialStore.flush` from merged columns — so the sharded
     index's byte-identical-layout guarantee (and with it shard
     transparency) rests on this one function.
@@ -255,13 +255,11 @@ def merge_plans(
 class SpatialStore(abc.ABC):
     """Abstract base of every SFC-keyed store (single-node or sharded).
 
-    The storage topology lives here, once: a shard map of contiguous
-    inclusive key intervals tiling ``[0, curve.size)``, one B+-tree and
-    one record count per interval, key routing, the key-ordered flush
-    walk, snapshots and the migration snapshot/cutover.  A single-node
-    store is simply the store whose map is one interval.  Subclasses
-    pick only the serving engine through two methods:
-    :meth:`_make_planner` and :meth:`_make_executor`.
+    The storage topology lives here, once: one B+-tree mapping each
+    curve key to its bucket of records, one record count, the
+    key-ordered flush walk, snapshots and the migration
+    snapshot/cutover.  Subclasses pick only the serving engine through
+    two methods: :meth:`_make_planner` and :meth:`_make_executor`.
 
     One lock model for every store: the constructor creates a
     re-entrant ``_mutex`` (every mutation, snapshot and introspection
@@ -281,10 +279,8 @@ class SpatialStore(abc.ABC):
     def __init__(
         self,
         curve: SpaceFillingCurve,
-        shards: Sequence[Tuple[int, int]],
         *,
         page_capacity: int,
-        tree_order: int,
         buffer_pages: int,
         cost_model: Optional[CostModel],
         plan_cache_size: int,
@@ -304,19 +300,15 @@ class SpatialStore(abc.ABC):
         # pool clears during a layout swap happen under it.
         self._io_lock = threading.Lock()
         self._page_capacity = page_capacity
-        self._tree_order = tree_order
         self._cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self._recorder = recorder
         self._disk = SimulatedDisk()
         self._pool = BufferPool(self._disk, buffer_pages) if buffer_pages else None
         self._plan_cache = PlanCache(plan_cache_size) if plan_cache_size else None
         self._curve = curve  # guarded-by: _mutex (swapped by migration cutover)
-        # guarded-by: _mutex
-        self._shards = tuple((int(lo), int(hi)) for lo, hi in shards)
         self._planner = self._make_planner(curve)  # guarded-by: _mutex
-        # guarded-by: _mutex
-        self._trees = [BPlusTree(order=tree_order) for _ in self._shards]
-        self._counts = [0] * len(self._shards)  # guarded-by: _mutex
+        self._tree = BPlusTree()  # guarded-by: _mutex
+        self._count = 0  # guarded-by: _mutex
         self._layout: Optional[PageLayout] = None  # guarded-by: _mutex
         #: The last installed layout's two columns, without its pages (so
         #: they still die with the layout's last reader), and the keys
@@ -339,8 +331,7 @@ class SpatialStore(abc.ABC):
     @abc.abstractmethod
     @guarded_by("_mutex")
     def _make_planner(self, curve: SpaceFillingCurve):
-        """A planner for ``curve`` over the current shard map (callers
-        hold the mutex)."""
+        """A planner for ``curve`` (callers hold the mutex)."""
 
     @abc.abstractmethod
     def _make_executor(self, layout: PageLayout):
@@ -348,53 +339,32 @@ class SpatialStore(abc.ABC):
         ``_io_lock`` (callers hold the mutex)."""
 
     # ------------------------------------------------------------------
-    # Storage topology: one tree and one record count per key interval
+    # Storage topology: one tree of key buckets and one record count
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of stored records."""
         with self._mutex:
-            return sum(self._counts)
+            return self._count
 
     @guarded_by("_mutex")
-    def _shard_of_key(self, key: int) -> int:
-        """The interval holding ``key`` (callers hold the mutex)."""
-        return bisect.bisect_right([lo for lo, _ in self._shards], key) - 1
-
-    @guarded_by("_mutex")
-    def _route(self, keys: Sequence[int]) -> List[int]:
-        """The interval holding each key, in one vectorized lookup
-        (``np.searchsorted`` over the interval starts)."""
-        starts = [lo for lo, _ in self._shards]
-        shard_ids: List[int] = (np.searchsorted(starts, keys, side="right") - 1).tolist()
-        return shard_ids
-
-    @guarded_by("_mutex")
-    def _append_records(
-        self, entries: Sequence[Tuple[int, Record]], shard_ids: Sequence[int]
-    ) -> None:
-        """Append each ``(key, record)`` to its key bucket in the tree of
-        interval ``shard_ids[i]`` (callers hold the mutex)."""
-        trees = self._trees
-        counts = self._counts
-        for shard, (key, record) in zip(shard_ids, entries):
-            tree = trees[shard]
+    def _append_records(self, entries: Sequence[Tuple[int, Record]]) -> None:
+        """Append each ``(key, record)`` to its key bucket in the tree
+        (callers hold the mutex)."""
+        tree = self._tree
+        for key, record in entries:
             bucket = tree.get(key)
             if bucket is None:
                 tree.insert(key, [record])
             else:
                 bucket.append(record)
-            counts[shard] += 1
+        self._count += len(entries)
 
     @guarded_by("_mutex")
     def _flush_entries(self) -> Iterator[Tuple[int, Record]]:
-        """Every stored ``(key, record)`` in ascending key order: the
-        trees in interval order, which is global key order, so pages
-        pack *across* interval boundaries (callers hold the mutex)."""
+        """Every stored ``(key, record)`` in ascending key order
+        (callers hold the mutex)."""
         return (
-            (key, record)
-            for tree in self._trees
-            for key, bucket in tree.items()
-            for record in bucket
+            (key, record) for key, bucket in self._tree.items() for record in bucket
         )
 
     def _snapshot(self):
@@ -525,7 +495,6 @@ class SpatialStore(abc.ABC):
             "kind": "single",
             "curve": [name, side, dim],
             "page_capacity": self._page_capacity,
-            "tree_order": self._tree_order,
         }
 
     def checkpoint(self, compact: bool = False):
@@ -564,7 +533,7 @@ class SpatialStore(abc.ABC):
         flush merges it into the last installed layout's columns.  A
         write with no key (a bulk load changes many buckets), or one that
         takes the written keys past :data:`_MERGE_FRACTION` of those
-        columns, drops the base: the next flush walks the trees.
+        columns, drops the base: the next flush walks the tree.
         """
         self._version += 1
         self._invalidate_layout()
@@ -580,13 +549,13 @@ class SpatialStore(abc.ABC):
 
         The key is computed under the mutex: a migration cutover may
         swap the curve, and a key minted under the outgoing curve must
-        never land in the incoming curve's trees.
+        never land in the incoming curve's tree.
         """
         with self._mutex:
             key = self._curve.index(point)
             record = Record(tuple(int(c) for c in point), payload)
             self._log_durable(("insert", record.point, payload))
-            self._append_records(((key, record),), (self._shard_of_key(key),))
+            self._append_records(((key, record),))
             self._note_write(key)
 
     def bulk_load(
@@ -596,9 +565,8 @@ class SpatialStore(abc.ABC):
     ) -> None:
         """Insert many points (paired with ``payloads`` when given).
 
-        Keys are computed in one vectorized :meth:`index_many` call,
-        routed to their intervals in one vectorized lookup, and the
-        on-disk layout is invalidated once at the end, instead of the
+        Keys are computed in one vectorized :meth:`index_many` call and
+        the on-disk layout is invalidated once at the end, instead of the
         key-at-a-time / invalidate-per-insert cost of repeated
         :meth:`insert` calls.  ``payloads`` may be longer than
         ``points`` (extras ignored, so infinite iterators work) but
@@ -622,7 +590,7 @@ class SpatialStore(abc.ABC):
             self._log_durable(
                 ("bulk", [(record.point, record.payload) for _, record in entries])
             )
-            self._append_records(entries, self._route([key for key, _ in entries]))
+            self._append_records(entries)
             self._note_write()
 
     def delete(self, point: Sequence[int], payload: Any = ANY) -> bool:
@@ -640,9 +608,7 @@ class SpatialStore(abc.ABC):
         """
         with self._mutex:
             key = self._curve.index(point)
-            shard = self._shard_of_key(key)
-            tree = self._trees[shard]
-            bucket = tree.get(key)
+            bucket = self._tree.get(key)
             if not bucket:
                 return False
             for i, record in enumerate(bucket):
@@ -659,8 +625,8 @@ class SpatialStore(abc.ABC):
             else:
                 return False
             if not bucket:
-                tree.delete(key)
-            self._counts[shard] -= 1
+                self._tree.delete(key)
+            self._count -= 1
             self._note_write(key)
             return True
 
@@ -674,7 +640,7 @@ class SpatialStore(abc.ABC):
         """
         with self._mutex:
             key = self._curve.index(point)
-            bucket = self._trees[self._shard_of_key(key)].get(key)
+            bucket = self._tree.get(key)
             return list(bucket) if bucket else []
 
     # ------------------------------------------------------------------
@@ -749,7 +715,7 @@ class SpatialStore(abc.ABC):
         pieces: List[Sequence[Record]] = []
         start = 0
         for key, run_lo, run_hi in zip(keys, lo, hi):
-            bucket = self._trees[self._shard_of_key(key)].get(key, ())
+            bucket = self._tree.get(key, ())
             kept[run_lo:run_hi] = False
             counts.append(len(bucket))
             pieces += (base.records[start:run_lo], bucket)
@@ -768,7 +734,7 @@ class SpatialStore(abc.ABC):
         only the runs of the keys written since
         (:meth:`_merged_columns`).  With nothing to merge into — the
         first flush, and after a bulk load or more written keys than
-        :data:`_MERGE_FRACTION` of the previous layout — it walks every
+        :data:`_MERGE_FRACTION` of the previous layout — it walks the
         tree (:meth:`_flush_entries`) instead.  Both paths give the same
         columns and end in :func:`pack_columns`, which fills pages to
         ``page_capacity`` records, and the new layout is installed via
@@ -1001,15 +967,14 @@ class SpatialStore(abc.ABC):
         ``keyed`` must be sorted ascending by new key.  Under the mutex:
         refuses (returns False) when writes landed since the snapshot
         ``expected_version`` was taken — the migrator then re-snapshots.
-        Otherwise every record is routed through the *current* shard map
-        into fresh trees (key intervals are curve-independent — the key
-        space size is unchanged), the shadow layout is packed on the
-        same append-only disk by the same :func:`pack_layout` a fresh
-        bulk load flushes through — which keeps a migrated store
-        identical to a fresh one, shard transparency included — and the
-        store serves the new curve through a new planner and executor,
-        epoch bumped, plan cache and buffer pool invalidated, and the
-        next flush merging into the new curve's columns.
+        Otherwise every record goes into a fresh tree, the shadow layout
+        is packed on the same append-only disk by the same
+        :func:`pack_layout` a fresh bulk load flushes through — which
+        keeps a migrated store identical to a fresh one, shard
+        transparency included — and the store serves the new curve
+        through a new planner and executor, epoch bumped, plan cache and
+        buffer pool invalidated, and the next flush merging into the new
+        curve's columns.
         """
         with self._mutex:
             if self._version != expected_version:
@@ -1017,8 +982,8 @@ class SpatialStore(abc.ABC):
             self._log_migrate(curve)
             self._curve = curve
             self._planner = self._make_planner(curve)
-            self._trees = [BPlusTree(order=self._tree_order) for _ in self._shards]
-            self._counts = [0] * len(self._shards)
-            self._append_records(keyed, self._route([key for key, _ in keyed]))
+            self._tree = BPlusTree()
+            self._count = 0
+            self._append_records(keyed)
             self._install_layout(pack_layout(self._disk, self._page_capacity, keyed))
             return True

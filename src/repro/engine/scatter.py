@@ -21,8 +21,8 @@ layer:
   per-shard records in key order.
 
 **Shard-transparency by construction.**  Storage is shared (the
-disaggregated-storage idiom): shards own key intervals and their own
-write paths, but flushed pages live in one store with one global
+disaggregated-storage idiom): shards own key intervals, but records,
+the write path and flushed pages live in one store with one global
 :class:`~repro.engine.plan.PageLayout`.  Because the executor's I/O
 pass reads the *global* plan's pages — the same runs, spans and page
 sequence the single-index :class:`~repro.engine.executor.Executor`

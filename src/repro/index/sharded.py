@@ -2,30 +2,26 @@
 
 The paper's distributed motivation (WSDM'16-style linear-embedding
 partitioning) shards multi-dimensional data into contiguous curve-key
-ranges; :mod:`repro.index.partition` computes the shard maps and this
-module serves queries through them.  The architecture is
-**shared-storage sharding** (the disaggregated idiom): every shard owns
+ranges, so that a range query contacts only the shards its key runs
+intersect; :mod:`repro.index.partition` computes the shard maps and
+this module serves queries through them.  A shard is a key interval
+of the map (``equal_key_shards`` by default, re-cut at record
+quantiles by :meth:`ShardedSFCIndex.rebalance`) that the planner clips
+plans to — a property of the query plan, not of how records are
+stored.
 
-* a key interval from the shard map (``equal_key_shards`` by default,
-  re-cut at record quantiles by :meth:`ShardedSFCIndex.rebalance`),
-* its own in-memory B+-tree write path — inserts, bulk loads and
-  deletes are routed by key interval (a bulk load in one vectorized
-  lookup),
-
-while flushed pages live on one shared :class:`SimulatedDisk` with one
-global :class:`~repro.engine.plan.PageLayout`: flushing walks the shards
-in key order and packs pages *across* shard boundaries, which makes the
-layout byte-for-byte the one the unsharded :class:`SFCIndex` builds.
-
-The serving facade itself — updates, point lookups, flush, planning,
-the :class:`~repro.api.Query`/:class:`~repro.api.Cursor`/kNN front
-door, the legacy range-query signatures and online migration — and the
-storage topology under it (key-routed per-interval trees and counts,
-snapshots, the migration cutover, the mutex and I/O lock) are the
-shared :class:`~repro.api.store.SpatialStore` implementation, which
-also serves :class:`SFCIndex` as a one-interval map.  This module
-contributes the multi-interval shard map and its serving engine: scatter
-planning, scatter-gather execution, shard introspection and
+The records, the write path and the flushed pages are the shared
+:class:`~repro.api.store.SpatialStore` implementation, the same one
+:class:`SFCIndex` serves through: one B+-tree, one record count, one
+:class:`SimulatedDisk` and one global
+:class:`~repro.engine.plan.PageLayout`, so the layout is byte-for-byte
+the one the unsharded index builds.  So are the serving facade —
+updates, point lookups, flush, planning, the
+:class:`~repro.api.Query`/:class:`~repro.api.Cursor`/kNN front door,
+the legacy range-query signatures and online migration — snapshots,
+the migration cutover, the mutex and the I/O lock.  This module
+contributes the shard map and its serving engine: scatter planning,
+scatter-gather execution, shard introspection and
 :meth:`ShardedSFCIndex.rebalance`.
 
 Queries scatter and gather through :mod:`repro.engine.scatter`: the
@@ -59,8 +55,7 @@ from ..engine.scatter import (
     ShardedPlanner,
     scatter_plan,
 )
-from ..storage.bplustree import BPlusTree
-from .partition import balanced_shards, equal_key_shards
+from .partition import balanced_shards, equal_key_shards, shard_of_key
 
 __all__ = ["ShardedSFCIndex"]
 
@@ -83,7 +78,7 @@ class ShardedSFCIndex(SpatialStore):
     num_shards:
         How many equal-key-range shards to cut (ignored when ``shards``
         is given).
-    page_capacity, tree_order, cost_model, plan_cache_size:
+    page_capacity, cost_model, plan_cache_size:
         As on :class:`SFCIndex`.
     shards:
         Explicit shard map — contiguous inclusive key intervals tiling
@@ -102,7 +97,7 @@ class ShardedSFCIndex(SpatialStore):
         As on :class:`~repro.index.spatial.SFCIndex`.  Durability is
         shard-transparent: the WAL logs logical point operations and
         the checkpoint manifest records the shard map, so recovery
-        rebuilds the same shards, routes and layout.
+        rebuilds the same shards and layout.
     """
 
     def __init__(
@@ -110,7 +105,6 @@ class ShardedSFCIndex(SpatialStore):
         curve: SpaceFillingCurve,
         num_shards: int = 4,
         page_capacity: int = 64,
-        tree_order: int = 32,
         cost_model: Optional[CostModel] = None,
         plan_cache_size: int = 256,
         shards: Optional[Sequence[Shard]] = None,
@@ -122,11 +116,14 @@ class ShardedSFCIndex(SpatialStore):
         durable_ops=None,
     ):
         self._fanout_cost = fanout_cost
+        if shards is None:
+            shards = equal_key_shards(curve, num_shards)
+        # Set before the base constructor, which builds the planner from
+        # it; the planner validates it.
+        self._shards = tuple((int(lo), int(hi)) for lo, hi in shards)  # guarded-by: _mutex
         super().__init__(
             curve,
-            shards if shards is not None else equal_key_shards(curve, num_shards),
             page_capacity=page_capacity,
-            tree_order=tree_order,
             buffer_pages=buffer_pages,
             cost_model=cost_model,
             plan_cache_size=plan_cache_size,
@@ -172,20 +169,24 @@ class ShardedSFCIndex(SpatialStore):
 
     @property
     def shard_loads(self) -> Tuple[int, ...]:
-        """Record count per shard (the balance ``rebalance`` restores)."""
+        """Record count per shard (the balance ``rebalance`` restores),
+        counted from the tree's buckets in each shard's key interval."""
         with self._mutex:
-            return tuple(self._counts)
+            return tuple(
+                sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))
+                for lo, hi in self._shards
+            )
 
     def shard_of(self, point: Sequence[int]) -> int:
         """Id of the shard serving ``point``'s curve key."""
         with self._mutex:
-            return self._shard_of_key(self._curve.index(point))
+            return shard_of_key(self._shards, self._curve.index(point))
 
     @guarded_by("_mutex")
     def _durable_state(self) -> dict:
         """Construction parameters for ``recover()`` — the single
         store's, plus the exact shard map so recovery rebuilds the
-        same routes and per-shard attribution (callers hold the mutex)."""
+        same per-shard attribution (callers hold the mutex)."""
         state = super()._durable_state()
         state["kind"] = "sharded"
         state["shards"] = [[int(lo), int(hi)] for lo, hi in self._shards]
@@ -202,30 +203,27 @@ class ShardedSFCIndex(SpatialStore):
     # Rebalancing
     # ------------------------------------------------------------------
     def rebalance(self, num_shards: Optional[int] = None) -> Tuple[Shard, ...]:
-        """Re-cut the shard map at record-count quantiles and re-route.
+        """Re-cut the shard map at record-count quantiles.
 
         Uses :func:`~repro.index.partition.balanced_shards` over every
         stored key (weighted by record count) so each shard serves about
         the same load; an empty index falls back to equal key ranges.
         The new map is computed — and a bad ``num_shards`` refused —
         before the operation is logged, so the WAL never holds a
-        rebalance that replay would refuse.  Returns the new shard map.
+        rebalance that replay would refuse.  No record moves: the map
+        changes only how plans are clipped and attributed.  Returns the
+        new shard map.
         """
         with self._mutex:
             target = num_shards if num_shards is not None else len(self._shards)
-            entries = list(self._flush_entries())
-            keys = [key for key, _ in entries]
+            keys = [key for key, _ in self._flush_entries()]
             if keys:
                 shard_map = balanced_shards(keys, target, self._curve.size)
             else:
                 shard_map = equal_key_shards(self._curve, target)
             self._log_durable(("rebalance", target))
-            self._shards = tuple(shard_map)  # guarded-by: _mutex
+            self._shards = tuple(shard_map)
             self._planner = self._make_planner(self._curve)  # guarded-by: _mutex
-            # guarded-by: _mutex
-            self._trees = [BPlusTree(order=self._tree_order) for _ in shard_map]
-            self._counts = [0] * len(shard_map)  # guarded-by: _mutex
-            self._append_records(entries, self._route(keys))
             self._invalidate_layout()
             if self._plan_cache is not None:
                 self._plan_cache.invalidate()

@@ -10,12 +10,10 @@ range queries, the composable :class:`~repro.api.Query` front door with
 streaming :class:`~repro.api.Cursor` results and kNN, and online
 migration — and the storage topology behind it live on the shared
 :class:`~repro.api.store.SpatialStore` base (one implementation for this
-class and :class:`~repro.index.sharded.ShardedSFCIndex`).  An
-``SFCIndex`` is the store whose shard map is the single interval
-``(0, curve.size - 1)``: one B+-tree, one record count, and the same
-re-entrant mutex and I/O lock as every store, so it is thread-safe.
-This module only picks its serving engine — a plain
-:class:`~repro.engine.planner.Planner` and an
+class and :class:`~repro.index.sharded.ShardedSFCIndex`): one B+-tree,
+one record count, and the same re-entrant mutex and I/O lock as every
+store, so it is thread-safe.  This module only picks its serving
+engine — a plain :class:`~repro.engine.planner.Planner` and an
 :class:`~repro.engine.executor.Executor` sharing the store's I/O lock.
 
 Range queries go through the :mod:`repro.engine` planner/executor
@@ -49,8 +47,8 @@ __all__ = ["Record", "RangeQueryResult", "SFCIndex", "keyed_records", "pack_layo
 class SFCIndex(SpatialStore):
     """A spatial index keyed by a space filling curve.
 
-    The :class:`~repro.api.store.SpatialStore` over one key interval,
-    served by the single-node planner and executor.  Thread-safe: every
+    The :class:`~repro.api.store.SpatialStore` served by the
+    single-node planner and executor.  Thread-safe: every
     mutation and snapshot serializes on the store mutex.
 
     Parameters
@@ -59,8 +57,6 @@ class SFCIndex(SpatialStore):
         Any :class:`~repro.curves.base.SpaceFillingCurve`.
     page_capacity:
         Records per simulated disk page.
-    tree_order:
-        Fan-out of the in-memory B+-tree.
     buffer_pages:
         LRU buffer-pool capacity in pages (0 disables the pool).
     cost_model:
@@ -92,7 +88,6 @@ class SFCIndex(SpatialStore):
         self,
         curve: SpaceFillingCurve,
         page_capacity: int = 64,
-        tree_order: int = 32,
         buffer_pages: int = 0,
         cost_model: Optional[CostModel] = None,
         plan_cache_size: int = 256,
@@ -103,9 +98,7 @@ class SFCIndex(SpatialStore):
     ):
         super().__init__(
             curve,
-            ((0, curve.size - 1),),
             page_capacity=page_capacity,
-            tree_order=tree_order,
             buffer_pages=buffer_pages,
             cost_model=cost_model,
             plan_cache_size=plan_cache_size,

@@ -6,14 +6,15 @@ This module ties the two halves of the durability tier together:
   :class:`~repro.storage.wal.WriteAheadLog` plus the checkpoint
   generation counter — and is what a store's mutation path logs
   through (*WAL-before-apply*: the store appends the logical operation
-  before touching its trees);
+  before touching its tree);
 * :func:`recover` turns a durable directory back into a live store:
-  load the committed manifest (if any), truncate the WAL's torn tail,
-  rebuild the store from its recorded construction parameters, bulk
-  load the checkpointed page images, and replay the WAL suffix through
-  the store's *public* mutation methods — so replay re-keys points
-  under exactly the curve the store held when each frame was written,
-  including across ``migrate``/``rebalance`` frames.
+  load the committed manifest (if any), rebuild the store from its
+  recorded construction parameters, bulk load the checkpointed page
+  images, replay the WAL suffix through the store's *public* mutation
+  methods — so replay re-keys points under exactly the curve the store
+  held when each frame was written, including across
+  ``migrate``/``rebalance`` frames — and only then truncate the WAL's
+  torn tail, so a refusal leaves the directory as it found it.
 
 Directory layout::
 
@@ -37,10 +38,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import RecoveryError, StorageError
+from ..errors import InvalidQueryError, RecoveryError, StorageError
 from ..obs.events import EVENTS
 from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
@@ -241,7 +243,13 @@ class Durability:
 
 
 def _build_store(state: Dict[str, Any], extra: Dict[str, Any]):
-    """Construct an empty store from a manifest/header ``state`` dict."""
+    """Construct an empty store from a manifest/header ``state`` dict.
+
+    A ``tree_order`` field, which older durable directories carry, is
+    ignored.  A state the store's constructor refuses (a shard map that
+    does not tile the key space, a page capacity below 1) raises
+    :class:`RecoveryError`.
+    """
     from ..curves.registry import make_curve
 
     try:
@@ -249,30 +257,26 @@ def _build_store(state: Dict[str, Any], extra: Dict[str, Any]):
         name, side, dim = state["curve"]
         curve = make_curve(str(name), int(side), int(dim))
         page_capacity = int(state["page_capacity"])
-        tree_order = int(state["tree_order"])
     except (KeyError, ValueError, TypeError) as exc:
         raise RecoveryError(f"unusable durable store state: {exc}") from exc
     if kind == "single":
         from ..index.spatial import SFCIndex
 
-        return SFCIndex(
-            curve, page_capacity=page_capacity, tree_order=tree_order, **extra
-        )
-    if kind == "sharded":
+        build: Callable[..., Any] = SFCIndex
+    elif kind == "sharded":
         from ..index.sharded import ShardedSFCIndex
 
         try:
             shards = [tuple(int(b) for b in bounds) for bounds in state["shards"]]
         except (KeyError, ValueError, TypeError) as exc:
             raise RecoveryError(f"unusable shard map in durable state: {exc}") from exc
-        return ShardedSFCIndex(
-            curve,
-            page_capacity=page_capacity,
-            tree_order=tree_order,
-            shards=shards,
-            **extra,
-        )
-    raise RecoveryError(f"unknown durable store kind {kind!r}")
+        build = partial(ShardedSFCIndex, shards=shards)
+    else:
+        raise RecoveryError(f"unknown durable store kind {kind!r}")
+    try:
+        return build(curve, page_capacity=page_capacity, **extra)
+    except InvalidQueryError as exc:
+        raise RecoveryError(f"durable store state refused: {exc}") from exc
 
 
 def _apply(store, op: Tuple[Any, ...]) -> bool:
@@ -329,7 +333,9 @@ def recover(
 
     Raises :class:`~repro.errors.RecoveryError` when the directory
     holds no recoverable store — never for a torn WAL tail, which is
-    truncated and reported instead.
+    truncated and reported instead.  The tail is truncated only after
+    the store is rebuilt and the suffix replayed, so a refusal leaves
+    the WAL as it found it.
     """
     file_ops = ops if ops is not None else FileOps()
     root = Path(path)
@@ -351,8 +357,6 @@ def recover(
         state = None
         generation = 0
     scan = scan_wal(wal_path)
-    if scan.torn_bytes:
-        file_ops.truncate(wal_path, scan.valid_size)
     if start > scan.valid_size:
         raise RecoveryError(
             f"checkpoint claims {start} durable WAL bytes but only "
@@ -377,6 +381,8 @@ def recover(
             continue
         if _apply(store, op):
             replayed += 1
+    if scan.torn_bytes:
+        file_ops.truncate(wal_path, scan.valid_size)
     durability = Durability(root, ops=file_ops, sync=sync)
     durability.resume(
         wal_path,

@@ -2,7 +2,7 @@
 
 The durability tier's sequencing rule is *WAL-before-apply*: every
 mutation of a durable store is appended (and, in sync mode, fsynced)
-here **before** the in-memory trees change, so a crash at any instant
+here **before** the in-memory tree changes, so a crash at any instant
 loses at most the operations whose append never returned.
 
 Frame format — the unit of torn-tail detection::

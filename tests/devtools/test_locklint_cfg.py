@@ -122,7 +122,16 @@ class TestStoreSubclassDiscipline:
     SHARDED = Path(sharded_module.__file__)
     LOCKED_LOADS = (
         "        with self._mutex:\n"
-        "            return tuple(self._counts)\n"
+        "            return tuple(\n"
+        "                sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
+        "                for lo, hi in self._shards\n"
+        "            )\n"
+    )
+    UNLOCKED_LOADS = (
+        "        return tuple(\n"
+        "            sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
+        "            for lo, hi in self._shards\n"
+        "        )\n"
     )
 
     def _lint_copy(self, tmp_path, source):
@@ -136,13 +145,11 @@ class TestStoreSubclassDiscipline:
     def test_dropping_the_mutex_in_shard_loads_is_flagged(self, tmp_path):
         source = self.SHARDED.read_text()
         assert source.count(self.LOCKED_LOADS) == 1
-        seeded = source.replace(
-            self.LOCKED_LOADS, "        return tuple(self._counts)\n"
-        )
+        seeded = source.replace(self.LOCKED_LOADS, self.UNLOCKED_LOADS)
         findings = self._lint_copy(tmp_path, seeded)
         assert [(f.rule, f.key) for f in findings] == [
             (
                 "unguarded-access",
-                "sharded.py::ShardedSFCIndex.shard_loads::_counts",
+                "sharded.py::ShardedSFCIndex.shard_loads::_shards",
             )
         ]

@@ -47,11 +47,22 @@ def assert_serves_the_walk(store):
     assert [len(page) for page in layout.pages] == [len(page) for page in walked.pages]
 
 
+def assert_shard_loads(store):
+    """Each shard's load is the number of served keys in its interval."""
+    starts = [lo for lo, _ in store.shards]
+    bounds = np.searchsorted(store.page_layout.keys, starts + [store.curve.size])
+    assert store.shard_loads == tuple(np.diff(bounds).tolist())
+    assert sum(store.shard_loads) == len(store)
+
+
 def read(store, universe=UNIVERSE):
-    """A full-universe range query, checked against the store and the walk."""
+    """A full-universe range query, checked against the store and the walk
+    (and, on a sharded store, against its shard loads)."""
     result = store.range_query(universe)
     assert len(result.records) == len(store)
     assert_serves_the_walk(store)
+    if isinstance(store, ShardedSFCIndex):
+        assert_shard_loads(store)
 
 
 def merged_keys(trace):

@@ -160,8 +160,8 @@ MUTEX_GUARDED = (
     "_curve",
     "_shards",
     "_planner",
-    "_trees",
-    "_counts",
+    "_tree",
+    "_count",
     "_layout",
     "_executor",
     "_epoch",
@@ -289,10 +289,10 @@ class TestRaceCheckedHammer:
         watched field must surface as a FieldViolation."""
         tracker = LockOrderTracker()
         index = self._tracked_index([(1, 2), (3, 4), (5, 6)], tracker)
-        index._counts[0] += 0  # a read+write outside any lock
+        index._count += 0  # a read+write outside any lock
         violations = tracker.field_violations()
         assert violations, "seeded unguarded access went undetected"
-        assert any(v.field == "_counts" for v in violations)
+        assert any(v.field == "_count" for v in violations)
         with pytest.raises(AssertionError):
             tracker.assert_clean(allowed_edges=self.ALLOWED_EDGES)
 

@@ -11,6 +11,7 @@ import pytest
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
 from repro.curves.onion3d import OnionCurve3D
 from repro.errors import InvalidQueryError, RecoveryError, StorageError
+from repro.storage.durable import Durability
 from repro.storage.pagefile import MANIFEST_NAME, wal_file_name
 from repro.storage.wal import scan_wal
 
@@ -40,6 +41,25 @@ def _populate(store):
     store.delete((1, 1), None)
     store.insert((3, 3), "b")
     store.delete((5, 4))
+
+
+def _state(kind, **fields):
+    """A durable store state as a WAL header or manifest records it."""
+    state = {"kind": kind, "curve": ["onion", SIDE, 2], "page_capacity": 4}
+    if kind == "sharded":
+        state["shards"] = [[0, 31], [32, SIDE * SIDE - 1]]
+    state.update(fields)
+    return state
+
+
+def _write_log(root, state, *ops):
+    """A durable directory holding one WAL: a header frame recording
+    ``state``, then ``ops``."""
+    durability = Durability(root)
+    durability.initialize(state)
+    for op in ops:
+        durability.log(op)
+    durability.close()
 
 
 def _signature(store):
@@ -213,6 +233,21 @@ class TestSharded:
         assert recovered.shards == store.shards
 
 
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+def test_header_recording_a_tree_order_recovers(kind, tmp_path):
+    """Older durable directories record a B+-tree order in their state;
+    recovery ignores the field."""
+    _write_log(
+        tmp_path / "d",
+        _state(kind, tree_order=32),
+        ("insert", (1, 1), "a"),
+        ("insert", (6, 2), "b"),
+    )
+    recovered = recover(tmp_path / "d")
+    assert len(recovered) == 2
+    assert [r.payload for r in recovered.point_query((6, 2))] == ["b"]
+
+
 class TestRefusals:
     def test_recover_empty_directory_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
@@ -252,6 +287,39 @@ class TestRefusals:
         assert store.curve == before
         # The refused cutover logged nothing: recovery still works.
         assert len(recover(tmp_path / "d")) == len(store)
+
+    def test_shard_map_not_tiling_the_key_space_is_refused(self, tmp_path):
+        _write_log(tmp_path / "d", _state("sharded", shards=[[0, 30], [32, 63]]))
+        with pytest.raises(RecoveryError, match="contiguous"):
+            recover(tmp_path / "d")
+
+    def test_page_capacity_below_one_is_refused(self, tmp_path):
+        _write_log(tmp_path / "d", _state("single", page_capacity=0))
+        with pytest.raises(RecoveryError, match="page_capacity"):
+            recover(tmp_path / "d")
+
+    def test_refusal_leaves_the_wal_untouched(self, tmp_path):
+        """Regression: a checkpoint whose offset lies past the readable
+        prefix of the WAL used to truncate the log to that prefix before
+        refusing, which deleted the acknowledged writes after the
+        checkpoint along with the corrupt frame."""
+        store = _build("single", tmp_path)
+        _populate(store)
+        manifest = store.checkpoint()
+        for x in range(3):
+            store.insert((x, 1), "after")
+        store.durability.close()
+        wal_path = tmp_path / "d" / manifest.wal_file
+        # Flip the last byte of the bulk-load frame, which the
+        # checkpoint covers: its CRC no longer matches.
+        end, op = scan_wal(wal_path).frames[1]
+        assert op[0] == "bulk" and end <= manifest.wal_offset
+        corrupt = bytearray(wal_path.read_bytes())
+        corrupt[end - 1] ^= 0xFF
+        wal_path.write_bytes(bytes(corrupt))
+        with pytest.raises(RecoveryError, match="readable"):
+            recover(tmp_path / "d")
+        assert wal_path.read_bytes() == corrupt
 
     def test_missing_wal_named_by_manifest_raises(self, tmp_path):
         store = _build("single", tmp_path)
