@@ -16,10 +16,12 @@ drifting.  ``SpatialStore`` hoists that facade into one abstract base:
   thread-safe under the same discipline;
 * **one write path** — :meth:`insert` / :meth:`bulk_load` /
   :meth:`delete` key points under the store's mutex and file records
-  into the one tree (a bulk load keyed in one vectorized call), so
+  into the one tree (a bulk load keyed in one vectorized call, sorted
+  by key and filed with one tree insert per distinct key), so
   ingestion semantics cannot diverge;
 * **one flush protocol** — :meth:`flush` merges the keys written
-  since the last install into that layout's columns, or walks the
+  since the last install into that layout's columns (or into the
+  sorted columns of a bulk load into an empty tree), or walks the
   key-ordered :meth:`_flush_entries` when there is none to merge into;
   both paths end in :func:`pack_columns`, and the layout is installed
   via the epoch-bumping :meth:`_install_layout` (the sharded layer's
@@ -114,23 +116,22 @@ def _curve_spec(curve: SpaceFillingCurve) -> Tuple[str, int, int]:
     return spec
 
 
-def keyed_records(
+def _keyed_arrivals(
     curve: SpaceFillingCurve,
     points: Iterable[Sequence[int]],
-    payloads: Optional[Iterable[Any]] = None,
-) -> List[Tuple[int, Record]]:
-    """Pair ``points`` with ``payloads`` and key them under ``curve``.
+    payloads: Optional[Iterable[Any]],
+) -> Tuple[np.ndarray, List[Record]]:
+    """Each point's key under ``curve`` and its record, in arrival order.
 
-    The shared bulk-load front half — payload pairing rules (extras
-    ignored so infinite iterators work, exhaustion mid-load is an
-    error), dimension validation, and one vectorized ``index_many``
-    call — used by every store so ingestion semantics can never drift
-    apart.
+    The validation pass every bulk load shares: payload pairing rules
+    (extras ignored so infinite iterators work, exhaustion mid-load is
+    an error), dimension validation, and one vectorized ``index_many``
+    call.
     """
     cells: List[Tuple[int, ...]] = []
     attached: List[Any] = []
     if payloads is None:
-        cells = [tuple(int(c) for c in point) for point in points]
+        cells = [tuple(map(int, point)) for point in points]
         attached = [None] * len(cells)
     else:
         payload_iter = iter(payloads)
@@ -141,10 +142,10 @@ def keyed_records(
                 raise InvalidQueryError(
                     f"payloads exhausted after {len(cells)} points"
                 ) from None
-            cells.append(tuple(int(c) for c in point))
+            cells.append(tuple(map(int, point)))
             attached.append(payload)
     if not cells:
-        return []
+        return np.empty(0, dtype=np.int64), []
     dim = curve.dim
     if any(len(cell) != dim for cell in cells):
         bad = next(cell for cell in cells if len(cell) != dim)
@@ -152,10 +153,32 @@ def keyed_records(
             f"cell {bad!r} outside {dim}-d universe of side {curve.side}"
         )
     keys = curve.index_many(np.asarray(cells, dtype=np.int64))
-    return [
-        (int(key), Record(cell, payload))
-        for key, cell, payload in zip(keys, cells, attached)
-    ]
+    return keys, list(map(Record, cells, attached))
+
+
+def _in_key_order(
+    keys: np.ndarray, records: Sequence[Record]
+) -> Tuple[np.ndarray, Tuple[Record, ...]]:
+    """``keys`` and ``records`` as two columns sorted by key.
+
+    The sort is stable, so the records of one key keep their arrival
+    order: the order its bucket holds them in and a walk yields them.
+    The key column takes :func:`~repro.engine.plan.key_column`'s dtype.
+    """
+    order = np.argsort(keys, kind="stable")
+    return key_column(keys[order]), tuple([records[i] for i in order.tolist()])
+
+
+def keyed_records(
+    curve: SpaceFillingCurve,
+    points: Iterable[Sequence[int]],
+    payloads: Optional[Iterable[Any]] = None,
+) -> Tuple[np.ndarray, Tuple[Record, ...]]:
+    """The key column and record column of ``points`` (paired with
+    ``payloads``) under ``curve``, sorted by key with equal keys in
+    arrival order: what :meth:`SpatialStore.bulk_load` files into the
+    tree, validated and paired by its rules."""
+    return _in_key_order(*_keyed_arrivals(curve, points, payloads))
 
 
 def pack_layout(
@@ -165,9 +188,9 @@ def pack_layout(
 ) -> PageLayout:
     """Pack ``(key, record)`` pairs (ascending keys) into a page layout.
 
-    The walking flush and the migration cutover pack through this: it
-    splits the pairs into a key column and a record column, in order,
-    and lays them out with :func:`pack_columns`.
+    The walking flush packs through this: it splits the pairs into a
+    key column and a record column, in order, and lays them out with
+    :func:`pack_columns`.
     """
     keys: List[int] = []
     column: List[Record] = []
@@ -347,17 +370,32 @@ class SpatialStore(abc.ABC):
             return self._count
 
     @guarded_by("_mutex")
-    def _append_records(self, entries: Sequence[Tuple[int, Record]]) -> None:
-        """Append each ``(key, record)`` to its key bucket in the tree
-        (callers hold the mutex)."""
+    def _append_records(self, keys: Sequence[int], records: Sequence[Record]) -> None:
+        """File ``records`` under their ascending ``keys`` (callers hold
+        the mutex).
+
+        The one apply path of every write that adds records.  Each
+        distinct key takes one tree insert, in key order, whose bucket
+        is that key's run of ``records``, or extends its bucket when the
+        tree already holds the key; equal keys keep their column order.
+        A store with no records has an empty tree, which holds none of
+        the keys, so it is filled without a lookup.
+        """
         tree = self._tree
-        for key, record in entries:
-            bucket = tree.get(key)
-            if bucket is None:
-                tree.insert(key, [record])
-            else:
-                bucket.append(record)
-        self._count += len(entries)
+        fresh = self._count == 0
+        last: Optional[int] = None
+        bucket: List[Record] = []
+        for key, record in zip(keys, records):
+            if key != last:
+                last = key
+                existing = None if fresh else tree.get(key)
+                if existing is None:
+                    bucket = []
+                    tree.insert(key, bucket)
+                else:
+                    bucket = existing
+            bucket.append(record)
+        self._count += len(records)
 
     @guarded_by("_mutex")
     def _flush_entries(self) -> Iterator[Tuple[int, Record]]:
@@ -526,17 +564,25 @@ class SpatialStore(abc.ABC):
     # Updates (one write path)
     # ------------------------------------------------------------------
     @guarded_by("_mutex")
-    def _note_write(self, key: Optional[int] = None) -> None:
+    def _note_write(
+        self, key: Optional[int] = None, base: Optional[PageLayout] = None
+    ) -> None:
         """Bump the content version and drop the stale on-disk layout.
 
         ``key`` is the one key whose bucket the write changed; the next
-        flush merges it into the last installed layout's columns.  A
-        write with no key (a bulk load changes many buckets), or one that
-        takes the written keys past :data:`_MERGE_FRACTION` of those
-        columns, drops the base: the next flush walks the tree.
+        flush merges it into the base, the last installed layout's
+        columns.  ``base`` is the sorted columns of a bulk load into an
+        empty tree: they hold every record, so they become the base,
+        with no keys written since.  Any other write with no key (a bulk
+        load into a non-empty tree changes many buckets), or one that
+        takes the written keys past :data:`_MERGE_FRACTION` of the
+        base, drops the base: the next flush walks the tree.
         """
         self._version += 1
         self._invalidate_layout()
+        if base is not None:
+            self._base, self._dirty = base, set()
+            return
         base, dirty = self._base, self._dirty
         if base is not None and dirty is not None and key is not None:
             dirty.add(key)
@@ -555,7 +601,7 @@ class SpatialStore(abc.ABC):
             key = self._curve.index(point)
             record = Record(tuple(int(c) for c in point), payload)
             self._log_durable(("insert", record.point, payload))
-            self._append_records(((key, record),))
+            self._append_records((key,), (record,))
             self._note_write(key)
 
     def bulk_load(
@@ -566,32 +612,39 @@ class SpatialStore(abc.ABC):
         """Insert many points (paired with ``payloads`` when given).
 
         Keys are computed in one vectorized :meth:`index_many` call and
-        the on-disk layout is invalidated once at the end, instead of the
-        key-at-a-time / invalidate-per-insert cost of repeated
-        :meth:`insert` calls.  ``payloads`` may be longer than
-        ``points`` (extras ignored, so infinite iterators work) but
-        running out of payloads mid-load is an error, not silent
-        truncation.
+        stably sorted, so the records reach the tree in key order with
+        equal keys in arrival order: one tree insert per distinct key
+        (:meth:`_append_records`).  The WAL frame keeps arrival order.
+        The on-disk layout is invalidated once at the end.  When the
+        tree was empty, the sorted columns hold every record and become
+        the base the next flush merges into, with nothing to merge
+        (:meth:`_note_write`); into a non-empty tree, the next flush
+        walks.  ``payloads`` may be longer than ``points`` (extras
+        ignored, so infinite iterators work) but running out of payloads
+        mid-load is an error, not silent truncation.
         """
         with self._mutex:
             curve = self._curve
-        entries = keyed_records(curve, points, payloads)
-        if not entries:
+        keys, arrivals = _keyed_arrivals(curve, points, payloads)
+        if not arrivals:
             return
         with self._mutex:
             if self._curve != curve:
                 # A migration cut over while we were keying outside the
                 # mutex; re-key the already-validated cells (rare race).
-                cells = np.asarray([record.point for _, record in entries])
+                cells = np.asarray([record.point for record in arrivals])
                 keys = self._curve.index_many(cells)
-                entries = [
-                    (int(key), record) for key, (_, record) in zip(keys, entries)
-                ]
             self._log_durable(
-                ("bulk", [(record.point, record.payload) for _, record in entries])
+                ("bulk", [(record.point, record.payload) for record in arrivals])
             )
-            self._append_records(entries)
-            self._note_write()
+            column, records = _in_key_order(keys, arrivals)
+            base = None
+            if self._count == 0:
+                base = PageLayout(
+                    capacity=self._page_capacity, keys=column, records=records
+                )
+            self._append_records(column.tolist(), records)
+            self._note_write(base=base)
 
     def delete(self, point: Sequence[int], payload: Any = ANY) -> bool:
         """Remove one record matching ``point`` (and ``payload``, if given).
@@ -699,9 +752,10 @@ class SpatialStore(abc.ABC):
         ``keys`` replaced by that key's current bucket (callers hold the
         mutex).
 
-        The columns the walk would yield: between installs a bucket
-        changes only through :meth:`insert` or :meth:`delete` of its key,
-        which note it, so every other run of the base is still current.
+        The columns the walk would yield: once the base is taken (at an
+        install, or by a bulk load into an empty tree), a bucket changes
+        only through :meth:`insert` or :meth:`delete` of its key, which
+        note it, so every other run of the base is still current.
         Taking the bucket from the tree keeps the order the walk yields
         one key's records in.  The key column is the base's other keys
         and each written key once per record of its bucket, sorted; the
@@ -729,13 +783,16 @@ class SpatialStore(abc.ABC):
     def flush(self) -> None:
         """Lay every record out on the simulated disk in curve-key order.
 
-        A flush after single-record writes merges them into the last
-        installed layout: it keeps that layout's columns and replaces
-        only the runs of the keys written since
-        (:meth:`_merged_columns`).  With nothing to merge into — the
-        first flush, and after a bulk load or more written keys than
-        :data:`_MERGE_FRACTION` of the previous layout — it walks the
-        tree (:meth:`_flush_entries`) instead.  Both paths give the same
+        A flush after single-record writes merges them into the base:
+        the last installed layout's columns, or the sorted columns of a
+        bulk load into an empty tree.  It keeps the base's columns and
+        replaces only the runs of the keys written since
+        (:meth:`_merged_columns`), so the first flush after such a bulk
+        load merges no keys at all.  With nothing to merge into — a
+        first flush after single-record writes, and after a bulk load
+        into a non-empty tree or more written keys than
+        :data:`_MERGE_FRACTION` of the base — it walks the tree
+        (:meth:`_flush_entries`) instead.  Both paths give the same
         columns and end in :func:`pack_columns`, which fills pages to
         ``page_capacity`` records, and the new layout is installed via
         :meth:`_install_layout` (epoch bump, buffer pool and plan cache
@@ -967,14 +1024,15 @@ class SpatialStore(abc.ABC):
         ``keyed`` must be sorted ascending by new key.  Under the mutex:
         refuses (returns False) when writes landed since the snapshot
         ``expected_version`` was taken — the migrator then re-snapshots.
-        Otherwise every record goes into a fresh tree, the shadow layout
-        is packed on the same append-only disk by the same
-        :func:`pack_layout` a fresh bulk load flushes through — which
-        keeps a migrated store identical to a fresh one, shard
-        transparency included — and the store serves the new curve
-        through a new planner and executor, epoch bumped, plan cache and
-        buffer pool invalidated, and the next flush merging into the new
-        curve's columns.
+        Otherwise every record goes into a fresh tree through
+        :meth:`_append_records`, the apply path of every write, the
+        shadow layout is packed on the same append-only disk by
+        :func:`pack_columns`, which both flush paths end in — keeping a
+        migrated store identical to a fresh one, shard transparency
+        included — and the store serves the new curve through a new
+        planner and executor, epoch bumped, plan cache and buffer pool
+        invalidated, and the next flush merging into the new curve's
+        columns.
         """
         with self._mutex:
             if self._version != expected_version:
@@ -984,6 +1042,10 @@ class SpatialStore(abc.ABC):
             self._planner = self._make_planner(curve)
             self._tree = BPlusTree()
             self._count = 0
-            self._append_records(keyed)
-            self._install_layout(pack_layout(self._disk, self._page_capacity, keyed))
+            keys = [key for key, _ in keyed]
+            records = tuple(record for _, record in keyed)
+            self._append_records(keys, records)
+            self._install_layout(
+                pack_columns(self._disk, self._page_capacity, keys, records)
+            )
             return True

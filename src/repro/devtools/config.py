@@ -125,12 +125,10 @@ WAL_LOG_CALLS: FrozenSet[str] = frozenset({"_log_durable", "_log_migrate"})
 #: mutations the WAL append must dominate.
 DURABLE_APPLY_CALLS: FrozenSet[str] = frozenset(
     {
-        "_append_record",
         "_append_records",
         "_note_write",
         "_install_layout",
         "_invalidate_layout",
-        "_apply",
     }
 )
 

@@ -9,7 +9,11 @@ dataflow analysis over the shared CFG of
   ``# guarded-by: <lock>`` outside a ``with self.<lock>:`` block (and
   outside methods declared ``@guarded_by("<lock>")`` — those are the
   helpers whose *callers* hold the lock).  ``__init__`` is exempt:
-  construction happens before the object is shared.
+  construction happens before the object is shared.  A class's
+  methods are held to its own guarded fields and to its bases', each
+  base resolved by name among every analyzed class (a name two
+  classes share resolves to neither), so this rule runs in
+  ``finalize``, once every file's classes are known.
 * ``lock-order`` — the acquisition graph.  Acquiring lock B while
   holding lock A records the edge A→B; a cycle within one class scope,
   or any edge contradicting the repo's declared global order
@@ -42,7 +46,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import dataflow
 from .annotations import GUARDED_BY_COMMENT
@@ -92,6 +96,30 @@ class _ClassModel:
     guarded: Dict[str, str] = field(default_factory=dict)
     #: attrs assigned a ``threading.Lock()`` / ``RLock()`` in source.
     locks: Set[str] = field(default_factory=set)
+    #: Base class names as written (the last part of a dotted base).
+    bases: List[str] = field(default_factory=list)
+
+
+@dataclass
+class _Access:
+    """One ``self.<attr>`` access in a method, with the locks every path
+    to it holds.  ``line`` and ``col`` name the source site: ``finally``
+    bodies are duplicated in the CFG, and each site reports once."""
+
+    attr: str
+    line: int
+    col: int
+    held: FrozenSet[str]
+
+
+@dataclass
+class _MethodAccesses:
+    """Every ``self.<attr>`` access of one unit of ``model``'s methods."""
+
+    model: _ClassModel
+    qualname: str
+    method_name: str
+    accesses: List[_Access] = field(default_factory=list)
 
 
 def _decorator_guards(func: ast.AST) -> List[str]:
@@ -142,6 +170,11 @@ def _build_class_model(
 ) -> _ClassModel:
     """Attach guard comments to the fields assigned on (or under) them."""
     model = _ClassModel(name=cls.name, path=path)
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            model.bases.append(base.id)
+        elif isinstance(base, ast.Attribute):
+            model.bases.append(base.attr)
     for node in ast.walk(cls):
         targets: List[ast.expr] = []
         if isinstance(node, ast.Assign):
@@ -218,11 +251,12 @@ class _HeldLockAnalysis(dataflow.Analysis):
 
 
 class LockLint:
-    """Accumulates per-file analysis, then reports cross-file lock order.
+    """Accumulates per-file analysis, then reports the cross-file rules.
 
     Usage: ``add_file`` (or ``add_module`` with a pre-parsed tree)
     every source file, then ``finalize`` for the combined findings
-    (per-file findings plus the global graph checks).
+    (per-file findings, unguarded accesses checked against each class's
+    and its bases' guarded fields, and the global graph checks).
     """
 
     def __init__(
@@ -236,13 +270,15 @@ class LockLint:
         self._global = set(GLOBAL_LOCKS if global_locks is None else global_locks)
         self._findings: List[Finding] = []
         self._edges: List[_Edge] = []
+        self._models: List[_ClassModel] = []
+        self._methods: List[_MethodAccesses] = []
 
     # ------------------------------------------------------------------
     # Per-file analysis
     # ------------------------------------------------------------------
     def add_file(self, path: Path) -> None:
-        """Analyze one source file (unguarded access, blocking calls,
-        and edge collection for the graph checks in ``finalize``)."""
+        """Analyze one source file (blocking calls, and the field
+        accesses and lock edges ``finalize`` checks)."""
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
         self.add_module(tree, source, self._relpath(path))
@@ -268,6 +304,7 @@ class LockLint:
             key = id(unit.cls)
             if key not in models:
                 models[key] = _build_class_model(unit.cls, relpath, comments)
+                self._models.append(models[key])
                 summaries[key] = dataflow.class_summaries(
                     unit.cls,
                     is_lock=self._is_lock,
@@ -326,7 +363,9 @@ class LockLint:
         local_aliases: Dict[str, str],
     ) -> None:
         held0 = set(_decorator_guards(unit.func))
-        check_guards = unit.method_name not in ("__init__", "__post_init__")
+        method = _MethodAccesses(model, unit.qualname, unit.method_name)
+        if unit.method_name not in ("__init__", "__post_init__"):
+            self._methods.append(method)
         scope = unit.qualname
         cfg = unit.cfg
         states = dataflow.run_forward(
@@ -359,27 +398,9 @@ class LockLint:
                         )
             for sub in dataflow.scan_walk(node):
                 attr = self_attr(sub)
-                if (
-                    check_guards
-                    and attr is not None
-                    and attr in model.guarded
-                    and model.guarded[attr] not in held
-                    and id(sub) not in flagged
-                ):
-                    flagged.add(id(sub))
-                    self._findings.append(
-                        Finding(
-                            rule="unguarded-access",
-                            path=model.path,
-                            line=sub.lineno,
-                            message=(
-                                f"{model.name}.{unit.method_name} accesses "
-                                f"self.{attr} (guarded by "
-                                f"{model.guarded[attr]}) without holding "
-                                f"the lock"
-                            ),
-                            key=f"{model.path}::{scope}::{attr}",
-                        )
+                if attr is not None:
+                    method.accesses.append(
+                        _Access(attr, sub.lineno, sub.col_offset, frozenset(held))
                     )
                 if isinstance(sub, ast.Call):
                     if held:
@@ -440,11 +461,69 @@ class LockLint:
         return None
 
     # ------------------------------------------------------------------
-    # Graph checks
+    # Cross-file checks
     # ------------------------------------------------------------------
+    def _guarded_fields(self) -> Dict[int, Dict[str, str]]:
+        """``{id(model): field -> lock}``: each class's guarded fields and
+        its bases', a class's own annotation winning over a base's.
+
+        Bases resolve by name among the analyzed classes; a name that
+        is not unique, or not analyzed, contributes nothing.
+        """
+        by_name: Dict[str, List[_ClassModel]] = {}
+        for model in self._models:
+            by_name.setdefault(model.name, []).append(model)
+        resolved: Dict[int, Dict[str, str]] = {}
+
+        def fields(model: _ClassModel, visiting: FrozenSet[int]) -> Dict[str, str]:
+            if id(model) in resolved:
+                return resolved[id(model)]
+            merged: Dict[str, str] = {}
+            for name in model.bases:
+                found = by_name.get(name, [])
+                if len(found) == 1 and id(found[0]) not in visiting:
+                    merged.update(fields(found[0], visiting | {id(model)}))
+            merged.update(model.guarded)
+            resolved[id(model)] = merged
+            return merged
+
+        for model in self._models:
+            fields(model, frozenset())
+        return resolved
+
+    def _unguarded_findings(self) -> List[Finding]:
+        """The ``unguarded-access`` rule over every analyzed method."""
+        guarded = self._guarded_fields()
+        findings: List[Finding] = []
+        for method in self._methods:
+            model = method.model
+            fields = guarded[id(model)]
+            flagged: Set[Tuple[int, int]] = set()
+            for access in method.accesses:
+                lock = fields.get(access.attr)
+                site = (access.line, access.col)
+                if lock is None or lock in access.held or site in flagged:
+                    continue
+                flagged.add(site)
+                findings.append(
+                    Finding(
+                        rule="unguarded-access",
+                        path=model.path,
+                        line=access.line,
+                        message=(
+                            f"{model.name}.{method.method_name} accesses "
+                            f"self.{access.attr} (guarded by {lock}) "
+                            f"without holding the lock"
+                        ),
+                        key=f"{model.path}::{method.qualname}::{access.attr}",
+                    )
+                )
+        return findings
+
     def finalize(self) -> List[Finding]:
-        """Per-site findings plus the acquisition-graph verdicts."""
-        findings = list(self._findings)
+        """Per-site findings, the unguarded-access rule (which needs
+        every file's classes) and the acquisition-graph verdicts."""
+        findings = list(self._findings) + self._unguarded_findings()
         order_index = {name: i for i, name in enumerate(self._order)}
         # Scope-local inversion: both directions observed between the
         # same two locks (global names compare globally, private names

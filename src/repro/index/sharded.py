@@ -223,7 +223,7 @@ class ShardedSFCIndex(SpatialStore):
                 shard_map = equal_key_shards(self._curve, target)
             self._log_durable(("rebalance", target))
             self._shards = tuple(shard_map)
-            self._planner = self._make_planner(self._curve)  # guarded-by: _mutex
+            self._planner = self._make_planner(self._curve)
             self._invalidate_layout()
             if self._plan_cache is not None:
                 self._plan_cache.invalidate()

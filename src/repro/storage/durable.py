@@ -331,6 +331,12 @@ def recover(
     performance knobs forwarded to the store constructor; the durable
     state never records them because they do not affect contents.
 
+    The checkpoint's records are bulk loaded into the empty store, in
+    the key order their pages hold them in, so the load's sorted
+    columns become the base: the first read merges the replayed writes
+    into them under the rules of a live store's flush, instead of
+    walking the tree.
+
     Raises :class:`~repro.errors.RecoveryError` when the directory
     holds no recoverable store — never for a torn WAL tail, which is
     truncated and reported instead.  The tail is truncated only after

@@ -13,13 +13,13 @@ class Ledger:
     def _log_durable(self, op, key, value):
         raise NotImplementedError
 
-    def _append_record(self, key, value):
-        self._rows[key] = value
+    def _append_records(self, keys, values):
+        self._rows.update(zip(keys, values))
 
     def bad_insert(self, key, value):
-        self._append_record(key, value)
+        self._append_records((key,), (value,))
         self._log_durable("insert", key, value)
 
     def good_insert(self, key, value):
         self._log_durable("insert", key, value)
-        self._append_record(key, value)
+        self._append_records((key,), (value,))

@@ -106,7 +106,7 @@ class TestSeededFixtures:
         findings = [f for f in report.findings if f.rule == "durability-ordering"]
         assert len(findings) == 1
         (finding,) = findings
-        assert finding.key.endswith("::Ledger.bad_insert::_append_record")
+        assert finding.key.endswith("::Ledger.bad_insert::_append_records")
         # The log-first twin is silent.
         assert report.findings == findings
 

@@ -6,6 +6,7 @@ subclass whose guarded fields the base class declares."""
 import ast
 from pathlib import Path
 
+import repro.api.store as store_module
 import repro.index.sharded as sharded_module
 from repro.devtools import dataflow
 from repro.devtools.locklint import LockLint, lint_lock_discipline
@@ -152,4 +153,25 @@ class TestStoreSubclassDiscipline:
                 "unguarded-access",
                 "sharded.py::ShardedSFCIndex.shard_loads::_shards",
             )
+        ]
+
+    def test_a_subclass_is_held_to_its_bases_guarded_fields(self, tmp_path):
+        """``_tree`` is annotated in ``SpatialStore`` only.  Linted
+        together with that base, in another file, a subclass method
+        reading it without the mutex is flagged."""
+        anchor = "    def shard_of(self, point"
+        source = self.SHARDED.read_text()
+        assert source.count(anchor) == 1
+        seeded = source.replace(
+            anchor, "    def peek(self):\n        return len(self._tree)\n\n" + anchor
+        )
+        store = tmp_path / "store.py"
+        store.write_text(Path(store_module.__file__).read_text())
+        sharded = tmp_path / "sharded.py"
+        sharded.write_text(source)
+        assert lint_lock_discipline([sharded, store], repo_root=tmp_path) == []
+        sharded.write_text(seeded)
+        findings = lint_lock_discipline([sharded, store], repo_root=tmp_path)
+        assert [(f.rule, f.key) for f in findings] == [
+            ("unguarded-access", "sharded.py::ShardedSFCIndex.peek::_tree")
         ]

@@ -33,9 +33,9 @@ class TestLogThenApply:
             "    def m(self, k):\n"
             "        if k:\n"
             "            self._log_durable(k)\n"
-            "        self._append_record(k)\n"
+            "        self._append_records(k)\n"
         )
-        assert _keys(findings) == {f"{REL}::C.m::_append_record"}
+        assert _keys(findings) == {f"{REL}::C.m::_append_records"}
 
     def test_apply_dominated_by_log_is_silent(self):
         findings = _ordering(
@@ -43,7 +43,7 @@ class TestLogThenApply:
             "    def m(self, k):\n"
             "        self._log_durable(k)\n"
             "        if k:\n"
-            "            self._append_record(k)\n"
+            "            self._append_records(k)\n"
         )
         assert findings == []
 
@@ -62,7 +62,7 @@ class TestLogThenApply:
         findings = _ordering(
             "class C:\n"
             "    def m(self, k):\n"
-            "        self._append_record(k)\n"
+            "        self._append_records(k)\n"
         )
         assert findings == []
 
@@ -71,10 +71,10 @@ class TestLogThenApply:
             "class C:\n"
             "    def m(self, keys):\n"
             "        for k in keys:\n"
-            "            self._append_record(k)\n"
+            "            self._append_records(k)\n"
             "            self._log_durable(k)\n"
         )
-        assert _keys(findings) == {f"{REL}::C.m::_append_record"}
+        assert _keys(findings) == {f"{REL}::C.m::_append_records"}
 
 
 class TestRenameChain:

@@ -1,33 +1,82 @@
 """Vectorized ``SFCIndex.bulk_load``: equivalence with insert-at-a-time."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.curves import make_curve
 from repro.errors import OutOfUniverseError
 from repro.geometry import Rect
 from repro.index import SFCIndex
 
+from layout_oracle import assert_serves_the_walk
+
+UNIVERSE = Rect((0, 0), (15, 15))
+
 
 def fresh_index(**kwargs):
     return SFCIndex(make_curve("onion", 16, 2), page_capacity=4, **kwargs)
 
 
+def handed_over(points, form):
+    """``points`` as a list of tuples, numpy rows or a generator."""
+    if form == "numpy":
+        return np.array(points, dtype=np.int64).reshape(-1, 2)
+    if form == "generator":
+        return (point for point in points)
+    return list(points)
+
+
+#: Few distinct cells, so most loads repeat some.
+cells = st.tuples(st.integers(0, 3), st.integers(0, 15))
+#: Each load: its points, how they are handed over, how payloads are
+#: (none, a list, an endless iterator), and whether both stores are
+#: read after it.
+loads = st.lists(
+    st.tuples(
+        st.lists(cells, max_size=40),
+        st.sampled_from(["list", "numpy", "generator"]),
+        st.sampled_from(["none", "list", "iterator"]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestEquivalence:
-    def test_matches_insert_loop(self, rng):
-        points = [tuple(int(c) for c in p) for p in rng.integers(0, 16, size=(300, 2))]
-        bulk = fresh_index()
-        bulk.bulk_load(points, payloads=range(len(points)))
-        loop = fresh_index()
-        for i, point in enumerate(points):
-            loop.insert(point, payload=i)
-        assert len(bulk) == len(loop) == len(points)
-        rect = Rect((0, 0), (15, 15))
-        bulk_result = bulk.range_query(rect)
-        loop_result = loop.range_query(rect)
-        # identical records in identical on-disk order
-        assert bulk_result.records == loop_result.records
-        assert bulk.disk.num_pages == loop.disk.num_pages
+    @settings(max_examples=100, deadline=None)
+    @given(loads=loads)
+    def test_matches_insert_loop(self, loads):
+        """Loads into empty and non-empty stores leave the same buckets
+        as inserting every record in arrival order, and the bulk
+        store's reads serve the walk, whichever flush path ran."""
+        bulk, loop = fresh_index(), fresh_index()
+        first = 0  # payloads are unique, so per-key order shows
+        for points, form, payload_form, read in loads:
+            payloads = {
+                "none": None,
+                "list": list(range(first, first + len(points))),
+                "iterator": itertools.count(first),
+            }[payload_form]
+            bulk.bulk_load(handed_over(points, form), payloads)
+            for i, point in enumerate(points):
+                loop.insert(point, None if payloads is None else first + i)
+            first += len(points)
+            with bulk._mutex, loop._mutex:
+                assert list(bulk._flush_entries()) == list(loop._flush_entries())
+                bulk._tree.check_invariants()
+            assert len(bulk) == len(loop)
+            if read:
+                # identical records in identical on-disk order
+                assert bulk.range_query(UNIVERSE).records == loop.range_query(UNIVERSE).records
+                assert bulk.disk.num_pages == loop.disk.num_pages
+                assert_serves_the_walk(bulk)
+        bulk.range_query(UNIVERSE)
+        assert_serves_the_walk(bulk)
 
     def test_duplicate_cells_keep_arrival_order(self):
         index = fresh_index()
@@ -95,3 +144,34 @@ class TestValidationAndInvalidation:
         index.bulk_load([(2, 2)], payloads=["new"])
         result = index.range_query(Rect((0, 0), (15, 15)))
         assert sorted(r.payload for r in result.records) == ["new", "old"]
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+def test_a_migration_while_keying_rekeys_the_load(preloaded):
+    """A migration that cuts over while ``bulk_load`` keys its points
+    outside the mutex: the load re-keys its cells under the new curve,
+    so every record lands in the bucket its point's new key names."""
+    index = fresh_index()
+    if preloaded:
+        index.bulk_load([(3, 3), (14, 2)], payloads=["p", "q"])
+    hilbert = make_curve("hilbert", 16, 2)
+    points = [(3, 3), (1, 2), (3, 3), (9, 9), (1, 2), (3, 3), (0, 15)]
+
+    def payloads():
+        for i in range(len(points)):
+            if i == 3:  # the onion keys of this load are already taken
+                index.migrate_to(hilbert)
+            yield i
+
+    index.bulk_load(points, payloads())
+    assert index.curve == hilbert
+    for point in set(points):
+        expected = [i for i, p in enumerate(points) if p == point]
+        if preloaded and point == (3, 3):
+            expected = ["p"] + expected
+        assert [r.payload for r in index.point_query(point)] == expected
+    assert len(index) == len(points) + 2 * preloaded
+    with index._mutex:
+        index._tree.check_invariants()
+    assert len(index.range_query(UNIVERSE).records) == len(index)
+    assert_serves_the_walk(index)

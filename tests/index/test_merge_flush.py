@@ -2,10 +2,12 @@
 
 A flush after single-record writes keeps the previous layout's two
 columns and replaces only the runs of the keys written since, each with
-that key's current B+-tree bucket.  With no layout to merge into (the
-first flush, after a bulk load, or once the written keys pass
-``_MERGE_FRACTION`` of the previous layout's records) it walks every
-tree.  The served layout must not depend on which path ran: the same
+that key's current B+-tree bucket.  A bulk load into an empty tree hands
+the flush its sorted columns to merge into instead.  With no columns to
+merge into (a first flush after single-record writes, after a bulk load
+into a non-empty tree, or once the written keys pass
+``_MERGE_FRACTION`` of the base's records) it walks the tree.  The
+served layout must not depend on which path ran: the same
 keys and dtype, the same ``Record`` objects in the same order, and the
 same page sizes as :func:`pack_layout` over a fresh walk.
 """
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve
-from repro.api import ANY, pack_layout
+from repro.api import ANY
 from repro.api import store as store_module
 from repro.obs import start_trace
-from repro.storage.disk import SimulatedDisk
+
+from layout_oracle import assert_serves_the_walk
 
 SIDE = 8
 CAPACITY = 3
@@ -33,18 +36,6 @@ def _store(kind):
     if kind == "single":
         return SFCIndex(curve, page_capacity=CAPACITY)
     return ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY)
-
-
-def assert_serves_the_walk(store):
-    """The served layout equals a layout packed from a walk of the trees."""
-    layout = store.page_layout
-    with store._mutex:
-        walked = pack_layout(SimulatedDisk(), layout.capacity, store._flush_entries())
-    assert layout.keys.dtype == walked.keys.dtype
-    assert layout.keys.tolist() == walked.keys.tolist()
-    assert len(layout.records) == len(walked.records)
-    assert all(ours is theirs for ours, theirs in zip(layout.records, walked.records))
-    assert [len(page) for page in layout.pages] == [len(page) for page in walked.pages]
 
 
 def assert_shard_loads(store):
@@ -65,6 +56,14 @@ def read(store, universe=UNIVERSE):
         assert_shard_loads(store)
 
 
+def empty(store):
+    """Delete every record, one call per record."""
+    for cell in GRID:
+        for record in store.point_query(cell):
+            assert store.delete(cell, record.payload)
+    assert len(store) == 0
+
+
 def merged_keys(trace):
     """Each flush span's ``merged_keys``, in order (None for a walk)."""
     return [span.attrs["merged_keys"] for span in trace.find("flush")]
@@ -76,7 +75,7 @@ class TestFlushPath:
         store = _store(kind)
         store.bulk_load(GRID)
         with start_trace("flushes") as trace:
-            read(store)  # the first flush has no layout to merge into
+            read(store)  # the load into an empty tree left its columns
             store.insert((1, 2), "a")
             read(store)
             store.insert((1, 2), "b")
@@ -85,11 +84,18 @@ class TestFlushPath:
             read(store)
             store.flush()  # no writes since the last install
             store.bulk_load([(5, 5)])
-            read(store)  # a bulk load drops the base
+            read(store)  # a bulk load into a non-empty tree drops the base
             for x in range(SIDE):  # 8 keys, past 1/16 of 67 records
                 store.insert((x, 0), "d")
             read(store)
-        assert merged_keys(trace) == [None, 1, 3, 0, None, None]
+            empty(store)
+            store.bulk_load(GRID)
+            read(store)  # a tree emptied by deletes takes the load's columns
+            empty(store)
+            store.bulk_load(GRID)
+            store.bulk_load([(5, 5)])
+            read(store)  # the second load found a non-empty tree
+        assert merged_keys(trace) == [0, 1, 3, 0, None, None, 0, None]
 
     def test_a_missed_delete_leaves_nothing_to_merge(self, kind):
         store = _store(kind)
@@ -211,10 +217,7 @@ def _run(store, load, script):
             elif kind == "read":
                 read(store)
             elif kind == "clear":
-                for cell in GRID:
-                    for record in store.point_query(cell):
-                        assert store.delete(cell, record.payload)
-                assert len(store) == 0
+                empty(store)
             elif kind == "bulk":
                 store.bulk_load(op[1])
             elif kind == "flush":  # the second has no writes since the first

@@ -11,9 +11,12 @@ import pytest
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
 from repro.curves.onion3d import OnionCurve3D
 from repro.errors import InvalidQueryError, RecoveryError, StorageError
+from repro.obs import start_trace
 from repro.storage.durable import Durability
 from repro.storage.pagefile import MANIFEST_NAME, wal_file_name
 from repro.storage.wal import scan_wal
+
+from layout_oracle import assert_serves_the_walk
 
 SIDE = 8
 FULL = Rect.from_origin((0, 0), (SIDE, SIDE))
@@ -102,6 +105,21 @@ class TestDurableRoundtrip:
         assert report.generation == 1
         assert report.checkpoint_records == manifest.record_count
         assert report.frames_replayed == 1  # just the post-checkpoint insert
+        assert _signature(recovered) == _signature(store)
+
+    def test_first_read_merges_the_replay_into_the_checkpoint(self, kind, tmp_path):
+        """The checkpoint's records are bulk loaded into an empty store,
+        so their sorted columns are the base: the first read merges the
+        replayed write into them instead of walking the tree."""
+        store = _build(kind, tmp_path)
+        _populate(store)
+        store.checkpoint()
+        store.insert((7, 7), "late")
+        recovered = recover(tmp_path / "d")
+        with start_trace("first read") as trace:
+            recovered.range_query(FULL)
+        assert [span.attrs["merged_keys"] for span in trace.find("flush")] == [1]
+        assert_serves_the_walk(recovered)
         assert _signature(recovered) == _signature(store)
 
     def test_recover_after_migration(self, kind, tmp_path):
