@@ -19,14 +19,16 @@ drifting.  ``SpatialStore`` hoists that facade into one abstract base:
   into the one tree (a bulk load keyed in one vectorized call, sorted
   by key and filed with one tree insert per distinct key), so
   ingestion semantics cannot diverge;
-* **one flush protocol** — :meth:`flush` merges the keys written
-  since the last install into that layout's columns (or into the
-  sorted columns of a bulk load into an empty tree), or walks the
-  key-ordered :meth:`_flush_entries` when there is none to merge into;
-  both paths end in :func:`pack_columns`, and the layout is installed
-  via the epoch-bumping :meth:`_install_layout` (the sharded layer's
+* **one flush protocol** — :meth:`flush` packs the current columns
+  (:meth:`_current_columns`): the keys written since the last install
+  merged into that layout's columns (or into the sorted columns of a
+  bulk load into an empty tree), or the key-ordered
+  :meth:`_flush_entries` walk when there is none to merge into; every
+  flush ends in :func:`pack_columns`, and the layout is installed via
+  the epoch-bumping :meth:`_install_layout` (the sharded layer's
   byte-identical-layout guarantee rests on this single page-building
-  rule); a layout is derived state, so flushing never writes the WAL;
+  rule); a layout is derived state, so flushing never writes the WAL,
+  and a checkpoint writes the same record column a flush packs;
 * **one query surface** — :meth:`plan` / :meth:`explain` /
   :meth:`range_query` / :meth:`range_query_batch` remain, now thin
   facades over the composable front door: :meth:`execute` runs a
@@ -181,23 +183,27 @@ def keyed_records(
     return _in_key_order(*_keyed_arrivals(curve, points, payloads))
 
 
-def pack_layout(
-    disk: SimulatedDisk,
-    page_capacity: int,
+def _split_pairs(
     records: Iterable[Tuple[int, Record]],
-) -> PageLayout:
-    """Pack ``(key, record)`` pairs (ascending keys) into a page layout.
-
-    The walking flush packs through this: it splits the pairs into a
-    key column and a record column, in order, and lays them out with
-    :func:`pack_columns`.
-    """
+) -> Tuple[List[int], Tuple[Record, ...]]:
+    """``(key, record)`` pairs as a key column and a record column."""
     keys: List[int] = []
     column: List[Record] = []
     for key, record in records:
         keys.append(key)
         column.append(record)
-    return pack_columns(disk, page_capacity, keys, tuple(column))
+    return keys, tuple(column)
+
+
+def pack_layout(
+    disk: SimulatedDisk,
+    page_capacity: int,
+    records: Iterable[Tuple[int, Record]],
+) -> PageLayout:
+    """Pack ``(key, record)`` pairs (ascending keys) into a page layout:
+    the pairs split into a key column and a record column, in order,
+    and laid out with :func:`pack_columns`."""
+    return pack_columns(disk, page_capacity, *_split_pairs(records))
 
 
 def pack_columns(
@@ -215,11 +221,11 @@ def pack_columns(
     positions ``[p * page_capacity, (p + 1) * page_capacity)``.
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
     the layout will serve (CONTRIBUTING invariant 14): exact scan runs
-    are sliced from the record column without a geometric test.  Both
-    flush paths end here — :func:`pack_layout` from the walked tree and
-    :meth:`SpatialStore.flush` from merged columns — so the sharded
-    index's byte-identical-layout guarantee (and with it shard
-    transparency) rests on this one function.
+    are sliced from the record column without a geometric test.  Every
+    flush ends here, whether its columns were merged or walked, and so
+    does the migration cutover, so the sharded index's
+    byte-identical-layout guarantee (and with it shard transparency)
+    rests on this one function.
 
     The layout owns the pages it packs and the disk holds them weakly,
     so they are freed with the layout's last reader; each leaves an
@@ -539,11 +545,13 @@ class SpatialStore(abc.ABC):
         """Cut a durable checkpoint: materialize every record as page
         images and atomically commit a manifest pointing at them.
 
-        Recovery then bulk loads the images and replays only WAL
-        operations after the checkpoint, making recovery time
-        proportional to the log suffix instead of the store's history.
-        ``compact=True`` additionally rotates the WAL, bounding the
-        directory's size.  Returns the committed
+        The images hold the record column a flush would pack
+        (:meth:`_current_columns`), so a checkpoint walks the tree only
+        when a flush would.  Recovery then bulk loads the images and
+        replays only WAL operations after the checkpoint, making
+        recovery time proportional to the log suffix instead of the
+        store's history.  ``compact=True`` additionally rotates the WAL,
+        bounding the directory's size.  Returns the committed
         :class:`~repro.storage.pagefile.CheckpointManifest`.
         """
         with self._mutex:
@@ -552,12 +560,12 @@ class SpatialStore(abc.ABC):
                     "store has no durable backing; construct it with "
                     "durable_path= or load it through recover()"
                 )
-            records = [
-                (record.point, record.payload)
-                for _, record in self._flush_entries()
-            ]
+            _, records, _ = self._current_columns()
             return self._durability.write_checkpoint(
-                records, self._durable_state(), self._page_capacity, compact=compact
+                [(record.point, record.payload) for record in records],
+                self._durable_state(),
+                self._page_capacity,
+                compact=compact,
             )
 
     # ------------------------------------------------------------------
@@ -780,20 +788,47 @@ class SpatialStore(abc.ABC):
         merged.sort(kind="stable")
         return merged, tuple(chain.from_iterable(pieces))
 
+    @guarded_by("_mutex")
+    def _current_columns(self) -> Tuple[np.ndarray, Tuple[Record, ...], Optional[int]]:
+        """The store's key column and record column, in key order, and
+        the number of written keys merged to get them, None on a walk
+        (callers hold the mutex).
+
+        The columns come from the base: the last installed layout's
+        columns, or the sorted columns of a bulk load into an empty
+        tree.  The runs of the keys written since are replaced with
+        their current buckets (:meth:`_merged_columns`), so a base with
+        no keys written since, such as an installed layout's, is taken
+        as it is.  With no base to merge into — a first flush after
+        single-record writes, and after a bulk load into a non-empty
+        tree or more written keys than :data:`_MERGE_FRACTION` of the
+        base — the tree is walked (:meth:`_flush_entries`).  Either
+        result becomes the base, with no keys written since, so the next
+        flush or checkpoint takes it without merging again.
+        """
+        base, dirty = self._base, self._dirty
+        if base is not None and dirty is not None:
+            if not dirty:
+                return base.keys, base.records, 0
+            merged: Optional[int] = len(dirty)
+            keys, records = self._merged_columns(base, sorted(dirty))
+        else:
+            merged = None
+            keys, records = _split_pairs(self._flush_entries())
+        self._base = PageLayout(
+            capacity=self._page_capacity, keys=key_column(keys), records=records
+        )
+        self._dirty = set()
+        return self._base.keys, records, merged
+
     def flush(self) -> None:
         """Lay every record out on the simulated disk in curve-key order.
 
-        A flush after single-record writes merges them into the base:
-        the last installed layout's columns, or the sorted columns of a
-        bulk load into an empty tree.  It keeps the base's columns and
-        replaces only the runs of the keys written since
-        (:meth:`_merged_columns`), so the first flush after such a bulk
-        load merges no keys at all.  With nothing to merge into — a
-        first flush after single-record writes, and after a bulk load
-        into a non-empty tree or more written keys than
-        :data:`_MERGE_FRACTION` of the base — it walks the tree
-        (:meth:`_flush_entries`) instead.  Both paths give the same
-        columns and end in :func:`pack_columns`, which fills pages to
+        Packs the current columns (:meth:`_current_columns`): a flush
+        after single-record writes merges them into the base, so the
+        first flush after a bulk load into an empty tree merges no keys
+        at all, and a flush with no base to merge into walks the tree.
+        Every path ends in :func:`pack_columns`, which fills pages to
         ``page_capacity`` records, and the new layout is installed via
         :meth:`_install_layout` (epoch bump, buffer pool and plan cache
         invalidated: both refer to the previous layout).  The ``flush``
@@ -804,19 +839,8 @@ class SpatialStore(abc.ABC):
         """
         with self._mutex:
             with _obs_span("flush", kind="storage") as sp:
-                base, dirty = self._base, self._dirty
-                merged: Optional[int] = None
-                if base is None or dirty is None:
-                    layout = pack_layout(
-                        self._disk, self._page_capacity, self._flush_entries()
-                    )
-                else:
-                    merged = len(dirty)
-                    layout = pack_columns(
-                        self._disk,
-                        self._page_capacity,
-                        *self._merged_columns(base, sorted(dirty)),
-                    )
+                keys, records, merged = self._current_columns()
+                layout = pack_columns(self._disk, self._page_capacity, keys, records)
                 self._install_layout(layout)
                 sp.set("merged_keys", merged)
                 sp.set("pages", len(layout.page_ids))

@@ -12,17 +12,21 @@ least once, in both failure models:
   written (flushed) before the crash stays in the files, and the call
   being killed leaves a *partial* write behind (half the data) — the
   torn tail the WAL's CRC framing must detect;
-* ``mode="lost"`` — power loss: in addition, every byte not yet
-  fsynced is rolled back (files are truncated to their last fsynced
-  size), the harshest state the fsync-on-commit discipline must
-  survive.
+* ``mode="lost"`` — power loss: in addition, every byte written since
+  its file's last fsync is lost.  Each file rolls back to its last
+  fsynced *logical* end, where the first of those writes began, not
+  to its last fsynced size: a WAL writes its frames into space it
+  reserved earlier, so an unsynced frame sits inside a size that an
+  fsync already made durable.  That reserved space comes back as the
+  zeros it held; a size an fsync never committed is cut off.  This is
+  the harshest state the fsync-on-commit discipline must survive.
 
-A rename (`replace`) is killed by *not performing it* — the operation
-is atomic in the model, as `os.replace` is on the journaled
-filesystems the design assumes, so the only crash states are
-before/after.  The injector also counts calls when ``fail_after`` is
-None, which is how the suite sizes its enumeration (dry run first,
-then one injected run per boundary).
+A rename (`replace`) and a reservation (`preallocate`) are killed by
+*not performing them* — a rename is atomic in the model, as
+`os.replace` is on the journaled filesystems the design assumes, so
+the only crash states are before/after.  The injector also counts
+calls when ``fail_after`` is None, which is how the suite sizes its
+enumeration (dry run first, then one injected run per boundary).
 
 ``InjectedCrash`` deliberately derives from neither ``ReproError`` nor
 ``StorageError``: library code that caught it would be "catching" a
@@ -68,7 +72,10 @@ class CrashInjector(FileOps):
         self.mode = mode
         #: Mutating calls observed so far.
         self.calls = 0
+        #: Per file: its size at its last fsync, and the offset of the
+        #: first byte written since (absent: nothing written since).
         self._synced: Dict[str, int] = {}
+        self._unsynced: Dict[str, int] = {}
 
     # -- bookkeeping ---------------------------------------------------
     def _tick(self) -> bool:
@@ -78,14 +85,20 @@ class CrashInjector(FileOps):
     def _crash(self) -> None:
         if self.mode == "lost":
             for path, size in self._synced.items():
-                if os.path.exists(path) and os.path.getsize(path) > size:
-                    os.truncate(path, size)
+                if not os.path.exists(path):
+                    continue
+                end = min(size, self._unsynced.get(path, size))
+                if os.path.getsize(path) > end:
+                    os.truncate(path, end)
+                if end < size:
+                    os.truncate(path, size)  # the durable reservation, zeros again
         raise InjectedCrash(
             f"injected {self.mode} crash at file operation {self.calls}"
         )
 
     def _note_synced(self, path: str, size: int) -> None:
         self._synced[path] = size
+        self._unsynced.pop(path, None)
 
     # -- instrumented operations ---------------------------------------
     def open_append(self, path: Union[str, Path]) -> BinaryIO:
@@ -103,6 +116,7 @@ class CrashInjector(FileOps):
 
     def write(self, handle: BinaryIO, data: bytes) -> None:
         self._synced.setdefault(handle.name, 0)
+        self._unsynced.setdefault(handle.name, handle.tell())
         if self._tick():
             # A torn write: half the payload reaches the file.
             super().write(handle, data[: max(1, len(data) // 2)])
@@ -115,6 +129,11 @@ class CrashInjector(FileOps):
         super().fsync(handle)
         self._note_synced(handle.name, os.fstat(handle.fileno()).st_size)
 
+    def preallocate(self, handle: BinaryIO, size: int) -> None:
+        if self._tick():
+            self._crash()
+        super().preallocate(handle, size)
+
     def replace(self, src: Union[str, Path], dst: Union[str, Path]) -> None:
         if self._tick():
             self._crash()
@@ -126,12 +145,13 @@ class CrashInjector(FileOps):
             self._crash()
         super().unlink(path)
         self._synced.pop(str(path), None)
+        self._unsynced.pop(str(path), None)
 
     def truncate(self, path: Union[str, Path], size: int) -> None:
         if self._tick():
             self._crash()
         super().truncate(path, size)
-        self._note_synced(str(path), min(self._synced.get(str(path), size), size))
+        self._synced[str(path)] = min(self._synced.get(str(path), size), size)
 
     def fsync_dir(self, path: Union[str, Path]) -> None:
         if self._tick():

@@ -47,6 +47,7 @@ from ..obs.events import EVENTS
 from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
 from .pagefile import (
+    FORMAT,
     MANIFEST_NAME,
     CheckpointManifest,
     load_manifest,
@@ -77,7 +78,9 @@ class RecoveryReport:
     checkpoint_records: int
     #: WAL operations replayed after the checkpoint.
     frames_replayed: int
-    #: Torn-tail bytes truncated from the WAL (0 on a clean shutdown).
+    #: Torn-tail bytes truncated from the WAL: the non-zero bytes past
+    #: its last valid frame (0 on a clean shutdown; a live log's
+    #: reserved zeros are not torn).
     torn_bytes: int
     #: The WAL file replayed.
     wal_file: str
@@ -128,29 +131,41 @@ class Durability:
     def initialize(self, state: Dict[str, Any]) -> None:
         """Create a fresh durable directory for a brand-new store.
 
-        Writes the header frame — ``state`` is the store's construction
-        parameters, enough to rebuild it before any checkpoint exists —
-        and always fsyncs it.  Refuses a directory that already holds a
-        durable store: that one must go through :func:`recover`.
+        Writes the header frame (:func:`_new_log`) and always fsyncs
+        it.  Refuses a directory that already holds a durable store:
+        that one must go through :func:`recover`.
         """
         self._root.mkdir(parents=True, exist_ok=True)
         if (self._root / MANIFEST_NAME).exists() or any(self._root.glob("wal-*.log")):
             raise StorageError(
                 f"{self._root} already holds a durable store; recover() it instead"
             )
-        wal = WriteAheadLog(self._root / wal_file_name(0), self._ops, self._sync)
-        wal.append(("header", state), sync=True)
-        self._wal = wal
+        self._wal = self._new_log(0, state)
         self._generation = 0
+
+    def _new_log(self, generation: int, state: Dict[str, Any]) -> WriteAheadLog:
+        """A new log for ``generation`` holding its fsynced header frame,
+        ``("header", state, FORMAT)``: ``state`` is the store's
+        construction parameters, enough to rebuild it before any
+        checkpoint exists, and :data:`~repro.storage.pagefile.FORMAT`
+        the directory's on-disk format.  A stale file of that name, left
+        by a checkpoint that died before its commit, is truncated."""
+        wal = WriteAheadLog(
+            self._root / wal_file_name(generation), self._ops, self._sync, end=0
+        )
+        wal.append(("header", state, FORMAT), sync=True)
+        return wal
 
     def resume(
         self,
         wal_path: Union[str, Path],
+        end: int,
         generation: int,
         report: RecoveryReport,
     ) -> None:
-        """Re-attach to a recovered directory's live WAL (recovery only)."""
-        self._wal = WriteAheadLog(wal_path, self._ops, self._sync)
+        """Re-attach to a recovered directory's live WAL (recovery only),
+        appending from ``end``, the end of its last valid frame."""
+        self._wal = WriteAheadLog(wal_path, self._ops, self._sync, end=end)
         self._generation = generation
         self.last_recovery = report
 
@@ -170,11 +185,11 @@ class Durability:
         """Materialize ``records`` as page images and commit the manifest.
 
         ``records`` must be the store's full record set in key order
-        (what :meth:`~repro.api.store.SpatialStore._flush_entries`
-        walks), cut here into ``page_capacity`` chunks so the images
-        mirror the on-disk page layout.  With ``compact=True`` the log
-        is rotated: a fresh generation-named WAL (header only) replaces
-        the old one, which is unlinked after the manifest commit.
+        (its current record column, the one a flush packs), cut here
+        into ``page_capacity`` chunks so the images mirror the on-disk
+        page layout.  With ``compact=True`` the log is rotated: a fresh
+        generation-named WAL (header only) replaces the old one, which
+        is unlinked after the manifest commit.
         Without it, the manifest simply advances the replay offset past
         everything already folded into the images.
         """
@@ -188,10 +203,7 @@ class Durability:
         ]
         with _obs_span("checkpoint", kind="storage") as sp:
             if compact:
-                wal = WriteAheadLog(
-                    self._root / wal_file_name(generation), self._ops, self._sync
-                )
-                wal.append(("header", state), sync=True)
+                wal = self._new_log(generation, state)
             else:
                 # Everything the manifest's offset claims durable must be
                 # on stable storage before the rename can commit it.
@@ -337,11 +349,19 @@ def recover(
     into them under the rules of a live store's flush, instead of
     walking the tree.
 
+    The log ends at its last valid frame (:func:`~repro.storage.wal.scan_wal`):
+    zeros past it are the space a live log had reserved, and only
+    non-zero bytes are a torn tail.  The recovered store appends from
+    that end, never from the file's size, so its frames overwrite the
+    zeros instead of landing past them.
+
     Raises :class:`~repro.errors.RecoveryError` when the directory
-    holds no recoverable store — never for a torn WAL tail, which is
-    truncated and reported instead.  The tail is truncated only after
-    the store is rebuilt and the suffix replayed, so a refusal leaves
-    the WAL as it found it.
+    holds no recoverable store, or one whose manifest or WAL header
+    records an on-disk format other than
+    :data:`~repro.storage.pagefile.FORMAT` — never for a torn WAL tail,
+    which is truncated and reported instead.  The tail is truncated only
+    after the store is rebuilt and the suffix replayed, so a refusal
+    leaves the WAL as it found it.
     """
     file_ops = ops if ops is not None else FileOps()
     root = Path(path)
@@ -363,15 +383,22 @@ def recover(
         state = None
         generation = 0
     scan = scan_wal(wal_path)
+    header = scan.frames[0][1] if scan.frames and scan.frames[0][1][0] == "header" else None
+    found = header[2] if header is not None and len(header) > 2 else 1
+    if found != FORMAT:
+        raise RecoveryError(
+            f"WAL at {wal_path} has on-disk format {found!r}; "
+            f"this version reads format {FORMAT}"
+        )
     if start > scan.valid_size:
         raise RecoveryError(
             f"checkpoint claims {start} durable WAL bytes but only "
             f"{scan.valid_size} are readable"
         )
     if state is None:
-        if not scan.frames or scan.frames[0][1][0] != "header":
+        if header is None:
             raise RecoveryError(f"WAL at {wal_path} has no header frame")
-        state = scan.frames[0][1][1]
+        state = header[1]
     store = _build_store(state, store_kwargs)
     checkpoint_records = 0
     if manifest is not None:
@@ -392,6 +419,7 @@ def recover(
     durability = Durability(root, ops=file_ops, sync=sync)
     durability.resume(
         wal_path,
+        scan.valid_size,
         generation,
         RecoveryReport(
             root=root,

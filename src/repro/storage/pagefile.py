@@ -40,6 +40,7 @@ from ..errors import RecoveryError
 from .wal import FileOps
 
 __all__ = [
+    "FORMAT",
     "MANIFEST_NAME",
     "CheckpointManifest",
     "load_manifest",
@@ -51,6 +52,12 @@ __all__ = [
 
 #: The durable directory's root pointer (atomically replaced).
 MANIFEST_NAME = "manifest.json"
+
+#: On-disk format of a durable directory: the WAL's frames and op
+#: tuples, the page images and this manifest.  The manifest and every
+#: WAL header frame record it; a directory without the field predates
+#: it and is this format.  Recovery refuses any other value.
+FORMAT = 1
 
 
 def wal_file_name(generation: int) -> str:
@@ -82,9 +89,12 @@ class CheckpointManifest:
     state: Dict[str, Any]
     #: Records folded into the page images.
     record_count: int
+    #: On-disk format the directory was written in (:data:`FORMAT`).
+    format: int = FORMAT
 
     def to_json(self) -> bytes:
         payload = {
+            "format": self.format,
             "generation": self.generation,
             "wal_file": self.wal_file,
             "wal_offset": self.wal_offset,
@@ -93,12 +103,28 @@ class CheckpointManifest:
             "state": self.state,
             "record_count": self.record_count,
         }
-        return json.dumps(payload, sort_keys=True, indent=1).encode("utf-8")
+        # No indent: an indented dump runs Python's pure-Python encoder.
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     @classmethod
     def from_json(cls, data: bytes) -> "CheckpointManifest":
+        """Parse a committed manifest.
+
+        Raises :class:`RecoveryError` for unreadable bytes, and for a
+        ``format`` other than :data:`FORMAT` before reading any other
+        field; a manifest without the field is format 1.
+        """
         try:
             payload = json.loads(data.decode("utf-8"))
+            found = payload.get("format", 1)
+        except (ValueError, AttributeError) as exc:
+            raise RecoveryError(f"unreadable checkpoint manifest: {exc}") from exc
+        if found != FORMAT:
+            raise RecoveryError(
+                f"checkpoint manifest has on-disk format {found!r}; "
+                f"this version reads format {FORMAT}"
+            )
+        try:
             return cls(
                 generation=int(payload["generation"]),
                 wal_file=str(payload["wal_file"]),

@@ -9,8 +9,12 @@ into a non-empty tree, or once the written keys pass
 ``_MERGE_FRACTION`` of the base's records) it walks the tree.  The
 served layout must not depend on which path ran: the same
 keys and dtype, the same ``Record`` objects in the same order, and the
-same page sizes as :func:`pack_layout` over a fresh walk.
+same page sizes as :func:`pack_layout` over a fresh walk.  A checkpoint
+writes the record column a flush would pack, so its page images must
+hold the walked pairs too.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve
 from repro.api import ANY
 from repro.api import store as store_module
 from repro.obs import start_trace
+from repro.storage.pagefile import load_pages
 
 from layout_oracle import assert_serves_the_walk
 
@@ -31,11 +36,11 @@ UNIVERSE = Rect((0, 0), (SIDE - 1, SIDE - 1))
 GRID = [(x, y) for x in range(SIDE) for y in range(SIDE)]
 
 
-def _store(kind):
+def _store(kind, **durable):
     curve = make_curve("onion", SIDE, 2)
     if kind == "single":
-        return SFCIndex(curve, page_capacity=CAPACITY)
-    return ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY)
+        return SFCIndex(curve, page_capacity=CAPACITY, **durable)
+    return ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY, **durable)
 
 
 def assert_shard_loads(store):
@@ -62,6 +67,16 @@ def empty(store):
         for record in store.point_query(cell):
             assert store.delete(cell, record.payload)
     assert len(store) == 0
+
+
+def assert_checkpoint_holds_the_walk(store):
+    """A checkpoint's page images are the walked ``(point, payload)``
+    pairs, cut into pages of the store's capacity."""
+    with store._mutex:
+        walked = [(r.point, r.payload) for _, r in store._flush_entries()]
+    manifest = store.checkpoint(compact=True)
+    pages = load_pages(store.durability.root, manifest)
+    assert pages == [walked[i : i + CAPACITY] for i in range(0, len(walked), CAPACITY)]
 
 
 def merged_keys(trace):
@@ -230,6 +245,8 @@ def _run(store, load, script):
                 assert_serves_the_walk(store)
             elif kind == "rebalance":
                 store.rebalance(op[1])
+            elif kind == "checkpoint":
+                assert_checkpoint_holds_the_walk(store)
         read(store)
 
 
@@ -248,3 +265,37 @@ def test_merged_layout_equals_walked_layout(load, script):
 )
 def test_merged_layout_equals_walked_layout_sharded(load, script):
     _run(_store("sharded"), load, script)
+
+
+#: Checkpoints between the other ops: they take the current columns,
+#: merged or walked, which must be what a walk of the tree yields.
+checkpointed = st.lists(st.one_of(ops, st.just(("checkpoint",))), max_size=30)
+
+
+def _run_durable(kind, load, script):
+    with tempfile.TemporaryDirectory(prefix="merge-flush-") as root:
+        store = _store(kind, durable_path=root, durable_sync=False)
+        try:
+            _run(store, load, script + [("checkpoint",)])
+        finally:
+            store.durability.close()
+
+
+@settings(max_examples=50, deadline=None)
+@given(load=initial, script=checkpointed)
+def test_checkpoint_images_equal_the_walk(load, script):
+    _run_durable("single", load, script)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    load=initial,
+    script=st.lists(
+        st.one_of(
+            ops, st.just(("checkpoint",)), st.tuples(st.just("rebalance"), st.integers(1, 3))
+        ),
+        max_size=30,
+    ),
+)
+def test_checkpoint_images_equal_the_walk_sharded(load, script):
+    _run_durable("sharded", load, script)

@@ -24,6 +24,7 @@ import pytest
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
 from repro.errors import RecoveryError
 from repro.storage.crash import CrashInjector, InjectedCrash
+from repro.storage.wal import WriteAheadLog, scan_wal
 
 SIDE = 8
 CURVE = ("onion", SIDE, 2)
@@ -214,6 +215,27 @@ def test_crash_during_migrate_cutover(kind, mode, tmp_path):
         sig_old = _signature(_reference(kind, migrate_index))
         sig_new = _signature(_reference(kind, migrate_index + 1))
         assert got == sig_old or got == sig_new
+
+
+def test_lost_mode_drops_an_unsynced_frame_inside_the_reservation(tmp_path):
+    """Power loss keeps the fsynced reservation but not a frame written
+    into it since: the file rolls back to its last fsynced logical end,
+    and the frame's bytes read as zeros again."""
+    path = tmp_path / "wal.log"
+    injector = CrashInjector(fail_after=0, mode="lost")  # counts, never dies
+    wal = WriteAheadLog(path, ops=injector, sync=False)
+    wal.append(("flush",))
+    wal.sync()  # the frame and the reservation are durable
+    synced_size = path.stat().st_size
+    wal.append(("insert", (1, 1), "a"))  # written into the reservation, unsynced
+    injector.fail_after = injector.calls + 1
+    with pytest.raises(InjectedCrash):
+        wal.sync()
+    scan = scan_wal(path)
+    assert [op for _, op in scan.frames] == [("flush",)]
+    assert (scan.torn_bytes, scan.file_size) == (0, synced_size)
+    injector.fail_after = 0
+    wal.close()
 
 
 def test_injector_modes_are_validated():

@@ -6,6 +6,10 @@ identical records, identical query I/O accounting, the same curve and
 shard map, and keeps accepting (and persisting) writes.
 """
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
@@ -13,11 +17,12 @@ from repro.curves.onion3d import OnionCurve3D
 from repro.errors import InvalidQueryError, RecoveryError, StorageError
 from repro.obs import start_trace
 from repro.storage.durable import Durability
-from repro.storage.pagefile import MANIFEST_NAME, wal_file_name
-from repro.storage.wal import scan_wal
+from repro.storage.pagefile import FORMAT, MANIFEST_NAME, wal_file_name
+from repro.storage.wal import WriteAheadLog, scan_wal
 
 from layout_oracle import assert_serves_the_walk
 
+DATA = Path(__file__).resolve().parent / "data"
 SIDE = 8
 FULL = Rect.from_origin((0, 0), (SIDE, SIDE))
 PROBES = [
@@ -185,7 +190,10 @@ class TestDurableRoundtrip:
         store = _build(kind, tmp_path)
         _populate(store)
         wal_path = tmp_path / "d" / wal_file_name(0)
-        with open(wal_path, "ab") as handle:
+        # A torn append lands at the logical end, inside the live log's
+        # reserved zeros.
+        with open(wal_path, "r+b") as handle:
+            handle.seek(store.durability.wal.size)
             handle.write(b"\x99" * 11)
         recovered = recover(tmp_path / "d")
         assert recovered.durability.last_recovery.torn_bytes == 11
@@ -195,6 +203,40 @@ class TestDurableRoundtrip:
         recovered.insert((2, 6), "post-repair")
         again = recover(tmp_path / "d")
         assert "post-repair" in [r.payload for r in again.point_query((2, 6))]
+
+
+    def test_a_crashed_log_resumes_at_its_last_valid_frame(self, kind, tmp_path):
+        """A store that dies leaves the zeros it reserved past its last
+        frame.  The recovered store appends over them, so a second
+        recovery still finds what it wrote."""
+        store = _build(kind, tmp_path)
+        _populate(store)  # never closed: the process died here
+        wal_path = tmp_path / "d" / wal_file_name(0)
+        end = store.durability.wal.size
+        assert wal_path.stat().st_size > end
+        first = recover(tmp_path / "d")
+        assert first.durability.last_recovery.torn_bytes == 0
+        assert first.durability.wal.size == end
+        first.insert((6, 6), "after the crash")
+        second = recover(tmp_path / "d")
+        assert second.durability.last_recovery.frames_replayed == 7
+        assert "after the crash" in [r.payload for r in second.point_query((6, 6))]
+        assert _signature(second) == _signature(first)
+
+    def test_compact_checkpoint_replaces_a_stale_log(self, kind, tmp_path):
+        """A compacting checkpoint that died before its commit leaves its
+        new log behind, torn or holding reserved zeros.  The next one
+        starts that log afresh instead of appending after the debris."""
+        store = _build(kind, tmp_path)
+        _populate(store)
+        stale = tmp_path / "d" / wal_file_name(1)
+        stale.write_bytes(b"\x99" * 20 + bytes(64))
+        manifest = store.checkpoint(compact=True)
+        assert manifest.wal_file == stale.name
+        store.insert((6, 6), "after")
+        recovered = recover(tmp_path / "d")
+        assert recovered.durability.last_recovery.frames_replayed == 1
+        assert _signature(recovered) == _signature(store)
 
 
 @pytest.mark.parametrize("kind", ["single", "sharded"])
@@ -264,6 +306,73 @@ def test_header_recording_a_tree_order_recovers(kind, tmp_path):
     recovered = recover(tmp_path / "d")
     assert len(recovered) == 2
     assert [r.payload for r in recovered.point_query((6, 2))] == ["b"]
+
+
+class TestFormat:
+    def test_header_and_manifest_record_the_format(self, tmp_path):
+        store = _build("single", tmp_path)
+        _populate(store)
+        manifest = store.checkpoint(compact=True)
+        root = tmp_path / "d"
+        header = scan_wal(root / manifest.wal_file).frames[0][1]
+        assert header == ("header", _state("single"), FORMAT)
+        assert json.loads((root / MANIFEST_NAME).read_bytes())["format"] == FORMAT
+
+    def test_unknown_manifest_format_is_refused_before_any_truncation(self, tmp_path):
+        store = _build("single", tmp_path)
+        _populate(store)
+        store.checkpoint()
+        root = tmp_path / "d"
+        wal_path = root / wal_file_name(0)
+        with open(wal_path, "r+b") as handle:  # a torn tail recovery would cut
+            handle.seek(store.durability.wal.size)
+            handle.write(b"\x99" * 11)
+        payload = json.loads((root / MANIFEST_NAME).read_bytes())
+        payload["format"] = FORMAT + 1
+        (root / MANIFEST_NAME).write_text(json.dumps(payload))
+        before = wal_path.read_bytes()
+        with pytest.raises(RecoveryError, match="format 2"):
+            recover(root)
+        assert wal_path.read_bytes() == before
+
+    def test_unknown_header_format_is_refused_before_any_truncation(self, tmp_path):
+        root = tmp_path / "d"
+        root.mkdir()
+        wal_path = root / wal_file_name(0)
+        wal = WriteAheadLog(wal_path)
+        wal.append(("header", _state("single"), FORMAT + 1))
+        wal.append(("insert", (1, 1), "a"))
+        wal.close()
+        with open(wal_path, "ab") as handle:
+            handle.write(b"\x99" * 11)
+        before = wal_path.read_bytes()
+        with pytest.raises(RecoveryError, match="format 2"):
+            recover(root)
+        assert wal_path.read_bytes() == before
+
+    def test_a_directory_without_format_fields_recovers(self, tmp_path):
+        """``data/unversioned_store`` was written before the manifest and
+        the WAL header recorded a format: its manifest is indented and has
+        no ``format``, and its header frame has two elements.  Such a
+        directory is format 1, and it recovers to the records of the
+        history that wrote it (replayed here on a fresh store)."""
+        root = tmp_path / "d"
+        shutil.copytree(DATA / "unversioned_store", root)
+        assert "format" not in json.loads((root / MANIFEST_NAME).read_bytes())
+        assert len(scan_wal(root / wal_file_name(0)).frames[0][1]) == 2
+        recovered = recover(root)
+        report = recovered.durability.last_recovery
+        assert (report.generation, report.frames_replayed, report.torn_bytes) == (1, 3, 0)
+        expected = SFCIndex(make_curve("onion", SIDE, 2), page_capacity=4)
+        points = [(x, y) for x in range(SIDE) for y in range(0, SIDE, 2)]
+        expected.bulk_load(points, list(range(len(points))))
+        expected.insert((1, 1), "a")
+        expected.delete((5, 4))
+        # The directory's checkpoint was cut here.
+        expected.insert((3, 3), "b")
+        expected.insert((1, 1), None)
+        expected.delete((1, 1), "a")
+        assert _signature(recovered) == _signature(expected)
 
 
 class TestRefusals:

@@ -1,5 +1,6 @@
 """Unit tests for the WAL frame codec and torn-tail detection."""
 
+import hashlib
 import zlib
 
 import pytest
@@ -120,6 +121,91 @@ class TestTornTailDetection:
         assert scan.valid_size == 0
 
 
+class TestReservation:
+    """A live log writes into zeros it reserved; a closed one holds none."""
+
+    OPS = [
+        ("header", {"kind": "single", "curve": ["onion", 8, 2], "page_capacity": 4}),
+        ("insert", (1, 2), "a"),
+        ("delete", (1, 2), ("any",)),
+        ("bulk", [((3, 4), None), ((5, 6), 7)]),
+    ]
+    #: SHA-256 of the 231 bytes ``OPS`` left in a closed log before logs
+    #: reserved space.
+    CLOSED_SHA256 = "7ab2356de1c5bb2104db81aacf911048b49ee37cebfee9926ddf483c9dc04dcd"
+
+    def test_live_log_reserved_zeros_are_not_torn(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        for op in self.OPS:
+            wal.append(op)
+        scan = scan_wal(path)
+        assert scan.file_size > wal.size  # the reservation is on disk
+        assert path.read_bytes()[wal.size:].strip(b"\0") == b""
+        assert [op for _, op in scan.frames] == self.OPS
+        assert scan.valid_size == wal.size
+        assert scan.torn_bytes == 0
+        wal.close()
+
+    def test_torn_frame_inside_the_reservation_is_counted_exactly(self, tmp_path):
+        path = tmp_path / "wal.log"
+        wal = WriteAheadLog(path)
+        wal.append(("flush",))
+        torn = encode_frame(encode_op(("insert", (1, 2), "abc")))[:-2]
+        assert torn[-1] != 0  # a trailing zero would read as reserved space
+        with open(path, "r+b") as handle:
+            handle.seek(wal.size)
+            handle.write(torn)
+        scan = scan_wal(path)
+        assert [op for _, op in scan.frames] == [("flush",)]
+        assert scan.valid_size == wal.size
+        assert scan.torn_bytes == len(torn)
+        assert scan.file_size > wal.size + len(torn)
+        wal.close()
+
+    def test_zero_length_header_ends_the_log(self, tmp_path):
+        path = tmp_path / "wal.log"
+        first = encode_frame(encode_op(("flush",)))
+        after = encode_frame(encode_op(("insert", (1, 2), "a")))
+        path.write_bytes(first + bytes(FRAME_HEADER.size) + after)
+        scan = scan_wal(path)
+        assert [op for _, op in scan.frames] == [("flush",)]
+        assert scan.valid_size == len(first)
+        # Non-zero bytes past the end of the log are torn, zeros are not.
+        assert scan.torn_bytes == FRAME_HEADER.size + len(after)
+
+    def test_closed_log_is_byte_identical_to_an_unreserved_one(self, tmp_path):
+        path = tmp_path / "wal.log"
+        _append_ops(path, self.OPS)
+        data = path.read_bytes()
+        assert data == b"".join(encode_frame(encode_op(op)) for op in self.OPS)
+        assert len(data) == 231
+        assert hashlib.sha256(data).hexdigest() == self.CLOSED_SHA256
+
+    def test_reopened_log_writes_at_its_end_inside_the_zeros(self, tmp_path):
+        path = tmp_path / "wal.log"
+        # What a crash leaves: one frame, then the rest of the reservation.
+        path.write_bytes(encode_frame(encode_op(("flush",))) + bytes(100))
+        scan = scan_wal(path)
+        assert scan.torn_bytes == 0
+        resumed = WriteAheadLog(path, end=scan.valid_size)
+        resumed.append(("insert", (1, 2), "a"))
+        resumed.close()
+        assert [op for _, op in scan_wal(path).frames] == [
+            ("flush",),
+            ("insert", (1, 2), "a"),
+        ]
+        assert path.stat().st_size == resumed.size
+
+    def test_new_log_replaces_a_stale_file(self, tmp_path):
+        path = tmp_path / "wal.log"
+        path.write_bytes(b"\x99" * 20 + bytes(100))
+        wal = WriteAheadLog(path, end=0)
+        wal.append(("flush",))
+        wal.close()
+        assert path.read_bytes() == encode_frame(encode_op(("flush",)))
+
+
 class TestFileOps:
     def test_write_file_is_complete_and_synced(self, tmp_path):
         ops = FileOps()
@@ -138,3 +224,16 @@ class TestFileOps:
 
     def test_unlink_tolerates_missing(self, tmp_path):
         FileOps().unlink(tmp_path / "never-existed")
+
+    def test_preallocate_reserves_zeros_and_never_shrinks(self, tmp_path):
+        ops = FileOps()
+        target = tmp_path / "log"
+        handle = ops.open_write(target)
+        try:
+            ops.write(handle, b"abc")
+            ops.preallocate(handle, 64)
+            assert target.read_bytes() == b"abc" + bytes(61)
+            ops.preallocate(handle, 16)
+            assert target.stat().st_size == 64
+        finally:
+            handle.close()
