@@ -216,7 +216,9 @@ def pack_columns(
 
     The single statement of the page-building rule, and the only code
     that builds a :class:`~repro.engine.executor.Page`: the key column
-    takes :func:`~repro.engine.plan.key_column`'s dtype, and pages are
+    is a fresh array of :func:`~repro.engine.plan.key_column`'s dtype
+    (its identity tells a plan's layout from another,
+    :meth:`~repro.engine.plan.QueryPlan.positions_in`), and pages are
     filled to ``page_capacity``, so page ``p`` holds the records at
     positions ``[p * page_capacity, (p + 1) * page_capacity)``.
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
@@ -256,9 +258,10 @@ def merge_plans(
     The exact key runs of all plans are unioned and coalesced (so a key
     covered by several rects is scanned once and each record returned
     once), gap merging is re-applied to the *union* — matching what
-    planning the union region directly would produce — and page spans
-    are resolved against ``layout``.  The plan's region is the
-    :class:`~repro.api.query.RectUnion` of the member rects: an exact
+    planning the union region directly would produce — and the union's
+    scan runs are resolved against ``layout``
+    (:meth:`~repro.engine.plan.PageLayout.resolve`).  The plan's region
+    is the :class:`~repro.api.query.RectUnion` of the member rects: an exact
     run of the union holds only the union's cells, and the filter of a
     gap-merged run admits exactly them.
     """
@@ -269,15 +272,15 @@ def merge_plans(
     policy = plans[0].policy
     runs = merge_runs_with_gaps(sorted(run for plan in plans for run in plan.runs), 0)
     scan_runs = merge_runs_with_gaps(runs, policy.gap_tolerance)
-    page_spans = layout.spans(scan_runs) if layout is not None else None
+    positions = layout.resolve(scan_runs) if layout is not None else None
     return QueryPlan(
         curve=plans[0].curve,
         rect=RectUnion(tuple(plan.rect for plan in plans)),
         policy=policy,
         runs=tuple(runs),
         scan_runs=tuple(scan_runs),
-        page_spans=page_spans,
         cost_model=plans[0].cost_model,
+        positions=positions,
     )
 
 

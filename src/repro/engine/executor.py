@@ -7,13 +7,19 @@ I/O, and reports the measured I/O profile as a :class:`RangeQueryResult`.
 
 The records come from the layout, not from the pages read: a
 :class:`~repro.engine.plan.PageLayout` is one key column and one record
-column, so a run's records are one slice of the record column, found by
-searching the key column (:meth:`PageLayout.bounds`).  An *exact* scan
-run — one of the plan's key runs, the paper's clusters — covers only
-keys of cells inside the query, so :func:`slice_run` returns its slice
-whole, with no geometric test.  Only a gap-merged run can hold cells
-outside the query: its slice is filtered by the query region, and the
-records it discards are the run's over-read.
+column, so a run's records are one slice of the record column.  The
+plan carries each scan run's record positions and the pages they span,
+found by one search of the key column when it was planned
+(:meth:`PageLayout.resolve`), so an execution reads those pages and
+slices at those positions, and searches nothing.  A plan resolved
+against another layout — a layout-free plan, or one planned before a
+flush replaced the layout — is resolved against the executor's own on
+the spot (:meth:`QueryPlan.positions_in`).  An *exact* scan run — one
+of the plan's key runs, the paper's clusters — covers only keys of
+cells inside the query, so :func:`slice_run` returns its slice whole,
+with no geometric test.  Only a gap-merged run can hold cells outside the query: its
+slice is filtered by the query region, and the records it discards are
+the run's over-read.
 
 Every execution — :meth:`Executor.execute`, the scatter–gather
 ``execute`` and a :class:`PlanStream` — charges its page reads through
@@ -43,7 +49,7 @@ from ..obs.trace import span as _obs_span
 from ..storage.buffer import BufferPool
 from ..storage.disk import DISK_SEEKS, DISK_SEQUENTIAL_READS, SimulatedDisk
 from .cost import DEFAULT_COST_MODEL, CostModel
-from .plan import PageLayout, QueryPlan
+from .plan import PageLayout, Positions, QueryPlan
 
 __all__ = [
     "Record",
@@ -53,7 +59,6 @@ __all__ = [
     "Page",
     "PlanStream",
     "execution_order",
-    "resolved_spans",
     "slice_run",
 ]
 
@@ -93,13 +98,6 @@ class Page:
 
     def __len__(self) -> int:
         return self.size
-
-
-def resolved_spans(plan: QueryPlan, layout: PageLayout):
-    """The plan's page spans, resolving layout-free plans on the spot."""
-    if plan.page_spans is not None:
-        return plan.page_spans
-    return layout.spans(plan.scan_runs)
 
 
 def slice_run(
@@ -217,16 +215,14 @@ class PlanStream:
     def __init__(self, executor: "Executor", plan: QueryPlan):
         self._executor = executor
         self._plan = plan
+        self._positions = plan.positions_in(executor.layout)
         self._seeks = 0
         self._sequential = 0
         self._over_read = 0
         self._records = 0
         self._cold = 0
         self._recorded = False
-        self._spans = resolved_spans(plan, executor.layout)
-        self._total_pages = sum(
-            last - first + 1 for first, last in self._spans if last >= first
-        )
+        self._total_pages = len(self._positions.pages)
         self._pages_pulled = 0
         # The stream's io span floats: it outlives this constructor's
         # scope (the generator suspends across yields), so it is ended
@@ -285,16 +281,17 @@ class PlanStream:
 
     def _run(self) -> Iterator[List[Record]]:
         plan = self._plan
+        positions = self._positions
         read = self._executor._read
         layout = self._executor.layout
         cap, column = layout.capacity, layout.records
         try:
             for (first, last), lo, hi, exact in zip(
-                self._spans, *layout.bounds(plan.scan_runs), plan.scan_exact
+                positions.spans(), positions.lo, positions.hi, plan.scan_exact
             ):
                 region = None if exact else plan.rect
                 for position in range(first, last + 1):
-                    seeks, sequential, cold = read(((position, position),))
+                    seeks, sequential, cold = read((position,))
                     self._seeks += seeks
                     self._sequential += sequential
                     if cold is not None:
@@ -409,11 +406,11 @@ class Executor:
     # ------------------------------------------------------------------
     def _read(
         self,
-        spans: Sequence[Tuple[int, int]],
+        pages: Sequence[int],
         shared_pages: Optional[Set[int]] = None,
     ) -> Tuple[int, int, Optional[int]]:
-        """The charged-read pass: read every page of the inclusive page
-        ``spans`` and measure the I/O.
+        """The charged-read pass: read the pages at the layout
+        positions ``pages``, in order, and measure the I/O.
 
         Each page goes through the executor's page reader.  With a batch's
         ``shared_pages`` it is the shared-scan read protocol: a page the
@@ -430,29 +427,30 @@ class Executor:
             seeks_before = stats.seeks
             seq_before = stats.sequential_reads
             misses_before = pool.stats.misses if pool is not None else 0
-            for first, last in spans:
-                for position in range(first, last + 1):
-                    page_id = page_ids[position]
-                    if shared_pages is None:
-                        read(page_id)
-                    elif page_id not in shared_pages:
-                        shared_pages.add(page_id)
-                        read(page_id)
+            for position in pages:
+                page_id = page_ids[position]
+                if shared_pages is None:
+                    read(page_id)
+                elif page_id not in shared_pages:
+                    shared_pages.add(page_id)
+                    read(page_id)
             seeks = stats.seeks - seeks_before
             sequential = stats.sequential_reads - seq_before
             cold = pool.stats.misses - misses_before if pool is not None else None
         return seeks, sequential, cold
 
-    def _slice(self, plan: QueryPlan) -> Tuple[List[Record], int]:
+    def _slice(
+        self, plan: QueryPlan, positions: Positions
+    ) -> Tuple[List[Record], int]:
         """The records of every scan run of ``plan``, in key order, and
-        the over-read: each run is one slice of the layout's record
-        column (:func:`slice_run`), filtered by the plan's region only
-        for a gap-merged run."""
+        the over-read: each run is the slice of the layout's record
+        column at its ``positions`` in this executor's layout
+        (:func:`slice_run`), filtered by the plan's region only for a
+        gap-merged run."""
         column = self._layout.records
-        lo, hi = self._layout.bounds(plan.scan_runs)
         records: List[Record] = []
         over_read = 0
-        for start, end, exact in zip(lo, hi, plan.scan_exact):
+        for start, end, exact in zip(positions.lo, positions.hi, plan.scan_exact):
             over_read += slice_run(
                 column, start, end, None if exact else plan.rect, records
             )
@@ -524,16 +522,18 @@ class Executor:
         page of a sweep costs a seek unless it directly follows the
         previous read (the disk's accounting, not the executor's).
         ``_shared_pages`` is the batch path's shared-scan state: pages
-        the batch already read are not read again.
+        the batch already read are not read again.  The pages and the
+        records come from the plan's positions in this executor's
+        layout (:meth:`QueryPlan.positions_in`).
         """
-        spans = resolved_spans(plan, self._layout)
+        positions = plan.positions_in(self._layout)
         started = time.perf_counter() if METRICS.enabled else 0.0
         # Exactly one kind="io" span per execution: Trace.io_totals sums
         # these, and the differential suite holds the sum equal to the
         # untraced result.
         with _obs_span("execute", kind="io") as sp:
-            seeks, sequential, cold = self._read(spans, _shared_pages)
-            records, over_read = self._slice(plan)
+            seeks, sequential, cold = self._read(positions.pages, _shared_pages)
+            records, over_read = self._slice(plan, positions)
             result = RangeQueryResult(
                 records=records,
                 runs=len(plan.scan_runs),

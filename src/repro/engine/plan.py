@@ -3,16 +3,21 @@
 A :class:`QueryPlan` is the planner's output and the executor's input: the
 query's exact key runs under the curve, the runs actually scanned after
 the :class:`ExecutionPolicy`'s gap merging, and — when the plan was built
-against a flushed :class:`PageLayout` — the inclusive page span each scan
-run touches.  From the spans the plan predicts the seek/sequential-read
-split of its own execution (`estimated_seeks` replays the disk's head
-rule), which is the paper's clustering story made operational: for
-page-aligned layouts ``estimated_seeks`` equals the clustering number.
+against a flushed :class:`PageLayout` — the record positions of each
+scan run, from one search of the key column (:meth:`PageLayout.resolve`),
+and with them the inclusive page span each run touches.  From the spans
+the plan predicts the seek/sequential-read split of its own execution
+(`estimated_seeks` replays the disk's head rule), which is the paper's
+clustering story made operational: for page-aligned layouts
+``estimated_seeks`` equals the clustering number.  The executor reads
+the pages and slices the record column at the positions, so a plan
+searches the key column once, when it is planned, however often it runs.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -24,10 +29,65 @@ from ..geometry import Rect
 from ..storage.disk import replay_reads
 from .cost import DEFAULT_COST_MODEL, CostModel
 
-__all__ = ["ExecutionPolicy", "PageLayout", "QueryPlan", "KeyRun", "PageSpan", "key_column"]
+__all__ = [
+    "ExecutionPolicy", "PageLayout", "Positions", "QueryPlan", "KeyRun", "PageSpan",
+    "key_column",
+]
 
 KeyRun = Tuple[int, int]  # inclusive (start_key, end_key)
 PageSpan = Tuple[int, int]  # inclusive (first, last) positions in a PageLayout
+
+
+def _page_spans(lo: array, hi: array, capacity: int, size: int) -> Tuple[PageSpan, ...]:
+    """The page span of each run at record positions ``[lo[i], hi[i])``
+    in a layout of ``size`` records: ``lo // capacity`` to
+    ``(hi - 1) // capacity``, and empty past the last record."""
+    past_end = -(-size // capacity)  # the number of pages
+    return tuple(
+        (past_end if start == size else start // capacity, (end - 1) // capacity)
+        for start, end in zip(lo, hi)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Positions:
+    """A plan's scan runs resolved against one layout
+    (:meth:`PageLayout.resolve`), stored by the plan in place of page
+    spans.
+
+    Run ``i``'s records are ``records[lo[i]:hi[i]]``; its page span
+    follows from them (:meth:`spans`).  ``pages`` is every run's span
+    concatenated: the page positions the plan's scan reads, in order.
+    All three are ``array('q')``, compact and never mutated.
+
+    ``keys`` is the layout's key column.
+    :func:`~repro.api.store.pack_columns` allocates every layout's key
+    column fresh, so comparing it by identity tells whether the
+    positions belong to a given layout, without keeping the layout's
+    pages alive.  Positions compare, and hash, as the spans they imply,
+    so plans compare exactly as they did when they stored spans.
+    """
+
+    __slots__ = ("keys", "capacity", "lo", "hi", "pages")
+
+    keys: np.ndarray
+    capacity: int
+    lo: array
+    hi: array
+    pages: array
+
+    def spans(self) -> Tuple[PageSpan, ...]:
+        """The inclusive page span of each run, in order (see
+        :meth:`PageLayout.resolve`)."""
+        return _page_spans(self.lo, self.hi, self.capacity, len(self.keys))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Positions):
+            return NotImplemented
+        return self.spans() == other.spans()
+
+    def __hash__(self) -> int:
+        return hash(self.spans())
 
 
 @dataclass(frozen=True)
@@ -92,14 +152,14 @@ class PageLayout:
         """Number of pages in the layout."""
         return len(self.page_ids)
 
-    def bounds(self, runs: Sequence[KeyRun]) -> Tuple[List[int], List[int]]:
+    def bounds(self, runs: Sequence[KeyRun]) -> Tuple[array, array]:
         """``(lo, hi)``: run ``i``'s records are ``records[lo[i]:hi[i]]``.
 
         One search of the key column for every run start and one for
-        every run end.
+        every run end, returned as two ``array('q')``.
         """
         if not runs:
-            return [], []
+            return array("q"), array("q")
         starts, ends = zip(*runs)
         keys = self.keys
         if keys.dtype != object and max(ends) > _INT64_MAX:
@@ -107,32 +167,43 @@ class PageLayout:
             ends = tuple(min(key, _INT64_MAX) for key in ends)
         lo = keys.searchsorted(starts, side="left")
         hi = keys.searchsorted(ends, side="right")
-        return lo.tolist(), hi.tolist()
+        return (
+            array("q", lo.astype(np.int64, copy=False).tobytes()),
+            array("q", hi.astype(np.int64, copy=False).tobytes()),
+        )
+
+    def resolve(self, runs: Sequence[KeyRun]) -> Positions:
+        """The key runs' record positions and pages, from one
+        :meth:`bounds` search.
+
+        A run's page span is exact on both ends: the first page holds
+        the run's first record (so duplicate keys spilling past a page
+        boundary are found without reading the previous page) and the
+        last page holds its last.  A run over a gap inside one page
+        reads that page; a run past the largest key reads nothing.  An
+        empty span (``last < first``) means no pages hold keys of the
+        run.  The single statement of run resolution, shared by planned,
+        merged and scattered plans, and by an executor resolving a
+        layout-free plan, or one planned against another layout, on the
+        spot (:meth:`QueryPlan.positions_in`).
+        """
+        lo, hi = self.bounds(runs)
+        pages: List[int] = []
+        for first, last in _page_spans(lo, hi, self.capacity, len(self.keys)):
+            if first == last:  # most spans: one page, with no range to build
+                pages.append(first)
+            else:
+                pages += range(first, last + 1)
+        return Positions(self.keys, self.capacity, lo, hi, array("q", pages))
 
     def span(self, start: int, end: int) -> PageSpan:
         """The :meth:`spans` entry of the one run ``[start, end]``."""
         return self.spans(((start, end),))[0]
 
     def spans(self, runs: Sequence[KeyRun]) -> Tuple[PageSpan, ...]:
-        """Inclusive page positions each key run touches, in order.
-
-        Exact on both ends: the first page holds the run's first record
-        (so duplicate keys spilling past a page boundary are found
-        without reading the previous page) and the last page holds its
-        last.  A run over a gap inside one page reads that page; a run
-        past the largest key reads nothing.  An empty span (``last <
-        first``) means no pages hold keys of the run.  The single
-        statement of span resolution, shared by planned, merged,
-        scattered and layout-free plans.
-        """
-        cap = self.capacity
-        size = len(self.keys)
-        num_pages = self.num_pages
-        lo, hi = self.bounds(runs)
-        return tuple(
-            (num_pages if start == size else start // cap, (end - 1) // cap)
-            for start, end in zip(lo, hi)
-        )
+        """Inclusive page positions each key run touches, in order: the
+        spans of :meth:`resolve`."""
+        return self.resolve(runs).spans()
 
 
 @dataclass(frozen=True)
@@ -141,7 +212,8 @@ class QueryPlan:
 
     Produced by :class:`~repro.engine.planner.Planner`; executed by
     :class:`~repro.engine.executor.Executor`.  All sequence fields are
-    tuples, so plans are safe to cache and share.
+    tuples, and nothing mutates the arrays of :class:`Positions`, so
+    plans are safe to cache and share.
     """
 
     curve: SpaceFillingCurve
@@ -151,9 +223,30 @@ class QueryPlan:
     runs: Tuple[KeyRun, ...]
     #: Runs actually scanned, after the policy's gap merging.
     scan_runs: Tuple[KeyRun, ...]
-    #: Per-scan-run page spans, or ``None`` for layout-free plans.
-    page_spans: Optional[Tuple[PageSpan, ...]] = None
     cost_model: CostModel = DEFAULT_COST_MODEL
+    #: The scan runs resolved against a layout, or ``None`` for
+    #: layout-free plans.
+    positions: Optional[Positions] = field(default=None, repr=False)
+
+    @property
+    def page_spans(self) -> Optional[Tuple[PageSpan, ...]]:
+        """Per-scan-run page spans, or ``None`` for layout-free plans."""
+        return None if self.positions is None else self.positions.spans()
+
+    def positions_in(self, layout: PageLayout) -> Positions:
+        """The scan runs' positions in ``layout``.
+
+        The carried :attr:`positions` when the plan was resolved against
+        ``layout`` (the identity of its key column), else
+        :meth:`PageLayout.resolve` on the spot: for a layout-free plan,
+        or one planned against a layout a flush has since replaced,
+        whose positions would read the wrong pages and slice the wrong
+        records.
+        """
+        positions = self.positions
+        if positions is not None and positions.keys is layout.keys:
+            return positions
+        return layout.resolve(self.scan_runs)
 
     # ------------------------------------------------------------------
     # Shape
@@ -209,10 +302,10 @@ class QueryPlan:
         accounting rule — over the page spans, cached on the (immutable)
         plan so repeated property reads don't re-walk every page.
         """
-        if self.page_spans is None:
+        if self.positions is None:
             # Layout-free plan: the paper's pure model, one seek per run.
             return len(self.scan_runs), 0
-        return replay_reads(self.page_spans)
+        return replay_reads(self.positions.spans())
 
     @property
     def estimated_seeks(self) -> int:

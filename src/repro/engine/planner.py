@@ -199,7 +199,8 @@ class Planner:
     ) -> QueryPlan:
         """Plan one range query.
 
-        With a ``layout`` the plan carries per-run page spans and predicts
+        With a ``layout`` the plan carries its scan runs' record
+        positions and pages (:meth:`PageLayout.resolve`), and predicts
         the executor's exact seek/sequential split; without one it falls
         back to the paper's pure model (one seek per scan run).
         """
@@ -212,15 +213,15 @@ class Planner:
                 if policy.gap_tolerance
                 else runs
             )
-            page_spans = layout.spans(scan_runs) if layout is not None else None
+            positions = layout.resolve(scan_runs) if layout is not None else None
             plan = QueryPlan(
                 curve=self._curve,
                 rect=rect,
                 policy=policy,
                 runs=tuple(runs),
                 scan_runs=tuple(scan_runs),
-                page_spans=page_spans,
                 cost_model=self._cost_model,
+                positions=positions,
             )
             sp.set("curve", self._curve.name)
             sp.set("runs", len(runs))

@@ -16,9 +16,12 @@ layer:
 * :class:`ScatterGatherExecutor`, an
   :class:`~repro.engine.executor.Executor`, executes a sharded plan in
   one key-ordered pass that charges exactly the page sequence the
-  single index would read, then slices each fragment's clipped runs
-  from the layout's record column in shard order, which gathers the
-  per-shard records in key order.
+  single index would read, then slices the layout's record column at
+  each fragment's record positions in shard order, which gathers the
+  per-shard records in key order.  A fragment's positions come from
+  one search of its clipped runs when it is scattered, which is
+  planning time, so a cached sharded plan searches nothing when it
+  runs.
 
 **Shard-transparency by construction.**  Storage is shared (the
 disaggregated-storage idiom): shards own key intervals, but records,
@@ -34,7 +37,7 @@ shard map and gap tolerance.  The differential suite in
 Per-shard attribution is a *second* accounting, taken from the plan
 rather than from a second scan: each fragment's I/O is its predicted
 page reads, replayed independently (its own head), and its records are
-its clipped runs' slices of the record column.
+the slices of the record column at its clipped runs' positions.
 ``parallel_cost(workers)`` and :func:`makespan` price those per-shard
 costs as if the shards ran on that many workers — a simulated
 cost-model estimate: no code here runs in parallel.  Serial totals
@@ -54,14 +57,7 @@ from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
 from ..storage.disk import replay_reads
 from .cost import DEFAULT_COST_MODEL, CostModel
-from .executor import (
-    BatchResult,
-    Executor,
-    PlanStream,
-    RangeQueryResult,
-    Record,
-    resolved_spans,
-)
+from .executor import BatchResult, Executor, PlanStream, RangeQueryResult, Record
 from .plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from .planner import Planner
 
@@ -117,7 +113,9 @@ def scatter_plan(
     merged multi-rect plans, so every plan shape scatters identically.
     Gap merging must already have happened on the global plan (clips
     are taken from its ``scan_runs``), so a tolerated gap spanning a
-    shard boundary behaves exactly as it would unsharded.
+    shard boundary behaves exactly as it would unsharded.  With a
+    ``layout``, each fragment's clipped runs are resolved against it
+    (:meth:`~repro.engine.plan.PageLayout.resolve`).
     """
     with _obs_span("scatter", kind="plan") as sp:
         fragments = []
@@ -126,7 +124,7 @@ def scatter_plan(
             if not scan_runs:
                 continue
             runs = clip_runs(plan.runs, shard)
-            page_spans = layout.spans(scan_runs) if layout is not None else None
+            positions = layout.resolve(scan_runs) if layout is not None else None
             fragments.append(
                 ShardFragment(
                     shard_id=shard_id,
@@ -137,8 +135,8 @@ def scatter_plan(
                         policy=plan.policy,
                         runs=tuple(runs),
                         scan_runs=tuple(scan_runs),
-                        page_spans=page_spans,
                         cost_model=plan.cost_model,
+                        positions=positions,
                     ),
                 )
             )
@@ -180,8 +178,8 @@ class ShardFragment:
     shard_id: int
     #: The shard's inclusive key interval.
     shard: Shard
-    #: A full query plan over the clipped runs (spans resolved against
-    #: the shared layout), so fragments cost and explain like any plan.
+    #: A full query plan over the clipped runs (resolved against the
+    #: shared layout), so fragments cost and explain like any plan.
     plan: QueryPlan
 
 
@@ -504,7 +502,7 @@ class ScatterGatherExecutor(Executor):
     as a single charged pass over the *global* plan's pages — page for
     page the sequence the single-index executor reads, which keeps the
     measured seeks/pages identical to unsharded execution — and then
-    slices each fragment's clipped runs from the record column, in shard
+    slices the record column at each fragment's positions, in shard
     order.  Concatenating the fragments' records in shard order *is*
     global key order, because shards are ascending key intervals.
 
@@ -523,7 +521,10 @@ class ScatterGatherExecutor(Executor):
         ``_shared_pages`` is the batch path's shared-scan state.  Each
         shard's :class:`ShardStats` carries its fragment's records and
         over-read plus the fragment's I/O replayed on its own head.
+        The global plan and every fragment are taken at their positions
+        in this executor's layout (:meth:`QueryPlan.positions_in`).
         """
+        layout = self._layout
         plan = splan.plan
         started = time.perf_counter() if METRICS.enabled else 0.0
         # One canonical kind="io" span for the charged pass; the
@@ -532,18 +533,25 @@ class ScatterGatherExecutor(Executor):
         # ShardStats is excluded from the serial totals.
         with _obs_span("scatter_execute", kind="io") as sp:
             seeks, sequential, cold = self._read(
-                resolved_spans(plan, self._layout), _shared_pages
+                plan.positions_in(layout).pages, _shared_pages
             )
             records: List[Record] = []
             per_shard = []
             for fragment in splan.fragments:
-                shard_records, shard_over = self._slice(fragment.plan)
+                fplan = fragment.plan
+                positions = fplan.positions_in(layout)
+                shard_records, shard_over = self._slice(fplan, positions)
                 records += shard_records
-                frag_seeks, frag_seq = fragment.plan._predicted_reads
+                # A fragment resolved on the spot is priced in this layout.
+                frag_seeks, frag_seq = (
+                    fplan._predicted_reads
+                    if positions is fplan.positions
+                    else replay_reads(positions.spans())
+                )
                 per_shard.append(
                     ShardStats(
                         shard_id=fragment.shard_id,
-                        runs=fragment.plan.num_scan_runs,
+                        runs=fplan.num_scan_runs,
                         seeks=frag_seeks,
                         sequential_reads=frag_seq,
                         records=len(shard_records),
@@ -601,8 +609,7 @@ class ScatterGatherExecutor(Executor):
         for i in batch.executed_order:
             for fragment, stats in zip(splans[i].fragments, batch.results[i].per_shard):
                 positions, shares = shards.setdefault(fragment.shard_id, ({}, []))
-                for first, last in resolved_spans(fragment.plan, layout):
-                    positions.update(dict.fromkeys(range(first, last + 1)))
+                positions.update(dict.fromkeys(fragment.plan.positions_in(layout).pages))
                 shares.append(stats)
         per_shard = []
         for shard_id in sorted(shards):

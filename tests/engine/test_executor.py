@@ -9,7 +9,7 @@ from repro.api import Query
 from repro.api.query import RectUnion
 from repro.core.runs import merge_runs_with_gaps, query_runs
 from repro.curves import make_curve
-from repro.engine import ExecutionPolicy
+from repro.engine import ExecutionPolicy, PageLayout, Planner, ShardedPlanner
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex
 
@@ -176,6 +176,155 @@ class TestExactRunsSkipTheFilter:
         monkeypatch.setattr(RectUnion, "contains", forbidden)
         assert reads() == brute_force
         assert store.plan_cache.stats.misses == misses
+
+
+class TestCachedPlansSearchNothing:
+    """A plan carries its scan runs' record positions from the search
+    that found its page spans, so no read of a cached plan searches the
+    key column again: with ``PageLayout.bounds`` patched to raise, every
+    execution path still answers exactly."""
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("gap", [0, 2])
+    def test_cached_plans_execute_without_a_search(self, num_shards, gap, monkeypatch, rng):
+        curve = make_curve("onion", 16, 2)
+        if num_shards == 1:
+            store = SFCIndex(curve, page_capacity=4)
+        else:
+            store = ShardedSFCIndex(curve, num_shards=num_shards, page_capacity=4)
+        points = [tuple(int(c) for c in p) for p in rng.integers(0, 16, size=(400, 2))]
+        store.bulk_load(points, payloads=range(len(points)))
+        store.flush()
+        rect_a, rect_b = Rect((2, 3), (9, 11)), Rect((6, 8), (14, 15))
+        center, k = (7, 7), 12
+
+        def payloads(records):
+            return sorted(record.payload for record in records)
+
+        def query(rect):
+            return Query.rect(rect).hint(gap_tolerance=gap)
+
+        def reads():
+            batch = store.range_query_batch([rect_a, rect_b], gap_tolerance=gap)
+            return (
+                payloads(store.execute(query(rect_a)).records),
+                payloads(store.cursor(query(rect_a)).fetchall()),
+                [round(d, 9) for d in store.knn(center, k).distances],
+                [payloads(result.records) for result in batch.results],
+            )
+
+        def inside(rect):
+            return sorted(i for i, p in enumerate(points) if rect.contains(p))
+
+        nearest = sorted(
+            float(np.hypot(x - center[0], y - center[1])) for x, y in points
+        )[:k]
+        brute_force = (
+            inside(rect_a),
+            inside(rect_a),
+            [round(d, 9) for d in nearest],
+            [inside(rect_a), inside(rect_b)],
+        )
+        # The first pass plans every rect, kNN's expansion boxes
+        # included, and caches the plans; the patched pass only executes.
+        assert reads() == brute_force
+        misses = store.plan_cache.stats.misses
+
+        def forbidden(self, runs):
+            raise AssertionError(f"key column searched for {runs} at execution")
+
+        monkeypatch.setattr(PageLayout, "bounds", forbidden)
+        assert reads() == brute_force
+        assert store.plan_cache.stats.misses == misses
+
+
+class TestPlansFromAnotherLayout:
+    """A plan resolved against a layout a flush has since replaced, or
+    against none, is resolved against the executor's own layout when it
+    runs: every execution path reads and returns exactly what a plan
+    planned against that layout does."""
+
+    GRID = [(x, y) for x in range(16) for y in range(16)]
+
+    @staticmethod
+    def _store(num_shards):
+        curve = make_curve("onion", 16, 2)
+        if num_shards == 1:
+            store = SFCIndex(curve, page_capacity=4)
+        else:
+            store = ShardedSFCIndex(curve, num_shards=num_shards, page_capacity=4)
+        grid = TestPlansFromAnotherLayout.GRID
+        store.bulk_load(grid, payloads=range(len(grid)))
+        store.flush()
+        return store
+
+    @staticmethod
+    def _shrink(store):
+        for point in TestPlansFromAnotherLayout.GRID[:64]:
+            assert store.delete(point)
+
+    @staticmethod
+    def _grow(store):
+        # The outer rings come first on the onion curve: these inserts
+        # shift every later record, some of them into the rect.
+        for i, point in enumerate(TestPlansFromAnotherLayout.GRID[:40]):
+            store.insert(point, payload=f"new-{i}")
+
+    @staticmethod
+    def _layout_free(store, rect, policy):
+        if isinstance(store, ShardedSFCIndex):
+            return ShardedPlanner(store.curve, store.shards).plan(rect, policy)
+        return Planner(store.curve).plan(rect, policy)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("gap", [0, 2])
+    @pytest.mark.parametrize(
+        "change, rect, pages",
+        [
+            ("shrink", Rect((7, 7), (8, 8)), 48),
+            ("grow", Rect((2, 2), (6, 6)), 74),
+            ("layout_free", Rect((2, 2), (6, 6)), 64),
+        ],
+    )
+    def test_reads_equal_a_plan_of_the_executors_layout(
+        self, num_shards, gap, change, rect, pages
+    ):
+        store = self._store(num_shards)
+        policy = ExecutionPolicy(gap_tolerance=gap)
+        if change == "layout_free":
+            other = self._layout_free(store, rect, policy)
+        else:
+            other = store.plan(rect, policy=policy)
+            getattr(self, f"_{change}")(store)
+        fresh = store.plan(rect, policy=policy)  # flushes after a change
+        assert store.page_layout.num_pages == pages
+        executor = store.executor
+
+        def executed(plan):
+            store.disk.reset_stats()
+            result = executor.execute(plan)
+            per_shard = getattr(result, "per_shard", None)
+            return (
+                result.records, result.seeks, result.sequential_reads,
+                result.over_read, per_shard,
+            )
+
+        def streamed(plan):
+            store.disk.reset_stats()
+            stream = executor.stream(plan)
+            records = [record for page in stream for record in page]
+            return records, stream.seeks, stream.sequential_reads, stream.over_read
+
+        def batched(plan):
+            store.disk.reset_stats()
+            batch = executor.execute_batch([plan])
+            per_shard = getattr(batch, "per_shard", None)
+            return batch.results[0].records, batch.total_seeks, per_shard
+
+        for run in (executed, streamed, batched):
+            assert run(other) == run(fresh), run.__name__
+        records = executed(other)[0]
+        assert records and all(rect.contains(r.point) for r in records)
 
 
 class TestKeysBeyondInt64:

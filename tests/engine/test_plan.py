@@ -106,6 +106,23 @@ class TestQueryPlanShape:
         assert isinstance(plan.scan_runs, tuple)
         assert isinstance(plan.page_spans, tuple)
 
+    def test_plans_compare_by_their_page_spans(self):
+        """A plan stores its runs' positions in place of page spans, and
+        positions compare and hash as the spans they imply: plans
+        compare as they did when they stored spans."""
+        index = full_grid_index()
+        rect = Rect((1, 1), (5, 5))
+        plan = index.plan(rect)
+        index.flush()  # the same records: a new layout, equal spans
+        again = index.plan(rect)
+        assert again.positions.keys is not plan.positions.keys
+        assert again == plan and hash(again) == hash(plan)
+        layout_free = Planner(index.curve).plan(rect)
+        assert layout_free != plan
+        assert layout_free.positions_in(index.page_layout) == again.positions
+        index.delete((0, 0))  # every later record moves down one page
+        assert index.plan(rect) != plan
+
     def test_clustering_counts_exact_runs(self, rng):
         curve = make_curve("hilbert", 16, 2)
         planner = Planner(curve)

@@ -17,6 +17,11 @@ either the number of fully acknowledged operations or that plus the
 one in flight (durable on the log but not yet acknowledged).  Equality
 means records *and* I/O accounting: the probe queries' records, seeks,
 pages read and over-read must match — never a torn hybrid.
+
+Recovery must also leave a store that keeps working: every recovered
+store then logs an insert, takes a compacting checkpoint, logs another
+insert, closes and recovers again, and that second recovery must equal
+a fresh store after the matched prefix plus those steps.
 """
 
 import pytest
@@ -57,6 +62,15 @@ def _script(kind):
     return ops
 
 
+#: What every recovered store does after its matched prefix: log, rotate
+#: the log in a compacting checkpoint, and log into the new one.
+AFTER_RECOVERY = [
+    ("insert", (2, 6), "after-1"),
+    ("checkpoint", True),
+    ("insert", (6, 2), "after-2"),
+]
+
+
 def _build(kind, root, injector=None):
     curve = make_curve(*CURVE)
     if kind == "single":
@@ -93,14 +107,15 @@ def _apply_op(store, op):
         raise AssertionError(f"unknown script op {op!r}")
 
 
-def _reference(kind, prefix):
-    """A fresh non-durable store after the first ``prefix`` script ops."""
+def _reference(kind, prefix, after=()):
+    """A fresh non-durable store after the first ``prefix`` script ops,
+    then the ops ``after``."""
     curve = make_curve(*CURVE)
     if kind == "single":
         store = SFCIndex(curve, page_capacity=4)
     else:
         store = ShardedSFCIndex(curve, num_shards=2, page_capacity=4)
-    for op in _script(kind)[:prefix]:
+    for op in _script(kind)[:prefix] + list(after):
         _apply_op(store, op)
     return store
 
@@ -126,6 +141,19 @@ def _signature(store):
         else None
     )
     return len(store), store.curve, shape, probes
+
+
+def _recover_again(recovered, root):
+    """Take :data:`AFTER_RECOVERY` on a recovered store, close it and
+    return the signature of a second recovery."""
+    for op in AFTER_RECOVERY:
+        _apply_op(recovered, op)
+    recovered.durability.close()
+    again = recover(root)
+    try:
+        return _signature(again)
+    finally:
+        again.durability.close()
 
 
 def _boundaries(kind, tmp_path):
@@ -163,10 +191,17 @@ def test_every_kill_point_recovers_to_a_committed_prefix(kind, mode, tmp_path):
     script_len = len(_script(kind))
     references = {}
 
-    def reference_signature(prefix):
-        if prefix not in references:
-            references[prefix] = _signature(_reference(kind, prefix))
-        return references[prefix]
+    def reference_signature(prefix, after=()):
+        if (prefix, after) not in references:
+            references[prefix, after] = _signature(_reference(kind, prefix, after))
+        return references[prefix, after]
+
+    def continues(recovered, root, matched):
+        """The recovered store keeps logging, checkpoints and recovers
+        again to a matched prefix plus the steps it took."""
+        again = _recover_again(recovered, root)
+        after = tuple(AFTER_RECOVERY)
+        return any(again == reference_signature(p, after) for p in matched)
 
     failures = []
     for budget in range(1, total + 1):
@@ -183,12 +218,17 @@ def test_every_kill_point_recovers_to_a_committed_prefix(kind, mode, tmp_path):
                 continue
             if _signature(recovered) != reference_signature(0):
                 failures.append((budget, acked, "constructor"))
+            elif not continues(recovered, root, [0]):
+                failures.append((budget, acked, "constructor, recovered again"))
             continue
         recovered = recover(root)
         got = _signature(recovered)
         candidates = {acked, min(acked + 1, script_len)}
-        if not any(got == reference_signature(p) for p in candidates):
+        matched = [p for p in sorted(candidates) if got == reference_signature(p)]
+        if not matched:
             failures.append((budget, acked, "prefix mismatch"))
+        elif not continues(recovered, root, matched):
+            failures.append((budget, acked, "mismatch after recovering again"))
     assert not failures, f"kill points violating the invariant: {failures}"
 
 
