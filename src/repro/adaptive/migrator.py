@@ -21,8 +21,8 @@ pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
    price of briefly blocking writers.
 
 Because the shadow layout is packed by the very
-:func:`~repro.index.spatial.pack_layout` a fresh bulk load flushes
-through, a migrated index is *observationally identical* to an index
+:func:`~repro.api.store.pack_columns` every flush ends in, a
+migrated index is *observationally identical* to an index
 bulk-loaded on the target curve from scratch — same records, seeks and
 pages for every query — which is the differential guarantee
 ``tests/adaptive/test_migration.py`` proves, sharded included.

@@ -40,7 +40,7 @@ Quickstart::
 from .cursor import Cursor, CursorStats, QueryResult
 from .knn import KNNResult, Neighbor, knn_search
 from .query import Query, RectUnion
-from .store import ANY, SpatialStore, keyed_records, merge_plans, pack_layout
+from .store import ANY, SpatialStore, merge_plans, pack_layout
 
 __all__ = [
     "ANY",
@@ -52,7 +52,6 @@ __all__ = [
     "QueryResult",
     "RectUnion",
     "SpatialStore",
-    "keyed_records",
     "knn_search",
     "merge_plans",
     "pack_layout",

@@ -71,7 +71,7 @@ from .cursor import Cursor, QueryResult
 from .query import Query, RectUnion
 
 __all__ = [
-    "ANY", "SpatialStore", "keyed_records", "pack_layout", "pack_columns", "merge_plans"
+    "ANY", "SpatialStore", "pack_layout", "pack_columns", "merge_plans"
 ]
 
 
@@ -169,18 +169,6 @@ def _in_key_order(
     """
     order = np.argsort(keys, kind="stable")
     return key_column(keys[order]), tuple([records[i] for i in order.tolist()])
-
-
-def keyed_records(
-    curve: SpaceFillingCurve,
-    points: Iterable[Sequence[int]],
-    payloads: Optional[Iterable[Any]] = None,
-) -> Tuple[np.ndarray, Tuple[Record, ...]]:
-    """The key column and record column of ``points`` (paired with
-    ``payloads``) under ``curve``, sorted by key with equal keys in
-    arrival order: what :meth:`SpatialStore.bulk_load` files into the
-    tree, validated and paired by its rules."""
-    return _in_key_order(*_keyed_arrivals(curve, points, payloads))
 
 
 def _split_pairs(

@@ -1,65 +1,35 @@
 """``repro.devtools``: the repo's own correctness tooling.
 
-PRs 3-5 made the codebase genuinely concurrent: a re-entrant store mutex
-and a shared I/O lock guard the sharded page store, epoch-keyed plan
-caches must be bumped on every layout swap, and the migrator's
-optimistic version-checked cutover races live queries.  Every one of
-those invariants used to be enforced only by runtime hammer tests that
-can miss interleavings; this package enforces them *statically* (and
-cross-checks them at runtime), the role sanitizers and race detectors
-play in a production serving stack:
+A re-entrant store mutex and a shared I/O lock guard the stores, every
+layout swap must bump the plan-cache epoch, and every durable mutation
+must reach the write-ahead log before it is applied.  ``repro lint``
+checks these invariants statically, the role sanitizers play in a
+production serving stack:
 
-* :mod:`repro.devtools.annotations` — the lightweight ``@guarded_by``
-  decorator and ``# guarded-by: <lock>`` comment convention the
-  analyzer reads;
-* :mod:`repro.devtools.locklint` — the AST lock-discipline analyzer:
-  guarded-attribute access outside ``with self.<lock>``, lock-order
-  inversions across the acquisition graph, and blocking calls while
-  holding a lock;
-* :mod:`repro.devtools.invariants` — repo-specific rules: layout
-  installs must bump the plan-cache epoch, streams must notify the
-  workload recorder exactly once (exception paths included), every
-  registered curve must appear in the test curve matrices, and no
-  mutable default arguments;
-* :mod:`repro.devtools.racecheck` — the runtime half: wraps a store's
-  locks during the concurrency hammers, records acquisition order, and
-  cross-checks it against the declared lock order plus unguarded access
-  to watched fields;
+* :mod:`repro.devtools.annotations` — the ``@guarded_by`` decorator and
+  the ``# guarded-by: <lock>`` comment the analyzer reads;
+* :mod:`repro.devtools.locklint` — guarded-field access outside
+  ``with self.<lock>`` and lock-order inversions;
+* :mod:`repro.devtools.lifecycle` — spans, cursors, WAL handles and fds
+  released on every path;
+* :mod:`repro.devtools.ordering` — log-then-apply, the checkpoint
+  rename chain, and handlers that swallow ``InjectedCrash``;
+* :mod:`repro.devtools.invariants` — epoch bumps, notify-once streams,
+  mutable defaults and curve-matrix coverage;
 * :mod:`repro.devtools.ratchet` — the mypy strict ratchet: per-package
   error budgets that can only shrink;
-* :mod:`repro.devtools.cli` — the ``repro lint`` entry point that runs
-  the whole static suite as a blocking CI job.
+* :mod:`repro.devtools.cli` — the ``repro lint`` entry point, a
+  blocking CI job.
 
 The analyzers never *import* the code under analysis — everything is
-``ast`` over source text — so a module with a seeded bug (the fixture
-suite) can be linted without executing it.
+``ast`` over source text — so a module with a seeded bug can be linted
+without executing it.  The package root exports only ``guarded_by``,
+the one name production modules need, so ``import repro`` loads no
+lint machinery.
 """
 
 from __future__ import annotations
 
 from .annotations import guarded_by
-from .findings import Finding, LintReport
-from .racecheck import FieldViolation, LockOrderTracker, OrderViolation, watch_fields
 
-__all__ = [
-    "Finding",
-    "FieldViolation",
-    "LintReport",
-    "LockOrderTracker",
-    "OrderViolation",
-    "guarded_by",
-    "lint_tree",
-    "watch_fields",
-]
-
-
-def lint_tree(*args, **kwargs):
-    """Run every static rule over the repo tree (lazy import facade).
-
-    See :func:`repro.devtools.analyzer.lint_tree`; imported lazily so
-    ``from repro.devtools import guarded_by`` — the one line the
-    annotated production modules need — never pays for the analyzer.
-    """
-    from .analyzer import lint_tree as _lint_tree
-
-    return _lint_tree(*args, **kwargs)
+__all__ = ["guarded_by"]

@@ -33,7 +33,6 @@ __all__ = ["ALL_RULES", "lint_tree"]
 ALL_RULES: Tuple[str, ...] = (
     "unguarded-access",
     "lock-order",
-    "blocking-under-lock",
     "epoch-bump",
     "notify-once",
     "mutable-default",
@@ -88,16 +87,16 @@ def lint_tree(
         return path.as_posix()
 
     report = LintReport()
-    lock_lint = LockLint(repo_root=repo_root)
+    lock_lint = LockLint()
     for path in _python_files(src):
         source = path.read_text()
         tree = ast.parse(source, filename=str(path))
         rel = relpath(path)
         units = dataflow.module_units(tree)
         lock_lint.add_module(tree, source, rel, units)
-        report.extend(invariants.check_epoch_bumps(tree, rel))
+        report.extend(invariants.check_epoch_bumps(units, rel))
         report.extend(invariants.check_notify_once(tree, rel))
-        report.extend(invariants.check_mutable_defaults(tree, rel))
+        report.extend(invariants.check_mutable_defaults(units, rel))
         report.extend(lifecycle.check_resource_lifecycle(tree, units, rel))
         report.extend(ordering.check_durability_ordering(units, rel))
         report.extend(ordering.check_exception_flow(tree, rel))

@@ -10,9 +10,8 @@ Two complementary forms, both deliberately lightweight:
 
   declares that every read or write of ``self._counts`` in that class
   must happen inside a ``with self._mutex:`` block (or in a method the
-  callers enter with the lock held — see below).  Annotations are
-  scoped to the class that declares them, so a subclass that reassigns
-  a field its base guards repeats the annotation on that assignment.
+  callers enter with the lock held — see below).  A subclass is held
+  to its bases' annotations too.
 
 * **Method annotation** — the :func:`guarded_by` decorator::
 
@@ -27,13 +26,13 @@ Two complementary forms, both deliberately lightweight:
   from every lock it is entered with).
 
 At runtime :func:`guarded_by` is a no-op apart from stamping the
-function with ``__guarded_by__`` — the race-detector harness and tests
-can introspect it — so annotating a hot path costs nothing per call.
+function with ``__guarded_by__``, so annotating a hot path costs
+nothing per call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple, TypeVar
+from typing import Callable, TypeVar
 
 __all__ = ["GUARDED_BY_COMMENT", "guarded_by"]
 
@@ -48,8 +47,8 @@ def guarded_by(*locks: str) -> Callable[[_F], _F]:
 
     Purely declarative: the decorated function is returned unchanged
     except for a ``__guarded_by__`` attribute naming the locks.  The
-    static analyzer seeds the method's held-lock set from it; the
-    runtime tracker can assert it during hammer runs.
+    static analyzer seeds the method's held-lock set from the
+    decorator as written in the source.
     """
     if not locks or any(not isinstance(name, str) or not name for name in locks):
         raise ValueError(f"guarded_by needs one or more lock names, got {locks!r}")
@@ -59,8 +58,3 @@ def guarded_by(*locks: str) -> Callable[[_F], _F]:
         return func
 
     return mark
-
-
-def declared_guards(func: Callable) -> Tuple[str, ...]:
-    """The lock names ``func`` was annotated with (empty when none)."""
-    return tuple(getattr(func, "__guarded_by__", ()))

@@ -1,9 +1,9 @@
 """Repo-specific configuration for the static analyzers.
 
 The rules themselves are generic AST machinery; everything that encodes
-*this* repo's conventions — the canonical lock order, which call shapes
-count as blocking, where the curve registry and the test curve matrices
-live — is declared here, in one reviewable place.
+*this* repo's conventions — the canonical lock order, the resource
+pairs, where the curve registry and the test curve matrices live — is
+declared here, in one reviewable place.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from pathlib import Path
 from typing import FrozenSet, Tuple
 
 __all__ = [
-    "BLOCKING_ATTR_CALLS",
-    "BLOCKING_NAME_CALLS",
     "CHAIN_OP_NAMES",
     "DECLARED_LOCK_ORDER",
     "DURABLE_APPLY_CALLS",
@@ -43,17 +41,6 @@ DECLARED_LOCK_ORDER: Tuple[str, ...] = ("_mutex", "_io_lock")
 #: that happen to share a spelling) is scoped to its class.
 GLOBAL_LOCKS: FrozenSet[str] = frozenset(DECLARED_LOCK_ORDER)
 
-#: Method attribute names whose call blocks the calling thread —
-#: forbidden while holding any tracked lock (a worker needing the same
-#: lock to make progress deadlocks the system).  ``shutdown`` is exempt
-#: when called with an explicit ``wait=False``.
-BLOCKING_ATTR_CALLS: FrozenSet[str] = frozenset(
-    {"result", "join", "shutdown", "wait"}
-)
-
-#: Bare-name calls that block (module functions / builtins).
-BLOCKING_NAME_CALLS: FrozenSet[str] = frozenset({"sleep", "input"})
-
 #: One row of the acquire/release pair table the resource-lifecycle
 #: rule enforces: anything obtained through a call matching ``acquires``
 #: must reach one of the ``releases`` methods on every CFG path.
@@ -80,15 +67,16 @@ class ResourcePair:
     #: like ``os.close(fd)``.
     release_funcs: Tuple[str, ...] = ()
     #: When True, handing the resource to someone else (returning it,
-    #: storing it on an object, passing it as a call argument) transfers
+    #: storing it on an object, passing it as a call argument to
+    #: anything but a :data:`CHAIN_OP_NAMES` primitive) transfers
     #: ownership and ends local tracking.  Spans keep False — the
     #: historical span-balance contract demands a local ``.end()``.
     escapes: bool = True
 
 
-#: The acquire/release pairs the resource-lifecycle rule knows about.
-#: Cursor/PlanStream close, Trace span end, WAL / page-file handle
-#: close and raw fd close.
+#: The acquire/release pairs the resource-lifecycle rule knows about:
+#: Trace span end, Cursor close, WAL / page-file handle close and raw
+#: fd close.
 RESOURCE_PAIRS: Tuple[ResourcePair, ...] = (
     ResourcePair(
         kind="span", rule="span-balance",
@@ -98,10 +86,6 @@ RESOURCE_PAIRS: Tuple[ResourcePair, ...] = (
     ResourcePair(
         kind="cursor", rule="resource-lifecycle",
         acquires=("cursor",), releases=("close",),
-    ),
-    ResourcePair(
-        kind="stream", rule="resource-lifecycle",
-        acquires=("stream",), releases=("close",),
     ),
     ResourcePair(
         kind="wal-handle", rule="resource-lifecycle",
@@ -135,7 +119,9 @@ DURABLE_APPLY_CALLS: FrozenSet[str] = frozenset(
 #: Functions *implementing* a link of the temp-write → fsync → replace
 #: → dir-fsync chain (the ``FileOps`` seam and its ``CrashInjector``
 #: wrappers).  The chain rule skips them: they are the boundary the
-#: rule checks everyone else against.
+#: rule checks everyone else against.  The lifecycle rule reads a call
+#: to one of them as a borrow: the handle it is passed stays the
+#: caller's to release.
 CHAIN_OP_NAMES: FrozenSet[str] = frozenset(
     {
         "replace",

@@ -73,6 +73,7 @@ __all__ = [
     "build_cfg",
     "class_summaries",
     "module_units",
+    "own_nodes",
     "run_forward",
     "scan_walk",
     "self_attr",
@@ -549,7 +550,8 @@ class MethodSummary:
     calls: Set[str] = field(default_factory=set)
 
 
-def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``func``'s body, outside nested defs, lambdas and classes."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(func))
     while stack:
         node = stack.pop()
@@ -594,7 +596,7 @@ def class_summaries(
             continue
         summary = MethodSummary()
         aliases: Dict[str, str] = {}
-        for node in _own_nodes(item):
+        for node in own_nodes(item):
             if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
@@ -603,7 +605,7 @@ def class_summaries(
                 attr = self_attr(node.value)
                 if attr is not None and is_lock(attr):
                     aliases[node.targets[0].id] = attr
-        for node in _own_nodes(item):
+        for node in own_nodes(item):
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for with_item in node.items:
                     expr = with_item.context_expr

@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .config import MATRIX_VARIABLE_NAMES, NOTIFY_CALLS
-from .dataflow import self_attr, self_call_name
+from .dataflow import FunctionUnit, own_nodes, self_attr, self_call_name
 from .findings import Finding
 
 __all__ = [
@@ -52,35 +52,19 @@ _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, as
 _MUTABLE_CTORS = {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter"}
 
 
-def _functions(tree: ast.AST) -> Iterable[Tuple[str, ast.FunctionDef]]:
-    """Every (qualname, function) in ``tree``, classes included."""
-
-    def walk(node: ast.AST, prefix: str) -> Iterable[Tuple[str, ast.FunctionDef]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{child.name}"
-                yield qual, child
-                yield from walk(child, f"{qual}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
-
-    return walk(tree, "")
-
-
 # ----------------------------------------------------------------------
 # epoch-bump
 # ----------------------------------------------------------------------
-def check_epoch_bumps(tree: ast.AST, relpath: str) -> List[Finding]:
+def check_epoch_bumps(units: Sequence[FunctionUnit], relpath: str) -> List[Finding]:
     """Flag layout installs that never bump the plan-cache epoch."""
     findings: List[Finding] = []
-    for qual, func in _functions(tree):
+    for unit in units:
+        qual, func = unit.qualname, unit.func
         if func.name == "__init__":
             continue  # constructor wiring precedes any cached plan
         installs_layout: Optional[int] = None
         bumps_epoch = False
-        for node in _own_nodes(func):
+        for node in own_nodes(func):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     attr = self_attr(target)
@@ -116,18 +100,8 @@ def check_epoch_bumps(tree: ast.AST, relpath: str) -> List[Finding]:
 # ----------------------------------------------------------------------
 # notify-once
 # ----------------------------------------------------------------------
-def _own_nodes(func: ast.FunctionDef) -> Iterable[ast.AST]:
-    """Walk ``func`` without descending into nested function defs."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def _is_generator(func: ast.FunctionDef) -> bool:
-    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in _own_nodes(func))
+    return any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(func))
 
 
 def _calls_notify(nodes: Iterable[ast.AST]) -> bool:
@@ -143,7 +117,7 @@ def _has_once_guard(func: ast.FunctionDef) -> bool:
     pattern ``if self._x: return`` … ``self._x = True``."""
     bail_flags: Set[str] = set()
     set_flags: Set[str] = set()
-    for node in _own_nodes(func):
+    for node in own_nodes(func):
         if isinstance(node, ast.If):
             test = node.test
             attr = self_attr(test)
@@ -179,7 +153,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
         notifiers = {
             name
             for name, f in methods.items()
-            if _calls_notify(_own_nodes(f))
+            if _calls_notify(own_nodes(f))
         }
         if not notifiers:
             continue  # streams that never talk to a recorder
@@ -203,7 +177,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
         def reaches_notifier(func: ast.FunctionDef, seen: Set[str]) -> bool:
             if func.name in notifiers:
                 return True
-            for node in _own_nodes(func):
+            for node in own_nodes(func):
                 callee = self_call_name(node)
                 if callee in methods and callee not in seen:
                     if reaches_notifier(methods[callee], seen | {callee}):
@@ -228,7 +202,7 @@ def check_notify_once(tree: ast.AST, relpath: str) -> List[Finding]:
         # raising predicates, and GC'd abandoned streams all count.
         for name, func in sorted(generators.items()):
             protected = False
-            for node in _own_nodes(func):
+            for node in own_nodes(func):
                 if isinstance(node, ast.Try) and node.finalbody:
                     final_calls = [
                         n for stmt in node.finalbody for n in ast.walk(stmt)
@@ -269,11 +243,11 @@ def _is_mutable_default(node: ast.AST) -> bool:
     return False
 
 
-def check_mutable_defaults(tree: ast.AST, relpath: str) -> List[Finding]:
+def check_mutable_defaults(units: Sequence[FunctionUnit], relpath: str) -> List[Finding]:
     """Flag mutable default argument values (shared across calls)."""
     findings: List[Finding] = []
-    for qual, func in _functions(tree):
-        args = func.args
+    for unit in units:
+        qual, args = unit.qualname, unit.func.args
         positional = args.posonlyargs + args.args
         pairs: List[Tuple[str, Optional[ast.expr]]] = []
         # defaults right-align with the positional args.

@@ -3,9 +3,9 @@
 Generalizes the historical ``span-balance`` rule onto the shared CFG of
 :mod:`repro.devtools.dataflow`: anything acquired through a call in the
 :data:`~repro.devtools.config.RESOURCE_PAIRS` table — a floating trace
-span, a ``Cursor``/``PlanStream``, a WAL or page-file handle, a raw
-``os.open`` fd — must reach its release on every CFG path out of the
-acquiring function, exception edges included.
+span, a ``Cursor``, a WAL or page-file handle, a raw ``os.open`` fd —
+must reach its release on every CFG path out of the acquiring function,
+exception edges included.
 
 The span row reports under the historical ``span-balance`` rule name
 with the historical keys and messages (the baseline and the seeded
@@ -21,8 +21,10 @@ Per function the tracking is:
 * For rows with ``escapes=True``, handing the resource away — ``return
   var``, ``yield var``, ``self.attr = var``, passing ``var`` as a call
   argument, storing it in a literal container — transfers ownership and
-  ends local tracking.  The span row keeps the strict historical
-  contract (a local span must be ended locally).
+  ends local tracking.  A call to a ``FileOps`` primitive
+  (:data:`~repro.devtools.config.CHAIN_OP_NAMES`: ``write``, ``fsync``
+  ...) only borrows the handle.  The span row keeps the strict
+  historical contract (a local span must be ended locally).
 * A bare ``acquire(...)`` expression statement discards the only handle
   — flagged outright, nothing can ever release it.
 
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import dataflow
-from .config import RESOURCE_PAIRS, ResourcePair
+from .config import CHAIN_OP_NAMES, RESOURCE_PAIRS, ResourcePair
 from .dataflow import CFGNode, FunctionUnit, self_attr
 from .findings import Finding
 
@@ -127,7 +129,7 @@ def _collect_acquires(
                 return returns_kind[attr]
         return None
 
-    for node in dataflow._own_nodes(unit.func):
+    for node in dataflow.own_nodes(unit.func):
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             value = node.value
@@ -306,7 +308,8 @@ class _LifecycleAnalysis(dataflow.Analysis):
 
 def _escaping_names(node: ast.AST) -> Set[str]:
     """Bare names ``node`` hands away: returned/yielded, passed as a
-    call argument, stored into a container literal or onto an object."""
+    call argument (a ``FileOps`` primitive only borrows it), stored
+    into a container literal or onto an object."""
     escaped: Set[str] = set()
     if isinstance(node, ast.Return) and node.value is not None:
         escaped |= {
@@ -316,7 +319,7 @@ def _escaping_names(node: ast.AST) -> Set[str]:
         escaped |= {
             n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)
         }
-    elif isinstance(node, ast.Call):
+    elif isinstance(node, ast.Call) and _call_name(node)[0] not in CHAIN_OP_NAMES:
         for arg in node.args:
             if isinstance(arg, ast.Name):
                 escaped.add(arg.id)
@@ -372,7 +375,7 @@ def _returns_kind(cls: ast.ClassDef) -> Dict[str, ResourcePair]:
     for item in cls.body:
         if not isinstance(item, _FUNC_DEFS) or _is_provider(item.name):
             continue
-        for node in dataflow._own_nodes(item):
+        for node in dataflow.own_nodes(item):
             if isinstance(node, ast.Return) and node.value is not None:
                 pair = _acquire_pair(node.value)
                 if pair is not None:
@@ -387,7 +390,7 @@ def _check_unit(
     qual = unit.qualname
 
     # Discarded acquire results: nothing can ever release them.
-    for stmt in dataflow._own_nodes(unit.func):
+    for stmt in dataflow.own_nodes(unit.func):
         if isinstance(stmt, ast.Expr):
             pair = _acquire_pair(stmt.value)
             if pair is None:
@@ -489,7 +492,7 @@ def _check_stored_resources(tree: ast.AST, relpath: str) -> List[Finding]:
         }
         stored: Dict[str, Tuple[int, ResourcePair]] = {}
         for func in methods.values():
-            for node in dataflow._own_nodes(func):
+            for node in dataflow.own_nodes(func):
                 if isinstance(node, ast.Assign):
                     pair = _acquire_pair(node.value)
                     if pair is None:
@@ -503,14 +506,14 @@ def _check_stored_resources(tree: ast.AST, relpath: str) -> List[Finding]:
         released: Set[str] = set()
         for func in methods.values():
             aliases: Dict[str, str] = {}  # local name -> stored attr
-            for node in dataflow._own_nodes(func):
+            for node in dataflow.own_nodes(func):
                 if isinstance(node, ast.Assign):
                     attr = self_attr(node.value)
                     if attr in stored:
                         for target in node.targets:
                             if isinstance(target, ast.Name):
                                 aliases[target.id] = attr
-            for node in dataflow._own_nodes(func):
+            for node in dataflow.own_nodes(func):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)

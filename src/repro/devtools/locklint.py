@@ -1,7 +1,7 @@
-"""CFG lock-discipline analysis: guarded fields, lock order, blocking calls.
+"""CFG lock-discipline analysis: guarded fields and lock order.
 
-Three rules, all driven by the annotation convention in
-:mod:`repro.devtools.annotations` and all running as one must-held
+Two rules, both driven by the annotation convention in
+:mod:`repro.devtools.annotations` and both running as one must-held
 dataflow analysis over the shared CFG of
 :mod:`repro.devtools.dataflow`:
 
@@ -21,10 +21,6 @@ dataflow analysis over the shared CFG of
   potential and gets flagged.  Lock identity is scoped: the global
   names (``_mutex``, ``_io_lock``) mean the same lock everywhere, while
   a leaf class's private ``_lock`` never aliases another class's.
-* ``blocking-under-lock`` — calls that park the calling thread
-  (``future.result()``, ``thread.join()``, ``pool.shutdown()`` without
-  ``wait=False``, ``time.sleep``, ``input``) while any tracked lock is
-  held.
 
 Because the held set is computed per CFG node (a must-analysis: a lock
 counts as held at a point only when *every* path there holds it), the
@@ -45,21 +41,15 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from . import dataflow
 from .annotations import GUARDED_BY_COMMENT
-from .config import (
-    BLOCKING_ATTR_CALLS,
-    BLOCKING_NAME_CALLS,
-    DECLARED_LOCK_ORDER,
-    GLOBAL_LOCKS,
-)
+from .config import DECLARED_LOCK_ORDER, GLOBAL_LOCKS
 from .dataflow import CFGNode, FunctionUnit, MethodSummary, self_attr
 from .findings import Finding
 
-__all__ = ["LockLint", "lint_lock_discipline"]
+__all__ = ["LockLint"]
 
 _GUARD_RE = re.compile(re.escape(GUARDED_BY_COMMENT) + r"\s*([A-Za-z_][A-Za-z0-9_]*)")
 
@@ -70,9 +60,10 @@ _GUARD_RE = re.compile(re.escape(GUARDED_BY_COMMENT) + r"\s*([A-Za-z_][A-Za-z0-9
 _LOCKISH = ("lock", "mutex", "guard")
 
 
-def _looks_like_lock(name: str) -> bool:
+def _is_lock(name: str) -> bool:
+    """A global lock name, or an attribute named like a lock."""
     lowered = name.lower()
-    return any(fragment in lowered for fragment in _LOCKISH)
+    return name in GLOBAL_LOCKS or any(fragment in lowered for fragment in _LOCKISH)
 
 
 @dataclass
@@ -253,22 +244,12 @@ class _HeldLockAnalysis(dataflow.Analysis):
 class LockLint:
     """Accumulates per-file analysis, then reports the cross-file rules.
 
-    Usage: ``add_file`` (or ``add_module`` with a pre-parsed tree)
-    every source file, then ``finalize`` for the combined findings
-    (per-file findings, unguarded accesses checked against each class's
-    and its bases' guarded fields, and the global graph checks).
+    Usage: ``add_module`` every parsed source file, then ``finalize``
+    for the combined findings (unguarded accesses checked against each
+    class's and its bases' guarded fields, and the global graph checks).
     """
 
-    def __init__(
-        self,
-        repo_root: Optional[Path] = None,
-        declared_order: Sequence[str] = DECLARED_LOCK_ORDER,
-        global_locks: Optional[Set[str]] = None,
-    ):
-        self._repo_root = repo_root
-        self._order = tuple(declared_order)
-        self._global = set(GLOBAL_LOCKS if global_locks is None else global_locks)
-        self._findings: List[Finding] = []
+    def __init__(self) -> None:
         self._edges: List[_Edge] = []
         self._models: List[_ClassModel] = []
         self._methods: List[_MethodAccesses] = []
@@ -276,25 +257,17 @@ class LockLint:
     # ------------------------------------------------------------------
     # Per-file analysis
     # ------------------------------------------------------------------
-    def add_file(self, path: Path) -> None:
-        """Analyze one source file (blocking calls, and the field
-        accesses and lock edges ``finalize`` checks)."""
-        source = path.read_text()
-        tree = ast.parse(source, filename=str(path))
-        self.add_module(tree, source, self._relpath(path))
-
     def add_module(
         self,
         tree: ast.AST,
         source: str,
         relpath: str,
-        units: Optional[Sequence[FunctionUnit]] = None,
+        units: Sequence[FunctionUnit],
     ) -> None:
-        """Analyze one pre-parsed module (the driver parses each file
-        once and shares the tree and units across every rule)."""
+        """Analyze one module's field accesses and lock edges (the
+        driver parses each file once and shares the tree and units
+        across every rule)."""
         comments = _collect_guard_comments(source)
-        if units is None:
-            units = dataflow.module_units(tree)
         models: Dict[int, _ClassModel] = {}
         summaries: Dict[int, Dict[str, MethodSummary]] = {}
         alias_cache: Dict[int, Dict[str, str]] = {}
@@ -307,7 +280,7 @@ class LockLint:
                 self._models.append(models[key])
                 summaries[key] = dataflow.class_summaries(
                     unit.cls,
-                    is_lock=self._is_lock,
+                    is_lock=_is_lock,
                     acquire_kind=lambda expr: None,
                 )
             root_key = id(unit.root)
@@ -316,14 +289,6 @@ class LockLint:
             self._check_unit(
                 unit, models[key], summaries[key], alias_cache[root_key]
             )
-
-    def _relpath(self, path: Path) -> str:
-        if self._repo_root is not None:
-            try:
-                return path.resolve().relative_to(self._repo_root.resolve()).as_posix()
-            except ValueError:
-                pass
-        return path.as_posix()
 
     def _local_lock_aliases(self, func: ast.AST) -> Dict[str, str]:
         """``{local_name: lock_attr}`` for ``name = self.<lock>`` bindings."""
@@ -335,18 +300,15 @@ class LockLint:
                 and isinstance(node.targets[0], ast.Name)
             ):
                 attr = self_attr(node.value)
-                if attr is not None and self._is_lock(attr):
+                if attr is not None and _is_lock(attr):
                     aliases[node.targets[0].id] = attr
         return aliases
-
-    def _is_lock(self, model_attr: str) -> bool:
-        return model_attr in self._global or _looks_like_lock(model_attr)
 
     def _acquired_lock(
         self, expr: ast.expr, local_aliases: Dict[str, str]
     ) -> Optional[str]:
         """The lock name a ``with`` item acquires, or None."""
-        if isinstance(expr, ast.Attribute) and self._is_lock(expr.attr):
+        if isinstance(expr, ast.Attribute) and _is_lock(expr.attr):
             return expr.attr
         if isinstance(expr, ast.Name) and expr.id in local_aliases:
             return local_aliases[expr.id]
@@ -366,25 +328,16 @@ class LockLint:
         method = _MethodAccesses(model, unit.qualname, unit.method_name)
         if unit.method_name not in ("__init__", "__post_init__"):
             self._methods.append(method)
-        scope = unit.qualname
         cfg = unit.cfg
-        states = dataflow.run_forward(
-            cfg, _HeldLockAnalysis(self, held0, local_aliases)
-        )
-        flagged: Set[int] = set()  # id(ast node) — finally bodies are
-        # duplicated in the CFG; each source-level site reports once.
+        analysis = _HeldLockAnalysis(self, held0, local_aliases)
+        states = dataflow.run_forward(cfg, analysis)
         for node in cfg.nodes:
             state = states.get(node.index)
             if state is None:
                 continue  # unreachable
             held = {name for name, _ in state}
             if node.kind == "with-enter" and node.ref is not None:
-                lock = None
-                for sub in node.scan:
-                    if isinstance(sub, ast.expr):
-                        lock = self._acquired_lock(sub, local_aliases)
-                        if lock is not None:
-                            break
+                lock = analysis._acquired(node)
                 if lock is not None and lock not in held:
                     for already in sorted(held):
                         self._edges.append(
@@ -403,23 +356,6 @@ class LockLint:
                         _Access(attr, sub.lineno, sub.col_offset, frozenset(held))
                     )
                 if isinstance(sub, ast.Call):
-                    if held:
-                        blocking = self._blocking_call_name(sub)
-                        if blocking is not None and id(sub) not in flagged:
-                            flagged.add(id(sub))
-                            self._findings.append(
-                                Finding(
-                                    rule="blocking-under-lock",
-                                    path=model.path,
-                                    line=sub.lineno,
-                                    message=(
-                                        f"{model.name}.{unit.method_name} "
-                                        f"calls {blocking}() while holding "
-                                        f"{', '.join(sorted(held))}"
-                                    ),
-                                    key=f"{model.path}::{scope}::{blocking}",
-                                )
-                            )
                     # One-level interprocedural: a self._helper() call
                     # site contributes held -> helper-acquired edges.
                     callee = self_attr(sub.func)
@@ -437,28 +373,6 @@ class LockLint:
                                         line=sub.lineno,
                                     )
                                 )
-
-    @staticmethod
-    def _blocking_call_name(node: ast.Call) -> Optional[str]:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in BLOCKING_NAME_CALLS:
-            return func.id
-        if isinstance(func, ast.Attribute) and func.attr in BLOCKING_ATTR_CALLS:
-            # "sep".join(...) is string formatting, not thread joining.
-            if func.attr == "join" and isinstance(func.value, ast.Constant):
-                return None
-            if func.attr == "shutdown":
-                for keyword in node.keywords:
-                    if (
-                        keyword.arg == "wait"
-                        and isinstance(keyword.value, ast.Constant)
-                        and keyword.value.value is False
-                    ):
-                        return None
-            return func.attr
-        if isinstance(func, ast.Attribute) and func.attr in BLOCKING_NAME_CALLS:
-            return func.attr  # time.sleep and friends, dotted form
-        return None
 
     # ------------------------------------------------------------------
     # Cross-file checks
@@ -521,10 +435,10 @@ class LockLint:
         return findings
 
     def finalize(self) -> List[Finding]:
-        """Per-site findings, the unguarded-access rule (which needs
-        every file's classes) and the acquisition-graph verdicts."""
-        findings = list(self._findings) + self._unguarded_findings()
-        order_index = {name: i for i, name in enumerate(self._order)}
+        """The unguarded-access rule (which needs every file's classes)
+        and the acquisition-graph verdicts."""
+        findings = self._unguarded_findings()
+        order_index = {name: i for i, name in enumerate(DECLARED_LOCK_ORDER)}
         # Scope-local inversion: both directions observed between the
         # same two locks (global names compare globally, private names
         # only within their class scope).
@@ -533,7 +447,7 @@ class LockLint:
         for edge in self._edges:
             scope_key = (
                 "<global>"
-                if edge.held in self._global and edge.acquired in self._global
+                if edge.held in GLOBAL_LOCKS and edge.acquired in GLOBAL_LOCKS
                 else edge.scope
             )
             seen[(scope_key, edge.held, edge.acquired)] = edge
@@ -567,21 +481,10 @@ class LockLint:
                         line=edge.line,
                         message=(
                             f"acquires {b} while holding {a}, against the "
-                            f"declared order {' -> '.join(self._order)}"
+                            f"declared order {' -> '.join(DECLARED_LOCK_ORDER)}"
                         ),
                         key=f"{a}->{b}@declared",
                     )
                 )
         return findings
 
-
-def lint_lock_discipline(
-    paths: Sequence[Path],
-    repo_root: Optional[Path] = None,
-    declared_order: Sequence[str] = DECLARED_LOCK_ORDER,
-) -> List[Finding]:
-    """Run the three lock rules over ``paths`` and return the findings."""
-    lint = LockLint(repo_root=repo_root, declared_order=declared_order)
-    for path in paths:
-        lint.add_file(path)
-    return lint.finalize()

@@ -126,7 +126,7 @@ def check_durability_ordering(
 def _check_log_then_apply(unit: FunctionUnit, relpath: str) -> List[Finding]:
     logs = any(
         self_call_name(node) in WAL_LOG_CALLS
-        for node in dataflow._own_nodes(unit.func)
+        for node in dataflow.own_nodes(unit.func)
     )
     if not logs:
         return []
@@ -186,7 +186,7 @@ def _check_rename_chain(unit: FunctionUnit, relpath: str) -> List[Finding]:
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "replace"
         and _ops_like(node.func.value)
-        for node in dataflow._own_nodes(unit.func)
+        for node in dataflow.own_nodes(unit.func)
     )
     if not has_replace:
         return []
@@ -300,7 +300,7 @@ def check_exception_flow(tree: ast.AST, relpath: str) -> List[Finding]:
     for qual, scope in scopes:
         counters: Dict[str, int] = {}
         own = (
-            dataflow._own_nodes(scope)
+            dataflow.own_nodes(scope)
             if not isinstance(scope, ast.Module)
             else _module_own_nodes(scope)
         )

@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..api.store import SpatialStore, keyed_records, pack_layout
+from ..api.store import SpatialStore, pack_layout
 from ..curves.base import SpaceFillingCurve
 from ..engine.cost import CostModel
 from ..engine.executor import Executor, RangeQueryResult, Record
 from ..engine.plan import PageLayout
 from ..engine.planner import Planner
 
-__all__ = ["Record", "RangeQueryResult", "SFCIndex", "keyed_records", "pack_layout"]
+__all__ = ["Record", "RangeQueryResult", "SFCIndex", "pack_layout"]
 
 
 class SFCIndex(SpatialStore):

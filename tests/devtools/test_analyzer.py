@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.engine.executor as executor_module
 from repro.devtools.analyzer import ALL_RULES, lint_tree
 from repro.devtools.findings import Finding, LintReport, load_baseline
 
@@ -46,14 +45,6 @@ class TestSeededFixtures:
         # Both verdicts fire: the cycle and the declared-order breach.
         assert any("<->" in f.key for f in findings)
         assert any(f.key.endswith("@declared") for f in findings)
-
-    def test_blocking_under_lock(self):
-        report = _lint("bad_blocking.py")
-        findings = [f for f in report.findings if f.rule == "blocking-under-lock"]
-        blocked = {f.key.rsplit("::", 1)[-1] for f in findings}
-        assert blocked == {"sleep", "result", "shutdown"}
-        # stop_fast's shutdown(wait=False) is exempt.
-        assert all("stop_fast" not in f.key for f in findings)
 
     def test_epoch_bump(self):
         report = _lint("bad_epoch.py")
@@ -183,43 +174,6 @@ class TestCleanTargets:
         }
 
 
-class TestPlanStreamNotifyOnce:
-    """``notify-once`` keeps guarding the real ``PlanStream``: breaking
-    either half of its exactly-once contract in a copy of
-    ``engine/executor.py`` yields exactly one finding."""
-
-    EXECUTOR = Path(executor_module.__file__)
-    GUARD = "        if self._recorded:\n            return\n"
-    FINALLY = "        finally:\n            self._finalize()\n"
-
-    def _lint_copy(self, tmp_path, source):
-        path = tmp_path / "executor.py"
-        path.write_text(source)
-        report = lint_tree(
-            src=path, use_baseline=False, rules=["notify-once"], repo_root=tmp_path
-        )
-        return [(f.rule, f.key) for f in report.findings]
-
-    def test_executor_copy_is_clean(self, tmp_path):
-        assert self._lint_copy(tmp_path, self.EXECUTOR.read_text()) == []
-
-    def test_dropping_the_once_guard_is_flagged(self, tmp_path):
-        source = self.EXECUTOR.read_text()
-        assert source.count(self.GUARD) == 1
-        findings = self._lint_copy(tmp_path, source.replace(self.GUARD, ""))
-        assert findings == [
-            ("notify-once", "executor.py::PlanStream._finalize::guard")
-        ]
-
-    def test_dropping_the_finally_notifier_is_flagged(self, tmp_path):
-        source = self.EXECUTOR.read_text()
-        assert source.count(self.FINALLY) == 1
-        seeded = source.replace(self.FINALLY, "        finally:\n            pass\n")
-        assert self._lint_copy(tmp_path, seeded) == [
-            ("notify-once", "executor.py::PlanStream._run::finally")
-        ]
-
-
 # ----------------------------------------------------------------------
 # Report/baseline mechanics
 # ----------------------------------------------------------------------
@@ -288,7 +242,6 @@ class TestFindingRendering:
         assert set(ALL_RULES) == {
             "unguarded-access",
             "lock-order",
-            "blocking-under-lock",
             "epoch-bump",
             "notify-once",
             "mutable-default",

@@ -19,7 +19,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SEEDED = [
     "bad_unguarded.py",
     "bad_lock_order.py",
-    "bad_blocking.py",
     "bad_epoch.py",
     "bad_notify.py",
     "bad_mutable_default.py",

@@ -9,7 +9,8 @@ from pathlib import Path
 import repro.api.store as store_module
 import repro.index.sharded as sharded_module
 from repro.devtools import dataflow
-from repro.devtools.locklint import LockLint, lint_lock_discipline
+from repro.devtools.analyzer import lint_tree
+from repro.devtools.locklint import LockLint
 
 PREAMBLE = "import threading\n\n\n"
 
@@ -24,6 +25,17 @@ def _lint(body):
 
 def _keys(findings, rule):
     return {f.key for f in findings if f.rule == rule}
+
+
+def _lint_dir(root):
+    """The lock rules over every module in ``root``, keyed from ``root``."""
+    report = lint_tree(
+        src=root,
+        rules=["unguarded-access", "lock-order"],
+        use_baseline=False,
+        repo_root=root,
+    )
+    return [(f.rule, f.key) for f in report.findings]
 
 
 class TestMultiItemWith:
@@ -116,44 +128,15 @@ class TestLockInHelper:
 
 
 class TestStoreSubclassDiscipline:
-    """The guarded fields a store subclass reassigns keep their
-    ``guarded-by`` annotations there, so dropping the mutex from a
-    subclass method is caught even though the base declares them."""
+    """A store subclass is held to the guarded fields its base declares
+    in another file.  (Dropping the mutex from a method of the live
+    ``ShardedSFCIndex`` is a row of ``test_live_mutations.py``.)"""
 
     SHARDED = Path(sharded_module.__file__)
-    LOCKED_LOADS = (
-        "        with self._mutex:\n"
-        "            return tuple(\n"
-        "                sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
-        "                for lo, hi in self._shards\n"
-        "            )\n"
-    )
-    UNLOCKED_LOADS = (
-        "        return tuple(\n"
-        "            sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
-        "            for lo, hi in self._shards\n"
-        "        )\n"
-    )
-
-    def _lint_copy(self, tmp_path, source):
-        path = tmp_path / "sharded.py"
-        path.write_text(source)
-        return lint_lock_discipline([path], repo_root=tmp_path)
 
     def test_sharded_store_copy_is_clean(self, tmp_path):
-        assert self._lint_copy(tmp_path, self.SHARDED.read_text()) == []
-
-    def test_dropping_the_mutex_in_shard_loads_is_flagged(self, tmp_path):
-        source = self.SHARDED.read_text()
-        assert source.count(self.LOCKED_LOADS) == 1
-        seeded = source.replace(self.LOCKED_LOADS, self.UNLOCKED_LOADS)
-        findings = self._lint_copy(tmp_path, seeded)
-        assert [(f.rule, f.key) for f in findings] == [
-            (
-                "unguarded-access",
-                "sharded.py::ShardedSFCIndex.shard_loads::_shards",
-            )
-        ]
+        (tmp_path / "sharded.py").write_text(self.SHARDED.read_text())
+        assert _lint_dir(tmp_path) == []
 
     def test_a_subclass_is_held_to_its_bases_guarded_fields(self, tmp_path):
         """``_tree`` is annotated in ``SpatialStore`` only.  Linted
@@ -165,13 +148,11 @@ class TestStoreSubclassDiscipline:
         seeded = source.replace(
             anchor, "    def peek(self):\n        return len(self._tree)\n\n" + anchor
         )
-        store = tmp_path / "store.py"
-        store.write_text(Path(store_module.__file__).read_text())
+        (tmp_path / "store.py").write_text(Path(store_module.__file__).read_text())
         sharded = tmp_path / "sharded.py"
         sharded.write_text(source)
-        assert lint_lock_discipline([sharded, store], repo_root=tmp_path) == []
+        assert _lint_dir(tmp_path) == []
         sharded.write_text(seeded)
-        findings = lint_lock_discipline([sharded, store], repo_root=tmp_path)
-        assert [(f.rule, f.key) for f in findings] == [
+        assert _lint_dir(tmp_path) == [
             ("unguarded-access", "sharded.py::ShardedSFCIndex.peek::_tree")
         ]

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.devtools.racecheck import (
+from racecheck import (
     FieldViolation,
     LockOrderTracker,
     OrderViolation,

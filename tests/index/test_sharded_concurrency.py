@@ -27,10 +27,11 @@ import pytest
 
 from repro.api import Query
 from repro.curves import make_curve
-from repro.devtools import LockOrderTracker, watch_fields
 from repro.engine import PlanCache, Planner
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex
+
+from racecheck import LockOrderTracker, watch_fields
 
 SIDE = 16
 RECT = Rect((0, 0), (SIDE - 1, SIDE - 1))  # whole-universe query: count == len
@@ -174,7 +175,7 @@ class TestRaceCheckedHammer:
 
     Streaming cursors and kNN searches run concurrently with writers
     and online ``migrate_to`` cutovers while every store lock is
-    wrapped in a :class:`~repro.devtools.LockOrderTracker` and every
+    wrapped in a :class:`~racecheck.LockOrderTracker` and every
     mutex-guarded field is watched (the sharded store here, the single
     store in :class:`TestRaceCheckedHammerSingle`).  Afterwards the
     tracker must show: zero unguarded field accesses, zero lock-order

@@ -1,8 +1,10 @@
 """Runtime race-detector harness for the concurrency hammer suites.
 
-The static analyzer in :mod:`repro.devtools.locklint` proves discipline
-*within* a method; this module observes it *across* methods and threads
-while a real hammer test runs.  Three pieces:
+A test helper, imported as ``racecheck`` (like ``layout_oracle``); no
+production module uses it.  The static analyzer in
+:mod:`repro.devtools.locklint` proves discipline *within* a method;
+this module observes it *across* methods and threads while a real
+hammer test runs.  Three pieces:
 
 * :class:`TrackedLock` — a delegating wrapper around a
   ``threading.Lock`` / ``RLock`` that reports every acquire/release to
@@ -34,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .config import DECLARED_LOCK_ORDER
+from repro.devtools.config import DECLARED_LOCK_ORDER
 
 __all__ = [
     "FieldViolation",

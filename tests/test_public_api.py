@@ -1,6 +1,10 @@
 """The public API surface: imports, __all__ integrity, docstrings."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,25 @@ class TestTopLevelApi:
 
         names = set(curve_names())
         assert {"onion", "hilbert", "peano", "zorder", "gray", "snake"} <= names
+
+    def test_import_loads_no_lint_machinery(self):
+        """Production modules import only ``guarded_by`` from
+        ``repro.devtools``; the analyzers, findings and config stay
+        unloaded by ``import repro``."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import sys, repro; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.startswith('repro.devtools'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["repro.devtools", "repro.devtools.annotations"]
