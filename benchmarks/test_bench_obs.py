@@ -78,10 +78,14 @@ class UninstrumentedDisk(SimulatedDisk):
     the disabled-path flag check and nothing else.
     """
 
-    def allocate(self, payload) -> int:
-        self._pages.append(weakref.ref(payload))
-        self.stats.pages_written += 1
-        return len(self._pages) - 1
+    def allocate(self, payload, count: int = 1, tail=None) -> int:
+        first = len(self._pages)
+        self._pages += [weakref.ref(payload)] * count
+        if tail is not None:
+            self._pages.append(weakref.ref(tail))
+        written = len(self._pages) - first
+        self.stats.pages_written += written
+        return first
 
     def read(self, page_id: int):
         if not 0 <= page_id < len(self._pages):

@@ -20,9 +20,10 @@ drifting.  ``SpatialStore`` hoists that facade into one abstract base:
   by key and filed with one tree insert per distinct key), so
   ingestion semantics cannot diverge;
 * **one flush protocol** — :meth:`flush` packs the current columns
-  (:meth:`_current_columns`): the keys written since the last install
-  merged into that layout's columns (or into the sorted columns of a
-  bulk load into an empty tree), or the key-ordered
+  (:meth:`_current_columns`): the buckets of the keys written since
+  the last install, as their writes noted them, merged into that
+  layout's columns (or into the sorted columns of a bulk load into an
+  empty tree), or the key-ordered
   :meth:`_flush_entries` walk when there is none to merge into; every
   flush ends in :func:`pack_columns`, and the layout is installed via
   the epoch-bumping :meth:`_install_layout` (the sharded layer's
@@ -48,8 +49,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from itertools import chain
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,11 +93,13 @@ ANY = _AnyPayload()
 #: A flush merges the keys written since the last install while they
 #: number at most this fraction of the previous layout's records; past
 #: it, writes stop tracking keys and the next flush walks the tree.  A
-#: merge costs about 5 us per written key, a walk a fixed Python pass
-#: over every record: on a 20,000-record onion store of side 256 (2-core
-#: x86-64, Python 3.11, numpy 2.4; median of 11), merging 1,250 keys
-#: (1/16) took 7.4 ms against 11.8 ms for the walk, and the two met near
-#: 2,500 keys (1/8).  1/16 keeps the merge clear of that crossover.
+#: merge costs a few us per written key on top of one copy of the
+#: columns, a walk a fixed Python pass over every record: on a
+#: 20,000-record onion store of side 256 (2-core x86-64, Python 3.11,
+#: numpy 2.4; median of 11 in each of five processes), merging 1,250
+#: keys (1/16) took 3.4-6.4 ms against 9.7-13.2 ms for the walk, and the
+#: two met between 4,000 and 5,000 keys (1/5 to 1/4).  1/16 keeps the
+#: merge well clear of that crossover.
 _MERGE_FRACTION = 1 / 16
 
 
@@ -183,6 +185,53 @@ def _split_pairs(
     return keys, tuple(column)
 
 
+def _merged_columns(
+    base: PageLayout, written: Dict[int, Sequence[Record]]
+) -> Tuple[np.ndarray, Tuple[Record, ...]]:
+    """``base``'s columns with the run of each ``written`` key replaced
+    by the bucket its last write noted.
+
+    The columns a walk of the tree would yield: once the base is taken
+    (at an install, or by a bulk load into an empty tree), a bucket
+    changes only through ``insert`` or ``delete`` of its key, and both
+    note the key with its bucket after the write
+    (:meth:`SpatialStore._note_write`): the list the tree holds, in the
+    order the walk yields the key's records.  Every other run of the
+    base is still current, so the merge reads no tree.  It takes a few
+    steps per written key and none per record: the kept-key mask is one
+    ``np.repeat`` over the run edges, and the record column is one list
+    extended by each kept slice of the base and each bucket, made a
+    tuple once.  The key column is the base's other keys and each
+    written key once per record of its bucket, sorted; the
+    concatenation is ``object`` when either part is, and
+    :func:`pack_columns` then applies
+    :func:`~repro.engine.plan.key_column`'s rule to the result.
+    """
+    keys = sorted(written)
+    buckets = [written[key] for key in keys]
+    lo, hi = base.bounds([(key, key) for key in keys])
+    # Edges 0, lo[0], hi[0], lo[1], ..., hi[-1], n: the runs between
+    # them alternate kept and written, starting and ending kept.
+    edges = np.empty(2 * len(keys) + 2, dtype=np.int64)
+    edges[0], edges[-1] = 0, len(base.records)
+    edges[1:-1:2] = lo
+    edges[2:-1:2] = hi
+    kept = np.repeat(np.arange(len(edges) - 1) % 2 == 0, np.diff(edges))
+    records = base.records
+    column: List[Record] = []
+    start = 0
+    for bucket, run_lo, run_hi in zip(buckets, lo, hi):
+        column += records[start:run_lo]
+        column += bucket
+        start = run_hi
+    column += records[start:]
+    counts = [len(bucket) for bucket in buckets]
+    merged = np.concatenate((base.keys[kept], np.repeat(key_column(keys), counts)))
+    # Two ascending parts: a stable (run-merging) sort is one linear merge.
+    merged.sort(kind="stable")
+    return merged, tuple(column)
+
+
 def pack_layout(
     disk: SimulatedDisk,
     page_capacity: int,
@@ -217,22 +266,29 @@ def pack_columns(
     byte-identical-layout guarantee (and with it shard transparency)
     rests on this one function.
 
-    The layout owns the pages it packs and the disk holds them weakly,
-    so they are freed with the layout's last reader; each leaves an
-    80-byte dead weakref under its page id, since ids are never reused.
+    A page carries only its record count, so the layout's full pages
+    share one ``Page(page_capacity)`` and a short last page is one more
+    ``Page``; one :meth:`~repro.storage.disk.SimulatedDisk.allocate`
+    call gives the layout all of its page ids, consecutive.  The layout
+    owns the pages it packs and the disk holds them weakly, so they are
+    freed with the layout's last reader, leaving one dead weakref per
+    page object and an 8-byte slot under each never-reused page id.
     The pages are a pure function of the records and the curve, which
     is why a flush is never logged: recovery packs the same pages again
     on its first read.
     """
-    pages = [
-        Page(min(page_capacity, len(records) - start))
-        for start in range(0, len(records), page_capacity)
-    ]
+    full, short = divmod(len(records), page_capacity)
+    page = Page(page_capacity)
+    tail = Page(short) if short else None
+    first = disk.allocate(page, full, tail)
+    pages = [page] * full
+    if tail is not None:
+        pages.append(tail)
     return PageLayout(
         capacity=page_capacity,
         keys=key_column(keys),
         records=records,
-        page_ids=[disk.allocate(page) for page in pages],
+        page_ids=list(range(first, first + len(pages))),
         pages=pages,
     )
 
@@ -331,11 +387,12 @@ class SpatialStore(abc.ABC):
         self._count = 0  # guarded-by: _mutex
         self._layout: Optional[PageLayout] = None  # guarded-by: _mutex
         #: The last installed layout's two columns, without its pages (so
-        #: they still die with the layout's last reader), and the keys
-        #: written since it was installed: the next flush merges those
-        #: keys into the base.  Both None when the next flush must walk.
+        #: they still die with the layout's last reader), and each key
+        #: written since it was installed, mapped to its current bucket:
+        #: the next flush merges those buckets into the base.  Both None
+        #: when the next flush must walk.
         self._base: Optional[PageLayout] = None  # guarded-by: _mutex
-        self._dirty: Optional[Set[int]] = None  # guarded-by: _mutex
+        self._dirty: Optional[Dict[int, Sequence[Record]]] = None  # guarded-by: _mutex
         self._executor = None  # guarded-by: _mutex
         #: Layout generation, bumped by every flush and migration cutover;
         #: keys the plan cache so stale-generation plans cannot be served.
@@ -367,9 +424,11 @@ class SpatialStore(abc.ABC):
             return self._count
 
     @guarded_by("_mutex")
-    def _append_records(self, keys: Sequence[int], records: Sequence[Record]) -> None:
+    def _append_records(
+        self, keys: Sequence[int], records: Sequence[Record]
+    ) -> List[Record]:
         """File ``records`` under their ascending ``keys`` (callers hold
-        the mutex).
+        the mutex), and return the bucket the last record went into.
 
         The one apply path of every write that adds records.  Each
         distinct key takes one tree insert, in key order, whose bucket
@@ -393,6 +452,7 @@ class SpatialStore(abc.ABC):
                     bucket = existing
             bucket.append(record)
         self._count += len(records)
+        return bucket
 
     @guarded_by("_mutex")
     def _flush_entries(self) -> Iterator[Tuple[int, Record]]:
@@ -564,27 +624,35 @@ class SpatialStore(abc.ABC):
     # ------------------------------------------------------------------
     @guarded_by("_mutex")
     def _note_write(
-        self, key: Optional[int] = None, base: Optional[PageLayout] = None
+        self,
+        key: Optional[int] = None,
+        bucket: Sequence[Record] = (),
+        base: Optional[PageLayout] = None,
     ) -> None:
         """Bump the content version and drop the stale on-disk layout.
 
-        ``key`` is the one key whose bucket the write changed; the next
-        flush merges it into the base, the last installed layout's
-        columns.  ``base`` is the sorted columns of a bulk load into an
-        empty tree: they hold every record, so they become the base,
-        with no keys written since.  Any other write with no key (a bulk
-        load into a non-empty tree changes many buckets), or one that
-        takes the written keys past :data:`_MERGE_FRACTION` of the
-        base, drops the base: the next flush walks the tree.
+        ``key`` is the one key whose bucket the write changed, and
+        ``bucket`` that key's bucket after the write: the list the tree
+        holds, or the one a delete emptied and took out of the tree.
+        The write delta maps the key to it, replacing what an earlier
+        write of the key noted, so a key emptied and filled again maps
+        to its new bucket; the next flush merges the delta's buckets
+        into the base, the last installed layout's columns.  ``base`` is
+        the sorted columns of a bulk load into an empty tree: they hold
+        every record, so they become the base, with no keys written
+        since.  Any other write with no key (a bulk load into a
+        non-empty tree changes many buckets), or one that takes the
+        written keys past :data:`_MERGE_FRACTION` of the base, drops the
+        base: the next flush walks the tree.
         """
         self._version += 1
         self._invalidate_layout()
         if base is not None:
-            self._base, self._dirty = base, set()
+            self._base, self._dirty = base, {}
             return
         base, dirty = self._base, self._dirty
         if base is not None and dirty is not None and key is not None:
-            dirty.add(key)
+            dirty[key] = bucket
             if len(dirty) <= _MERGE_FRACTION * len(base.records):
                 return
         self._base = self._dirty = None
@@ -600,8 +668,8 @@ class SpatialStore(abc.ABC):
             key = self._curve.index(point)
             record = Record(tuple(int(c) for c in point), payload)
             self._log_durable(("insert", record.point, payload))
-            self._append_records((key,), (record,))
-            self._note_write(key)
+            bucket = self._append_records((key,), (record,))
+            self._note_write(key, bucket)
 
     def bulk_load(
         self,
@@ -679,7 +747,7 @@ class SpatialStore(abc.ABC):
             if not bucket:
                 self._tree.delete(key)
             self._count -= 1
-            self._note_write(key)
+            self._note_write(key, bucket)
             return True
 
     def point_query(self, point: Sequence[int]) -> List[Record]:
@@ -704,11 +772,12 @@ class SpatialStore(abc.ABC):
 
         The dropped layout owns its pages and the disk holds them only
         weakly, so they stay readable for any in-flight reader of the
-        old generation and are freed with its last reader (an 80-byte
-        dead weakref stays under each never-reused page id): repeated
+        old generation and are freed with its last reader (one dead
+        weakref stays per page object, at most two per layout, and an
+        8-byte slot under each never-reused page id): repeated
         write/flush cycles cannot leak simulated disk.  The page-less
         base of its columns stays, for the next flush to merge the
-        written keys into (see :meth:`_note_write`).
+        written keys' buckets into (see :meth:`_note_write`).
         """
         self._layout = None
         self._executor = None
@@ -734,7 +803,7 @@ class SpatialStore(abc.ABC):
         self._base = PageLayout(
             capacity=layout.capacity, keys=layout.keys, records=layout.records
         )
-        self._dirty = set()
+        self._dirty = {}
         self._epoch += 1
         if self._pool is not None:
             with self._io_lock:
@@ -744,42 +813,6 @@ class SpatialStore(abc.ABC):
         self._executor = self._make_executor(layout)
 
     @guarded_by("_mutex")
-    def _merged_columns(
-        self, base: PageLayout, keys: Sequence[int]
-    ) -> Tuple[np.ndarray, Tuple[Record, ...]]:
-        """``base``'s columns with the run of each of the ascending
-        ``keys`` replaced by that key's current bucket (callers hold the
-        mutex).
-
-        The columns the walk would yield: once the base is taken (at an
-        install, or by a bulk load into an empty tree), a bucket changes
-        only through :meth:`insert` or :meth:`delete` of its key, which
-        note it, so every other run of the base is still current.
-        Taking the bucket from the tree keeps the order the walk yields
-        one key's records in.  The key column is the base's other keys
-        and each written key once per record of its bucket, sorted; the
-        concatenation is ``object`` when either part is, and
-        :func:`pack_columns` then applies
-        :func:`~repro.engine.plan.key_column`'s rule to the result.
-        """
-        lo, hi = base.bounds([(key, key) for key in keys])
-        kept = np.ones(len(base.records), dtype=bool)
-        counts: List[int] = []
-        pieces: List[Sequence[Record]] = []
-        start = 0
-        for key, run_lo, run_hi in zip(keys, lo, hi):
-            bucket = self._tree.get(key, ())
-            kept[run_lo:run_hi] = False
-            counts.append(len(bucket))
-            pieces += (base.records[start:run_lo], bucket)
-            start = run_hi
-        pieces.append(base.records[start:])
-        merged = np.concatenate((base.keys[kept], np.repeat(key_column(keys), counts)))
-        # Two ascending parts: a stable (run-merging) sort is one linear merge.
-        merged.sort(kind="stable")
-        return merged, tuple(chain.from_iterable(pieces))
-
-    @guarded_by("_mutex")
     def _current_columns(self) -> Tuple[np.ndarray, Tuple[Record, ...], Optional[int]]:
         """The store's key column and record column, in key order, and
         the number of written keys merged to get them, None on a walk
@@ -787,13 +820,14 @@ class SpatialStore(abc.ABC):
 
         The columns come from the base: the last installed layout's
         columns, or the sorted columns of a bulk load into an empty
-        tree.  The runs of the keys written since are replaced with
-        their current buckets (:meth:`_merged_columns`), so a base with
-        no keys written since, such as an installed layout's, is taken
-        as it is.  With no base to merge into — a first flush after
-        single-record writes, and after a bulk load into a non-empty
-        tree or more written keys than :data:`_MERGE_FRACTION` of the
-        base — the tree is walked (:meth:`_flush_entries`).  Either
+        tree.  The runs of the keys written since are replaced with the
+        current buckets their writes noted (:func:`_merged_columns`),
+        so a merge reads no tree, and a base with no keys written since,
+        such as an installed layout's, is taken as it is.  With no base
+        to merge into — a first flush after single-record writes, and
+        after a bulk load into a non-empty tree or more written keys
+        than :data:`_MERGE_FRACTION` of the base — the tree is walked
+        (:meth:`_flush_entries`).  Either
         result becomes the base, with no keys written since, so the next
         flush or checkpoint takes it without merging again.
         """
@@ -802,14 +836,14 @@ class SpatialStore(abc.ABC):
             if not dirty:
                 return base.keys, base.records, 0
             merged: Optional[int] = len(dirty)
-            keys, records = self._merged_columns(base, sorted(dirty))
+            keys, records = _merged_columns(base, dirty)
         else:
             merged = None
             keys, records = _split_pairs(self._flush_entries())
         self._base = PageLayout(
             capacity=self._page_capacity, keys=key_column(keys), records=records
         )
-        self._dirty = set()
+        self._dirty = {}
         return self._base.keys, records, merged
 
     def flush(self) -> None:
@@ -820,13 +854,14 @@ class SpatialStore(abc.ABC):
         first flush after a bulk load into an empty tree merges no keys
         at all, and a flush with no base to merge into walks the tree.
         Every path ends in :func:`pack_columns`, which fills pages to
-        ``page_capacity`` records, and the new layout is installed via
-        :meth:`_install_layout` (epoch bump, buffer pool and plan cache
-        invalidated: both refer to the previous layout).  The ``flush``
-        span's ``merged_keys`` is the number of keys merged, or None on
-        a walk.  Nothing is logged: the layout is a pure function of the
-        logged records and the curve, so a read never writes the WAL and
-        recovery rebuilds the same pages when it first reads.
+        ``page_capacity`` records in one disk allocation, and the new
+        layout is installed via :meth:`_install_layout` (epoch bump,
+        buffer pool and plan cache invalidated: both refer to the
+        previous layout).  The ``flush`` span's ``merged_keys`` is the
+        number of keys merged, or None on a walk.  Nothing is logged:
+        the layout is a pure function of the logged records and the
+        curve, so a read never writes the WAL and recovery rebuilds the
+        same pages when it first reads.
         """
         with self._mutex:
             with _obs_span("flush", kind="storage") as sp:

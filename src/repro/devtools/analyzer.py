@@ -99,7 +99,7 @@ def lint_tree(
         report.extend(invariants.check_mutable_defaults(units, rel))
         report.extend(lifecycle.check_resource_lifecycle(tree, units, rel))
         report.extend(ordering.check_durability_ordering(units, rel))
-        report.extend(ordering.check_exception_flow(tree, rel))
+        report.extend(ordering.check_exception_flow(tree, units, rel))
     report.extend(lock_lint.finalize())
 
     # The matrix rule is repo-level: run it against explicit paths, or

@@ -41,11 +41,9 @@ direction of approximation:
 
 The interprocedural layer is deliberately one level deep:
 :func:`class_summaries` records, per method, which lock-ish attributes
-its ``with`` items acquire, which acquire-call it directly returns and
-which ``self.<helper>()`` methods it invokes, so the rules can
-propagate held-lock and acquired-resource facts through the private
-helpers the old per-function walkers went blind on — without a global
-call-graph fixpoint.
+its ``with`` items acquire, so the lock rules can propagate held-lock
+facts through the private helpers the old per-function walkers went
+blind on — without a global call-graph fixpoint.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ __all__ = [
     "CFG",
     "CFGNode",
     "FunctionUnit",
-    "MethodSummary",
     "build_cfg",
     "class_summaries",
     "module_units",
@@ -536,20 +533,6 @@ def module_units(tree: ast.AST) -> List[FunctionUnit]:
 # ----------------------------------------------------------------------
 # One-level interprocedural summaries
 # ----------------------------------------------------------------------
-@dataclass
-class MethodSummary:
-    """What one method does that its callers should know about."""
-
-    #: ``self.<attr>`` (or local-alias) lock-ish attributes acquired by
-    #: a ``with`` anywhere in the method body (nested defs excluded).
-    acquires: Set[str] = field(default_factory=set)
-    #: Resource kind of an acquire-call the method *returns* directly
-    #: (``return self._ops.open_append(p)``), or None.
-    returns_kind: Optional[str] = None
-    #: Names of ``self.<m>()`` methods invoked (the one-level call graph).
-    calls: Set[str] = field(default_factory=set)
-
-
 def own_nodes(func: ast.AST) -> Iterator[ast.AST]:
     """Every node of ``func``'s body, outside nested defs, lambdas and classes."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(func))
@@ -579,22 +562,21 @@ def self_call_name(node: ast.AST) -> Optional[str]:
 
 
 def class_summaries(
-    cls: ast.ClassDef,
-    is_lock: Callable[[str], bool],
-    acquire_kind: Callable[[ast.expr], Optional[str]],
-) -> Dict[str, MethodSummary]:
-    """Per-method summaries for one class.
+    cls: ast.ClassDef, is_lock: Callable[[str], bool]
+) -> Dict[str, Set[str]]:
+    """The lock-ish attributes each method of ``cls`` acquires.
 
-    ``is_lock`` comes from the lock configuration,
-    ``acquire_kind`` classifies a call expression against the resource
-    pair table.  Only direct methods of ``cls`` are summarized — the
-    propagation is one level deep by design.
+    A method acquires the ``self.<attr>`` (or local alias of one) that a
+    ``with`` anywhere in its body names, nested defs excluded, when
+    ``is_lock`` — the lock configuration — accepts the name.  Only
+    direct methods of ``cls`` are summarized — the propagation is one
+    level deep by design.
     """
-    summaries: Dict[str, MethodSummary] = {}
+    summaries: Dict[str, Set[str]] = {}
     for item in cls.body:
         if not isinstance(item, _FUNC_DEFS):
             continue
-        summary = MethodSummary()
+        acquires: Set[str] = set()
         aliases: Dict[str, str] = {}
         for node in own_nodes(item):
             if (
@@ -613,14 +595,6 @@ def class_summaries(
                     if attr is None and isinstance(expr, ast.Name):
                         attr = aliases.get(expr.id)
                     if attr is not None and is_lock(attr):
-                        summary.acquires.add(attr)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                kind = acquire_kind(node.value)
-                if kind is not None:
-                    summary.returns_kind = kind
-            elif isinstance(node, ast.Call):
-                attr = self_attr(node.func)
-                if attr is not None:
-                    summary.calls.add(attr)
-        summaries[item.name] = summary
+                        acquires.add(attr)
+        summaries[item.name] = acquires
     return summaries

@@ -46,7 +46,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from . import dataflow
 from .annotations import GUARDED_BY_COMMENT
 from .config import DECLARED_LOCK_ORDER, GLOBAL_LOCKS
-from .dataflow import CFGNode, FunctionUnit, MethodSummary, self_attr
+from .dataflow import CFGNode, FunctionUnit, self_attr
 from .findings import Finding
 
 __all__ = ["LockLint"]
@@ -269,7 +269,7 @@ class LockLint:
         across every rule)."""
         comments = _collect_guard_comments(source)
         models: Dict[int, _ClassModel] = {}
-        summaries: Dict[int, Dict[str, MethodSummary]] = {}
+        summaries: Dict[int, Dict[str, Set[str]]] = {}
         alias_cache: Dict[int, Dict[str, str]] = {}
         for unit in units:
             if unit.cls is None:
@@ -278,11 +278,7 @@ class LockLint:
             if key not in models:
                 models[key] = _build_class_model(unit.cls, relpath, comments)
                 self._models.append(models[key])
-                summaries[key] = dataflow.class_summaries(
-                    unit.cls,
-                    is_lock=_is_lock,
-                    acquire_kind=lambda expr: None,
-                )
+                summaries[key] = dataflow.class_summaries(unit.cls, is_lock=_is_lock)
             root_key = id(unit.root)
             if root_key not in alias_cache:
                 alias_cache[root_key] = self._local_lock_aliases(unit.root)
@@ -321,7 +317,7 @@ class LockLint:
         self,
         unit: FunctionUnit,
         model: _ClassModel,
-        summaries: Dict[str, MethodSummary],
+        summaries: Dict[str, Set[str]],
         local_aliases: Dict[str, str],
     ) -> None:
         held0 = set(_decorator_guards(unit.func))
@@ -360,7 +356,7 @@ class LockLint:
                     # site contributes held -> helper-acquired edges.
                     callee = self_attr(sub.func)
                     if callee is not None and callee in summaries:
-                        for acquired in sorted(summaries[callee].acquires):
+                        for acquired in sorted(summaries[callee]):
                             if acquired in held:
                                 continue  # re-entrant, no new edge
                             for already in sorted(held):

@@ -292,9 +292,10 @@ def _always_raises(stmts: Sequence[ast.stmt]) -> bool:
     return False
 
 
-def check_exception_flow(tree: ast.AST, relpath: str) -> List[Finding]:
+def check_exception_flow(
+    tree: ast.AST, units: Sequence[FunctionUnit], relpath: str
+) -> List[Finding]:
     findings: List[Finding] = []
-    units = dataflow.module_units(tree)
     scopes: List[Tuple[str, ast.AST]] = [("<module>", tree)]
     scopes.extend((unit.qualname, unit.func) for unit in units)
     for qual, scope in scopes:

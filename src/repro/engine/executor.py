@@ -83,13 +83,15 @@ class Record:
 
 @dataclass(frozen=True)
 class Page:
-    """One flushed disk page: what a read returns, sized by its record count.
+    """A flushed disk page: what a read returns, sized by its record count.
 
     The page's records are its slice of the layout's record column
     (:class:`~repro.engine.plan.PageLayout`); a read charges I/O and
     returns the page, whose ``len`` is the number of records it holds.
-    Built only by :func:`repro.api.store.pack_columns`; owned by its
-    layout, while the disk holds it weakly.
+    A page carries nothing but that size, so every full page of a layout
+    is one shared ``Page(capacity)`` and a short last page is its own
+    ``Page``.  Built only by :func:`repro.api.store.pack_columns`; owned
+    by its layout, while the disk holds it weakly.
     """
 
     __slots__ = ("size", "__weakref__")

@@ -136,9 +136,12 @@ class PageLayout:
     The layout owns its pages: ``pages[p]`` is the sized
     :class:`~repro.engine.executor.Page` stored under ``page_ids[p]``,
     which the :class:`~repro.storage.disk.SimulatedDisk` holds only
-    weakly.  A superseded layout's pages are therefore freed when its
-    last reader (a store snapshot, an executor, an open cursor) drops
-    it, leaving an 80-byte dead weakref under each never-reused id.
+    weakly.  The ids are consecutive, from one allocation, and the full
+    pages share one ``Page`` object, so a layout holds at most two: that
+    one and a short last page.  A superseded layout's pages are freed
+    when its last reader (a store snapshot, an executor, an open cursor)
+    drops it, leaving one dead weakref per page object and an 8-byte
+    slot under each never-reused id.
     """
 
     capacity: int

@@ -74,30 +74,43 @@ class DiskStats(IOProfile):
 class SimulatedDisk:
     """An append-only page store that charges seeks for non-sequential reads.
 
-    The disk holds each page through a :class:`weakref.ref`: the
+    The disk holds each page object through a :class:`weakref.ref`: the
     :class:`~repro.engine.plan.PageLayout` that packed a page owns it.
-    A reflush supersedes a layout but frees nothing itself; the
-    superseded generation's pages are freed when its last reader — a
-    store snapshot, an executor, an open cursor — drops the layout, and
-    reading a freed page raises :class:`~repro.errors.PageError`.  Page
-    ids are never reused, so a freed page leaves an 80-byte dead weakref
-    under its id.
+    A layout's full pages share one page object and a short last page
+    has its own, so the disk keeps at most two weakrefs per layout, each
+    shared by the ids it stores.  A reflush supersedes a layout but
+    frees nothing itself; the superseded generation's pages are freed
+    when its last reader — a store snapshot, an executor, an open
+    cursor — drops the layout, and reading a freed page raises
+    :class:`~repro.errors.PageError`.  Page ids are never reused, so a
+    freed layout leaves one dead weakref per page object, plus an 8-byte
+    list slot under each of its ids.
     """
 
     stats: DiskStats = field(default_factory=DiskStats)
     _pages: List[weakref.ref[Any]] = field(default_factory=list)
     _head: int = PARKED_HEAD
 
-    def allocate(self, payload) -> int:
-        """Store ``payload`` in a fresh page and return its page id.
+    def allocate(self, payload: Any, count: int = 1, tail: Any = None) -> int:
+        """Store ``payload`` under ``count`` fresh, consecutive page ids,
+        and ``tail``, when given, under the id after them; return the
+        first id.
 
-        The disk keeps only a weak reference: the page lives as long as
-        the caller (a layout) keeps ``payload``.
+        One call allocates a whole layout (:func:`~repro.api.store.pack_columns`):
+        its full pages share one payload, and a short last page is the
+        tail.  The disk keeps only a weak reference per payload, shared
+        by its ids: the pages live as long as the caller (a layout)
+        keeps the payloads.  The write counters tick once, by the number
+        of ids.
         """
-        self._pages.append(weakref.ref(payload))
-        self.stats.pages_written += 1
-        _WRITES.inc()
-        return len(self._pages) - 1
+        first = len(self._pages)
+        self._pages += [weakref.ref(payload)] * count
+        if tail is not None:
+            self._pages.append(weakref.ref(tail))
+        written = len(self._pages) - first
+        self.stats.pages_written += written
+        _WRITES.inc(written)
+        return first
 
     def read(self, page_id: int):
         """Read a page, charging a seek unless it follows the previous read."""

@@ -111,8 +111,8 @@ BREAKS = (
     ),
     _break(
         "install-layout", "epoch-bump", STORE,
-        "        self._dirty = set()\n        self._epoch += 1\n",
-        "        self._dirty = set()\n",
+        "        self._dirty = {}\n        self._epoch += 1\n",
+        "        self._dirty = {}\n",
         f"{STORE}::SpatialStore._install_layout",
     ),
     _break(
@@ -181,8 +181,8 @@ BREAKS = (
     _break(
         "insert-applies-first", "durability-ordering", STORE,
         '            self._log_durable(("insert", record.point, payload))\n'
-        "            self._append_records((key,), (record,))\n",
-        "            self._append_records((key,), (record,))\n"
+        "            bucket = self._append_records((key,), (record,))\n",
+        "            bucket = self._append_records((key,), (record,))\n"
         '            self._log_durable(("insert", record.point, payload))\n',
         f"{STORE}::SpatialStore.insert::_append_records",
     ),

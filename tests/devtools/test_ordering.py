@@ -19,7 +19,8 @@ def _ordering(source):
 
 
 def _exc_flow(source):
-    return check_exception_flow(ast.parse(source), REL)
+    tree = ast.parse(source)
+    return check_exception_flow(tree, dataflow.module_units(tree), REL)
 
 
 def _keys(findings):

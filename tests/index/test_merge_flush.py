@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve
@@ -252,6 +252,11 @@ def _run(store, load, script):
 
 @settings(max_examples=100, deadline=None)
 @given(load=initial, script=st.lists(ops, max_size=30))
+# A base key deleted to empty leaves the tree, and its insert files a
+# new bucket: the merge must take that one, not the emptied one.
+@example(
+    load=[(1, 1), (2, 2)], script=[("delete", (1, 1), ANY), ("insert", (1, 1), 2)]
+)
 def test_merged_layout_equals_walked_layout(load, script):
     _run(_store("single"), load, script)
 

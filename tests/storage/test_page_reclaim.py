@@ -1,11 +1,13 @@
 """Page lifetime: a superseded layout's pages are freed with its last reader.
 
 Every ``flush()`` packs a fresh copy of all pages onto the append-only
-:class:`SimulatedDisk`.  The disk holds each page weakly and the
-:class:`~repro.engine.plan.PageLayout` that packed it owns it, so a
-superseded generation stays readable for as long as a reader (a store
-snapshot, an executor, an open cursor) holds its layout, and is freed
-when the last one drops it: repeated flushes cannot grow the store.
+:class:`SimulatedDisk`, in one block allocation: its full pages share
+one page object, and a short last page has its own.  The disk holds
+each page weakly and the :class:`~repro.engine.plan.PageLayout` that
+packed it owns it, so a superseded generation stays readable for as
+long as a reader (a store snapshot, an executor, an open cursor) holds
+its layout, and is freed when the last one drops it: repeated flushes
+cannot grow the store.
 """
 
 import gc
@@ -15,10 +17,13 @@ import pytest
 
 from repro import Query, Rect, SFCIndex, ShardedSFCIndex, make_curve
 from repro.errors import PageError
+from repro.obs import METRICS, disable_metrics, enable_metrics, metrics_enabled
 from repro.storage.disk import SimulatedDisk
 
 SIDE = 8
+CAPACITY = 4
 FULL = Rect.from_origin((0, 0), (SIDE, SIDE))
+GRID = [(x, y) for x in range(SIDE) for y in range(SIDE)]
 
 
 class Payload(str):
@@ -28,8 +33,19 @@ class Payload(str):
 def _build(kind):
     curve = make_curve("onion", SIDE, 2)
     if kind == "single":
-        return SFCIndex(curve, page_capacity=4)
-    return ShardedSFCIndex(curve, num_shards=2, page_capacity=4)
+        return SFCIndex(curve, page_capacity=CAPACITY)
+    return ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY)
+
+
+@pytest.fixture
+def pages_written():
+    """The ``repro_disk_pages_written_total`` counter, with metrics on
+    for the test."""
+    was_enabled = metrics_enabled()
+    enable_metrics()
+    yield METRICS.get("repro_disk_pages_written_total")
+    if not was_enabled:
+        disable_metrics()
 
 
 class TestDiskAccounting:
@@ -64,6 +80,61 @@ class TestDiskAccounting:
             disk.read(0)
         with pytest.raises(PageError, match="out of range"):
             disk.read(2)
+
+    def test_a_block_lives_and_dies_as_one(self, pages_written):
+        disk = SimulatedDisk()
+        before = Payload("before")
+        disk.allocate(before)
+        ticks = pages_written.value
+        block = Payload("block")
+        assert disk.allocate(block, 3) == 1  # the first of 3 consecutive ids
+        assert (disk.num_pages, disk.stats.pages_written) == (4, 4)
+        assert pages_written.value == ticks + 3
+        after = Payload("after")
+        assert disk.allocate(after, 2) == 4
+        assert [disk.read(page) for page in range(6)] == (
+            ["before"] + ["block"] * 3 + ["after"] * 2
+        )
+        del block
+        disk.reset_stats()
+        for page in (1, 2, 3):
+            with pytest.raises(PageError, match="freed"):
+                disk.read(page)
+        assert disk.stats.pages_read == 0  # a failed read charges nothing
+        assert (disk.num_pages, disk.num_live_pages) == (6, 3)
+        assert [disk.read(page) for page in (0, 4, 5)] == ["before", "after", "after"]
+
+    def test_a_tail_follows_its_block(self, pages_written):
+        disk = SimulatedDisk()
+        ticks = pages_written.value
+        full, tail = Payload("full"), Payload("tail")
+        assert disk.allocate(full, 2, tail) == 0
+        assert disk.stats.pages_written == 3
+        assert pages_written.value == ticks + 3
+        assert [disk.read(page) for page in range(3)] == ["full", "full", "tail"]
+        del tail
+        assert disk.num_live_pages == 2
+        with pytest.raises(PageError, match="freed"):
+            disk.read(2)
+        assert disk.read(1) == "full"
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+@pytest.mark.parametrize("n", [0, CAPACITY - 1, 2 * CAPACITY + 1, 4 * CAPACITY])
+def test_a_layout_is_one_block_of_at_most_two_page_objects(kind, n):
+    """A flush takes consecutive ids in one allocation; the full pages
+    share one object and a short last page has its own, and a read
+    returns an object sized by its page's record count."""
+    store = _build(kind)
+    store.bulk_load(GRID[:n])
+    store.flush()
+    layout = store.page_layout
+    first = store.disk.num_pages - layout.num_pages
+    assert layout.page_ids == list(range(first, store.disk.num_pages))
+    assert [len(store.disk.read(page_id)) for page_id in layout.page_ids] == [
+        min(CAPACITY, n - start) for start in range(0, n, CAPACITY)
+    ]
+    assert len({id(page) for page in layout.pages}) <= 2
 
 
 @pytest.mark.parametrize("kind", ["single", "sharded"])
