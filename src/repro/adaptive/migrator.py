@@ -7,9 +7,10 @@ pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
    records)`` view of its contents (taken under the store mutex,
    walking its B+-tree in key order);
 2. **re-key** — the records' cells are mapped to keys under the target
-   curve in bounded ``batch_size`` chunks (one vectorized ``index_many``
-   call per chunk); queries keep serving from the old layout the whole
-   time — nothing the serving path reads has been touched;
+   curve in bounded ``batch_size`` chunks (one ``keys_of`` call per
+   chunk, a vectorized ``index_many`` where the keys fit int64); queries
+   keep serving from the old layout the whole time — nothing the
+   serving path reads has been touched;
 3. **cutover** — the index atomically installs the re-keyed records: a
    new B+-tree, a shadow :class:`~repro.engine.plan.PageLayout` packed
    onto the same append-only page store (old pages stay readable for
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
-
-import numpy as np
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -157,8 +156,7 @@ class OnlineMigrator:
         for start in range(0, total, self._batch_size):
             chunk = entries[start : start + self._batch_size]
             with _obs_span("migration_batch", kind="migration") as sp:
-                cells = np.asarray([record.point for _, record in chunk], dtype=np.int64)
-                keys = target.index_many(cells)
+                keys = target.keys_of([record.point for _, record in chunk])
                 keyed.extend(
                     (int(key), record) for key, (_, record) in zip(keys, chunk)
                 )

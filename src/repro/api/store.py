@@ -129,8 +129,11 @@ def _keyed_arrivals(
 
     The validation pass every bulk load shares: payload pairing rules
     (extras ignored so infinite iterators work, exhaustion mid-load is
-    an error), dimension validation, and one vectorized ``index_many``
-    call.
+    an error), dimension validation, and one
+    :meth:`~repro.curves.base.SpaceFillingCurve.keys_of` call: one
+    vectorized ``index_many``, or exact Python ints in a universe whose
+    keys pass int64 (a checkpoint of such a store recovers through
+    here).
     """
     cells: List[Tuple[int, ...]] = []
     attached: List[Any] = []
@@ -156,7 +159,7 @@ def _keyed_arrivals(
         raise OutOfUniverseError(
             f"cell {bad!r} outside {dim}-d universe of side {curve.side}"
         )
-    keys = curve.index_many(np.asarray(cells, dtype=np.int64))
+    keys = curve.keys_of(cells)
     return keys, list(map(Record, cells, attached))
 
 
@@ -678,7 +681,8 @@ class SpatialStore(abc.ABC):
     ) -> None:
         """Insert many points (paired with ``payloads`` when given).
 
-        Keys are computed in one vectorized :meth:`index_many` call and
+        Keys are computed in one vectorized :meth:`index_many` call
+        (exact Python ints where the universe's keys pass int64) and
         stably sorted, so the records reach the tree in key order with
         equal keys in arrival order: one tree insert per distinct key
         (:meth:`_append_records`).  The WAL frame keeps arrival order.
@@ -699,8 +703,7 @@ class SpatialStore(abc.ABC):
             if self._curve != curve:
                 # A migration cut over while we were keying outside the
                 # mutex; re-key the already-validated cells (rare race).
-                cells = np.asarray([record.point for record in arrivals])
-                keys = self._curve.index_many(cells)
+                keys = self._curve.keys_of([record.point for record in arrivals])
             self._log_durable(
                 ("bulk", [(record.point, record.payload) for record in arrivals])
             )

@@ -90,7 +90,7 @@ def _contains_many(rect: Rect, cells: np.ndarray) -> np.ndarray:
 def clustering_number_exhaustive(curve: SpaceFillingCurve, rect: Rect) -> int:
     """Exact cluster count by sorting every cell key (any curve)."""
     rect.check_fits(curve.side)
-    keys = np.sort(curve.index_many(rect.cells_array()))
+    keys = np.sort(curve.keys_of(rect.cells_array()))
     if keys.size == 0:
         return 0
     return 1 + int(np.count_nonzero(np.diff(keys) > 1))
@@ -131,11 +131,11 @@ def clustering_number_boundary(curve: SpaceFillingCurve, rect: Rect) -> int:
         )
     rect.check_fits(curve.side)
     cells = start_candidate_cells(curve, rect)
-    keys = curve.index_many(cells)
+    keys = curve.keys_of(cells)
     starts = int(np.count_nonzero(keys == 0))
     positive = keys[keys > 0]
     if positive.size:
-        preds = curve.point_many(positive - 1)
+        preds = curve.cells_of(positive - 1)
         starts += int(np.count_nonzero(~_contains_many(rect, preds)))
     return starts
 

@@ -23,7 +23,7 @@ The number of runs always equals
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ __all__ = [
 KeyRun = Tuple[int, int]  # inclusive (start_key, end_key)
 
 
-def merge_runs_with_gaps(runs: List[KeyRun], gap_tolerance: int) -> List[KeyRun]:
+def merge_runs_with_gaps(runs: Sequence[KeyRun], gap_tolerance: int) -> List[KeyRun]:
     """Merge key runs whose gaps are at most ``gap_tolerance`` keys wide.
 
     This implements the relaxed retrieval model of Asano et al. /
@@ -71,7 +71,7 @@ def merge_runs_with_gaps(runs: List[KeyRun], gap_tolerance: int) -> List[KeyRun]
 
 
 def _runs_exhaustive(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
-    keys = np.sort(curve.index_many(rect.cells_array()))
+    keys = np.sort(curve.keys_of(rect.cells_array()))
     if keys.size == 0:
         return []
     breaks = np.nonzero(np.diff(keys) > 1)[0]
@@ -105,19 +105,19 @@ def _candidate_cells(curve: SpaceFillingCurve, rect: Rect) -> np.ndarray:
 
 def _runs_boundary(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
     cells = _candidate_cells(curve, rect)
-    keys = curve.index_many(cells)
+    keys = curve.keys_of(cells)
     n = curve.size
 
     start_mask = keys == 0
     positive_idx = np.nonzero(keys > 0)[0]
     if positive_idx.size:
-        preds = curve.point_many(keys[positive_idx] - 1)
+        preds = curve.cells_of(keys[positive_idx] - 1)
         start_mask[positive_idx[~_contains_many(rect, preds)]] = True
 
     end_mask = keys == n - 1
     not_last_idx = np.nonzero(keys < n - 1)[0]
     if not_last_idx.size:
-        succs = curve.point_many(keys[not_last_idx] + 1)
+        succs = curve.cells_of(keys[not_last_idx] + 1)
         end_mask[not_last_idx[~_contains_many(rect, succs)]] = True
 
     starts = np.sort(keys[start_mask])
@@ -130,7 +130,8 @@ def _runs_boundary(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
 
 
 def query_runs_vectorized(curve: SpaceFillingCurve, rect: Rect) -> List[KeyRun]:
-    """Exact key runs via one bulk ``index_many`` call over the rect.
+    """Exact key runs from keying every cell of the rect at once
+    (:meth:`~repro.curves.base.SpaceFillingCurve.keys_of`).
 
     O(volume), but a single vectorized kernel invocation with no
     boundary/discontinuity machinery — the planner's fast path for small

@@ -16,8 +16,11 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import OutOfUniverseError
+from ..errors import InvalidUniverseError, OutOfUniverseError
 from ..geometry import Cell, check_cell, validate_dim, validate_side
+
+#: The largest int64: the vectorized kernels compute keys in int64.
+_INT64_MAX = 2**63 - 1
 
 
 class SpaceFillingCurve(abc.ABC):
@@ -142,7 +145,42 @@ class SpaceFillingCurve(abc.ABC):
             out[i] = self._point_impl(int(key))
         return out
 
+    def keys_of(self, cells: Sequence[Sequence[int]]) -> np.ndarray:
+        """Keys for a sequence (or ``(n, dim)`` array) of cells, exact in
+        every universe: one :meth:`index_many` call where every key fits
+        int64, else :meth:`index` per cell, as Python ints in an
+        ``object`` array.  What keys a store's records or a query's
+        cells calls this, so it serves a universe the kernels refuse."""
+        if self.size - 1 <= _INT64_MAX:
+            return self.index_many(np.asarray(cells, dtype=np.int64))
+        return np.array([self.index(cell) for cell in cells], dtype=object)
+
+    def cells_of(self, keys: Sequence[int]) -> np.ndarray:
+        """Cells for a sequence of keys, as an ``(n, dim)`` int64 array,
+        exact in every universe: :meth:`point_many`, or :meth:`point` per
+        key where the kernels refuse the universe (see :meth:`keys_of`)."""
+        if self.size - 1 <= _INT64_MAX:
+            return self.point_many(keys)
+        cells = [self.point(key) for key in keys]
+        return np.asarray(cells, dtype=np.int64).reshape(len(cells), self._dim)
+
+    def _check_int64_keys(self) -> None:
+        """Refuse a universe whose largest key (``size − 1``) exceeds
+        int64: a numpy kernel would wrap its keys, or fail part-way,
+        where the scalar :meth:`index` and :meth:`point` stay exact.
+        Every vectorized kernel validates its input through
+        :meth:`_check_cells_array` or :meth:`_check_keys_array`, which
+        call this first, so none keys anything first;
+        :meth:`keys_of` and :meth:`cells_of` key such a universe with
+        the scalar kernels instead."""
+        if self.size - 1 > _INT64_MAX:
+            raise InvalidUniverseError(
+                f"{self!r}: keys up to {self.size - 1} do not fit in int64, "
+                "so the vectorized kernels cannot key this universe"
+            )
+
     def _check_cells_array(self, cells: np.ndarray) -> np.ndarray:
+        self._check_int64_keys()
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self._dim:
             raise OutOfUniverseError(
@@ -153,6 +191,7 @@ class SpaceFillingCurve(abc.ABC):
         return cells
 
     def _check_keys_array(self, keys: np.ndarray) -> np.ndarray:
+        self._check_int64_keys()
         keys = np.asarray(keys, dtype=np.int64).ravel()
         if keys.size and (keys.min() < 0 or keys.max() >= self.size):
             raise OutOfUniverseError("key array has keys outside the universe")
@@ -204,8 +243,8 @@ class SpaceFillingCurve(abc.ABC):
         if cached is None:
             jumps = self.jump_cells()
             if jumps.shape[0]:
-                keys = self.index_many(jumps)
-                cached = self.point_many(np.maximum(keys - 1, 0))
+                keys = self.keys_of(jumps)
+                cached = self.cells_of(np.maximum(keys - 1, 0))
             else:
                 cached = jumps
             self.__dict__["_jump_predecessors"] = cached

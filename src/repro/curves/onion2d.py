@@ -146,13 +146,15 @@ def onion2d_rect_runs(
     its top side ``base + 3j − 3 − (x − a)`` (``x ≤ b − 1``) and its left
     side ``base + 4j − 4 − (y − a)`` (``a + 1 ≤ y ≤ b − 1``).  The rect
     cuts each side in one interval, an *arc* of consecutive keys, so
-    walking the rings outward-in and their sides in key order yields the
-    arcs sorted; an arc that starts on the key after the previous run's
-    end extends that run.  Rings ``t ≥ max(x0+1, y0+1, side−x1,
+    walking the rings outward-in and their sides in key order emits the
+    arcs sorted, and each arc is merged as it is emitted: one that starts
+    on the key after the open run's end extends that run, any other
+    closes it and opens the next.  Rings ``t ≥ max(x0+1, y0+1, side−x1,
     side−y1)`` lie wholly inside the rect and are one key interval
     running to the curve's last key, so the loop visits only the rings
-    the rect's border cuts: O(side) integer steps at most, and no cell
-    is keyed.
+    the rect's border cuts, once each: O(side) integer steps at most, no
+    cell keyed, and no second pass.  The arithmetic stays in Python ints,
+    so keys past 2**63 are exact.
 
     ``lo`` and ``hi`` must be the corners of a rect inside the universe;
     callers validate it (:func:`repro.core.runs.query_runs` does).
@@ -168,36 +170,66 @@ def onion2d_rect_runs(
     first = min(x0, y0, s - 1 - x1, s - 1 - y1) + 1
     full = max(x0, y0, s - 1 - x1, s - 1 - y1) + 1
     last = min(x1 + 1, y1 + 1, s - x0, s - y0)
-    arcs: List[Tuple[int, int]] = []
+    square = s * s
+    # The open run is [start, end].  No key is -1, so the placeholder
+    # run opened here joins no arc; the first arc closes it, and it is
+    # dropped on return.
+    runs: List[Tuple[int, int]] = []
+    start = end = -2
     # A cut ring has a <= x1, y1 and b >= x0, y0: the rect reaches its
     # square, so each test below only asks which sides it reaches.
     for t in range(first, min(full, last + 1)):
         a, b = t - 1, s - t
         j = b - a + 1
-        # Key origins with base and a folded in: (x, a) is keyed bottom +
-        # x, (b, y) right + y, (x, b) top − x and (a, y) left − y.
-        bottom = s * s - j * j - a
-        right = bottom + j - 1
-        top = bottom + 3 * j - 3 + 2 * a
-        left = bottom + 4 * j - 4 + 2 * a
-        xa, ya = max(x0, a), max(y0, a + 1)
-        if y0 <= a:
-            arcs.append((bottom + xa, bottom + min(x1, b)))
-        if b <= x1 and ya <= min(y1, b):
-            arcs.append((right + ya, right + min(y1, b)))
-        if b <= y1 and xa <= min(x1, b - 1):
-            arcs.append((top - min(x1, b - 1), top - xa))
-        if x0 <= a and ya <= min(y1, b - 1):
-            arcs.append((left - min(y1, b - 1), left - ya))
+        # The key origin of the bottom side, base and a folded in: (x, a)
+        # is keyed bottom + x.  The rect's extent on the ring's sides:
+        # x in [xa, xb] along the bottom and top, y in [ya, yb] along the
+        # right and left (the corners at y = a belong to the bottom).
+        bottom = square - j * j - a
+        xa = x0 if x0 > a else a
+        xb = x1 if x1 < b else b
+        ya = y0 if y0 > a else a + 1
+        yb = y1 if y1 < b else b
+        if y0 <= a:  # the bottom side: bottom + x
+            key = bottom + xa
+            if key != end + 1:
+                runs.append((start, end))
+                start = key
+            end = bottom + xb
+        if b <= x1 and ya <= yb:  # the right side: right + y
+            right = bottom + j - 1
+            key = right + ya
+            if key != end + 1:
+                runs.append((start, end))
+                start = key
+            end = right + yb
+        if b <= y1:  # the top side: top − x, for x <= b − 1
+            xb = xb if xb < b else b - 1
+            if xa <= xb:
+                top = bottom + 3 * j - 3 + 2 * a
+                key = top - xb
+                if key != end + 1:
+                    runs.append((start, end))
+                    start = key
+                end = top - xa
+        if x0 <= a:  # the left side: left − y, for y <= b − 1
+            yb = yb if yb < b else b - 1
+            if ya <= yb:
+                left = bottom + 4 * j - 4 + 2 * a
+                key = left - yb
+                if key != end + 1:
+                    runs.append((start, end))
+                    start = key
+                end = left - ya
     if full <= rings:
         j = s - 2 * (full - 1)
-        arcs.append((s * s - j * j, s * s - 1))
-    runs: List[Tuple[int, int]] = []
-    for start, end in arcs:
-        if runs and runs[-1][1] + 1 == start:
-            runs[-1] = (runs[-1][0], end)
-        else:
+        key = square - j * j
+        if key != end + 1:
             runs.append((start, end))
+            start = key
+        end = square - 1
+    runs.append((start, end))
+    del runs[0]
     return runs
 
 

@@ -16,10 +16,12 @@ against another layout — a layout-free plan, or one planned before a
 flush replaced the layout — is resolved against the executor's own on
 the spot (:meth:`QueryPlan.positions_in`).  An *exact* scan run — one
 of the plan's key runs, the paper's clusters — covers only keys of
-cells inside the query, so :func:`slice_run` returns its slice whole,
-with no geometric test.  Only a gap-merged run can hold cells outside the query: its
-slice is filtered by the query region, and the records it discards are
-the run's over-read.
+cells inside the query, so an execution appends its slice inline,
+whole, with no geometric test and no call per run (a
+:class:`PlanStream` appends each page's part of it).  Only a gap-merged
+run can hold cells outside the query: :func:`slice_run` filters its
+slice by the query region, and the records it discards are the run's
+over-read.
 
 Every execution — :meth:`Executor.execute`, the scatter–gather
 ``execute`` and a :class:`PlanStream` — charges its page reads through
@@ -105,21 +107,18 @@ class Page:
 def slice_run(
     column: Sequence[Record], lo: int, hi: int, region, records: List[Record]
 ) -> int:
-    """Append the run's records ``column[lo:hi]`` to ``records``; return
-    the over-read.
+    """Append the records of ``column[lo:hi]`` whose points lie in
+    ``region`` to ``records``; return the over-read, the count of those
+    that miss it.
 
-    ``region`` is None for an exact scan run (see
-    :attr:`~repro.engine.plan.QueryPlan.scan_exact`): every key of it is
-    a cell inside the query, so the slice is appended whole.  A
-    gap-merged run passes the query region instead; records of the
-    slice whose points miss it sat in a tolerated gap and count as
-    over-read.  The single statement of the scan rule, shared by every
+    The filter of a gap-merged scan run (see
+    :attr:`~repro.engine.plan.QueryPlan.scan_exact`): a record of its
+    slice that misses the query region sat in a tolerated gap.  An exact
+    run needs no filter, so every execution appends its slice whole,
+    inline.  The single statement of the filter, shared by every
     execution path (the shard-transparency contract depends on them
-    scanning identically).
+    scanning identically); a :class:`PlanStream` calls it per page.
     """
-    if region is None:
-        records += column[lo:hi]
-        return 0
     over_read = 0
     for record in column[lo:hi]:
         if region.contains(record.point):
@@ -291,7 +290,6 @@ class PlanStream:
             for (first, last), lo, hi, exact in zip(
                 positions.spans(), positions.lo, positions.hi, plan.scan_exact
             ):
-                region = None if exact else plan.rect
                 for position in range(first, last + 1):
                     seeks, sequential, cold = read((position,))
                     self._seeks += seeks
@@ -301,9 +299,13 @@ class PlanStream:
                     self._pages_pulled += 1
                     matched: List[Record] = []
                     edge = position * cap  # the page's first record position
-                    self._over_read += slice_run(
-                        column, max(lo, edge), min(hi, edge + cap), region, matched
-                    )
+                    start, end = max(lo, edge), min(hi, edge + cap)
+                    if exact:
+                        matched += column[start:end]
+                    else:
+                        self._over_read += slice_run(
+                            column, start, end, plan.rect, matched
+                        )
                     self._records += len(matched)
                     yield matched
         finally:
@@ -446,16 +448,17 @@ class Executor:
     ) -> Tuple[List[Record], int]:
         """The records of every scan run of ``plan``, in key order, and
         the over-read: each run is the slice of the layout's record
-        column at its ``positions`` in this executor's layout
-        (:func:`slice_run`), filtered by the plan's region only for a
-        gap-merged run."""
+        column at its ``positions`` in this executor's layout.  An exact
+        run's slice is appended inline, whole; a gap-merged run's goes
+        through :func:`slice_run`, filtered by the plan's region."""
         column = self._layout.records
         records: List[Record] = []
         over_read = 0
         for start, end, exact in zip(positions.lo, positions.hi, plan.scan_exact):
-            over_read += slice_run(
-                column, start, end, None if exact else plan.rect, records
-            )
+            if exact:
+                records += column[start:end]
+            else:
+                over_read += slice_run(column, start, end, plan.rect, records)
         return records, over_read
 
     def _report(

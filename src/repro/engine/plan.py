@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from array import array
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -158,18 +159,30 @@ class PageLayout:
     def bounds(self, runs: Sequence[KeyRun]) -> Tuple[array, array]:
         """``(lo, hi)``: run ``i``'s records are ``records[lo[i]:hi[i]]``.
 
-        One search of the key column for every run start and one for
-        every run end, returned as two ``array('q')``.
+        The run starts and ends become one array, in one conversion, and
+        the key column is searched once for the starts and once for the
+        ends; returned as two ``array('q')``.  An ``object`` key column
+        searches the exact Python ints.  An ``int64`` column holds only
+        keys below :data:`_INT64_MAX`, so a bound past it is clamped to
+        it and still searches exactly.
         """
-        if not runs:
-            return array("q"), array("q")
-        starts, ends = zip(*runs)
         keys = self.keys
-        if keys.dtype != object and max(ends) > _INT64_MAX:
-            starts = tuple(min(key, _INT64_MAX) for key in starts)
-            ends = tuple(min(key, _INT64_MAX) for key in ends)
-        lo = keys.searchsorted(starts, side="left")
-        hi = keys.searchsorted(ends, side="right")
+        count = 2 * len(runs)
+        if keys.dtype == object:
+            edges = np.fromiter(chain.from_iterable(runs), dtype=object, count=count)
+        else:
+            try:
+                edges = np.fromiter(
+                    chain.from_iterable(runs), dtype=np.int64, count=count
+                )
+            except OverflowError:  # a bound past int64
+                edges = np.fromiter(
+                    (min(key, _INT64_MAX) for key in chain.from_iterable(runs)),
+                    dtype=np.int64,
+                    count=count,
+                )
+        lo = keys.searchsorted(edges[0::2], side="left")
+        hi = keys.searchsorted(edges[1::2], side="right")
         return (
             array("q", lo.astype(np.int64, copy=False).tobytes()),
             array("q", hi.astype(np.int64, copy=False).tobytes()),
@@ -177,7 +190,7 @@ class PageLayout:
 
     def resolve(self, runs: Sequence[KeyRun]) -> Positions:
         """The key runs' record positions and pages, from one
-        :meth:`bounds` search.
+        :meth:`bounds` search and one loop over its positions.
 
         A run's page span is exact on both ends: the first page holds
         the run's first record (so duplicate keys spilling past a page
@@ -185,19 +198,25 @@ class PageLayout:
         last page holds its last.  A run over a gap inside one page
         reads that page; a run past the largest key reads nothing.  An
         empty span (``last < first``) means no pages hold keys of the
-        run.  The single statement of run resolution, shared by planned,
-        merged and scattered plans, and by an executor resolving a
-        layout-free plan, or one planned against another layout, on the
-        spot (:meth:`QueryPlan.positions_in`).
+        run.  The loop extends the page list with each run's span as it
+        computes it, under the rule :meth:`Positions.spans` states.  The
+        single statement of run resolution, shared by planned, merged
+        and scattered plans, and by an executor resolving a layout-free
+        plan, or one planned against another layout, on the spot
+        (:meth:`QueryPlan.positions_in`).
         """
         lo, hi = self.bounds(runs)
+        capacity, size = self.capacity, len(self.keys)
         pages: List[int] = []
-        for first, last in _page_spans(lo, hi, self.capacity, len(self.keys)):
-            if first == last:  # most spans: one page, with no range to build
+        for start, end in zip(lo, hi):
+            if start == size:  # past the largest key
+                continue
+            first, last = start // capacity, (end - 1) // capacity
+            if first == last:  # most runs: one page, with no range to build
                 pages.append(first)
             else:
                 pages += range(first, last + 1)
-        return Positions(self.keys, self.capacity, lo, hi, array("q", pages))
+        return Positions(self.keys, capacity, lo, hi, array("q", pages))
 
     def span(self, start: int, end: int) -> PageSpan:
         """The :meth:`spans` entry of the one run ``[start, end]``."""
@@ -288,9 +307,14 @@ class QueryPlan:
         a clipped shard fragment, the clip of an exact run still does),
         so the executor slices its records by key with no geometric
         test.  A gap-merged run — or a clipped piece of one — can hold
-        tolerated-gap cells and is filtered by :attr:`rect`.  Cached on
-        the (immutable) plan, so a cached plan computes it once.
+        tolerated-gap cells and is filtered by :attr:`rect`.  When the
+        scan runs are the key runs (no gap was merged, as in every plan
+        at ``gap_tolerance=0``), every run is exact and no set is built.
+        Cached on the (immutable) plan, so a cached plan computes it
+        once.
         """
+        if self.scan_runs == self.runs:  # no gap merged
+            return (True,) * len(self.runs)
         exact = set(self.runs)
         return tuple(run in exact for run in self.scan_runs)
 

@@ -207,9 +207,9 @@ class Planner:
         rect.check_fits(self._curve.side)
         with _obs_span("plan", kind="plan") as sp:
             started = time.perf_counter() if METRICS.enabled else 0.0
-            runs = self.key_runs(rect)
+            runs = tuple(self.key_runs(rect))
             scan_runs = (
-                merge_runs_with_gaps(runs, policy.gap_tolerance)
+                tuple(merge_runs_with_gaps(runs, policy.gap_tolerance))
                 if policy.gap_tolerance
                 else runs
             )
@@ -218,8 +218,8 @@ class Planner:
                 curve=self._curve,
                 rect=rect,
                 policy=policy,
-                runs=tuple(runs),
-                scan_runs=tuple(scan_runs),
+                runs=runs,
+                scan_runs=scan_runs,
                 cost_model=self._cost_model,
                 positions=positions,
             )

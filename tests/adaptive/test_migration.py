@@ -289,6 +289,22 @@ class TestMigrationGuards:
         with pytest.raises(InvalidQueryError):
             index.migrate_to(make_curve("onion", SIDE, 3))
 
+    def test_keys_past_int64_migrate_exactly(self):
+        """At side 2**32 the vectorized kernels refuse the universe; the
+        re-key uses the exact scalar kernel, so the migrated store finds
+        every record under its new curve."""
+        side, centre = 2**32, 2**31 - 1
+        index = SFCIndex(make_curve("rowmajor", side, 2), page_capacity=2)
+        points = [(0, 0), (centre, centre), (side - 1, side - 1), (5, 7)]
+        for point in points:
+            index.insert(point)
+        report = index.migrate_to(make_curve("onion", side, 2))
+        assert (report.migrated, report.records) == (True, 4)
+        universe = Rect((0, 0), (side - 1, side - 1))
+        assert sorted(r.point for r in index.range_query(universe).records) == sorted(points)
+        around = Rect((centre - 1, centre - 1), (centre + 1, centre + 1))
+        assert [r.point for r in index.range_query(around).records] == [(centre, centre)]
+
     def test_empty_index_migrates(self):
         index = SFCIndex(make_curve("rowmajor", SIDE, 2), page_capacity=4)
         report = index.migrate_to(make_curve("onion", SIDE, 2))

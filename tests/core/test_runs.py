@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.clustering import clustering_number_exhaustive
+from repro.core.clustering import clustering_number, clustering_number_exhaustive
 from repro.core.runs import query_runs
-from repro.curves import make_curve
-from repro.errors import InvalidQueryError
+from repro.curves import curve_names, make_curve
+from repro.engine import Planner
+from repro.errors import InvalidQueryError, InvalidUniverseError
 from repro.geometry import Rect
 
 
@@ -78,3 +79,54 @@ class TestRunsExactness:
     def test_rejects_oversized_rect(self):
         with pytest.raises(InvalidQueryError):
             query_runs(make_curve("onion", 8, 2), Rect((0, 0), (8, 0)))
+
+
+def _scalar_runs(curve, rect):
+    """The runs of ``rect``'s cells keyed one by one by ``index`` (exact
+    Python ints), sorted and split where two keys are not consecutive."""
+    keys = sorted(curve.index(cell) for cell in rect.cells())
+    runs = [[keys[0], keys[0]]]
+    for key in keys[1:]:
+        if key == runs[-1][1] + 1:
+            runs[-1][1] = key
+        else:
+            runs.append([key, key])
+    return [tuple(run) for run in runs]
+
+
+def _builds_at(name, side):
+    try:
+        return make_curve(name, side, 2)
+    except InvalidUniverseError:  # peano needs a power of 3
+        return None
+
+
+class TestRunsPastInt64:
+    """At side 2**32 the keys pass int64 and the vectorized kernels
+    refuse the universe; planning keys the query's cells with the exact
+    scalar kernels instead, on every construction path."""
+
+    SIDE = 2**32
+
+    @pytest.mark.parametrize(
+        "name", [name for name in curve_names() if _builds_at(name, 2**32)]
+    )
+    def test_runs_match_scalar_keys(self, name):
+        curve = make_curve(name, self.SIDE, 2)
+        planner = Planner(curve)
+        centre, top = 2**31 - 1, self.SIDE - 1
+        rects = [
+            Rect((0, 0), (3, 2)),  # keys far below 2**63
+            Rect((centre - 2, centre - 1), (centre + 1, centre + 2)),
+            Rect((top - 2, top - 3), (top, top)),
+            Rect((top - 5, 4), (top, 4)),  # one cell high
+        ]
+        largest = 0
+        for rect in rects:
+            expected = _scalar_runs(curve, rect)
+            assert query_runs(curve, rect) == expected, rect
+            assert planner.key_runs(rect) == expected, rect
+            assert clustering_number(curve, rect) == len(expected), rect
+            assert clustering_number_exhaustive(curve, rect) == len(expected), rect
+            largest = max(largest, expected[-1][1])
+        assert largest > 2**63 - 1

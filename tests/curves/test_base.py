@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.curves import OnionCurve2D, ZOrderCurve, make_curve
-from repro.errors import OutOfUniverseError
+from repro.curves import OnionCurve2D, ZOrderCurve, curve_names, make_curve
+from repro.errors import InvalidUniverseError, OutOfUniverseError
 
 
 class TestIdentity:
@@ -53,6 +53,66 @@ class TestValidation:
     def test_point_many_rejects_out_of_range(self, small_curve):
         with pytest.raises(OutOfUniverseError):
             small_curve.point_many(np.asarray([small_curve.size]))
+
+
+def _builds_at(name, side):
+    try:
+        return make_curve(name, side, 2)
+    except InvalidUniverseError:  # peano needs a power of 3
+        return None
+
+
+BUILDS_AT_2_TO_THE_32 = [name for name in curve_names() if _builds_at(name, 2**32)]
+
+
+class TestKeysPastInt64:
+    """The vectorized kernels key in int64, so a universe whose largest
+    key exceeds 2**63 - 1 is refused before anything is keyed; the
+    scalar kernels stay exact there, and ``keys_of``/``cells_of`` use
+    them."""
+
+    SIDE = 2**32
+
+    @pytest.mark.parametrize("name", BUILDS_AT_2_TO_THE_32)
+    def test_kernels_refuse_the_universe(self, name):
+        curve = make_curve(name, self.SIDE, 2)
+        assert curve.size - 1 > 2**63 - 1
+        centre = 2**31 - 1
+        with pytest.raises(InvalidUniverseError):
+            curve.index_many(np.asarray([[centre, centre]]))
+        with pytest.raises(InvalidUniverseError):
+            curve.point_many(np.asarray([0]))
+        assert curve.point(curve.index((centre, centre))) == (centre, centre)
+
+    @pytest.mark.parametrize("name", BUILDS_AT_2_TO_THE_32)
+    def test_keys_of_and_cells_of_stay_exact(self, name):
+        curve = make_curve(name, self.SIDE, 2)
+        centre, top = 2**31 - 1, self.SIDE - 1
+        cells = [(0, 0), (centre, centre), (top, 0), (0, top), (top, top)]
+        keys = curve.keys_of(cells)
+        assert keys.tolist() == [curve.index(cell) for cell in cells]
+        assert max(keys) > 2**63 - 1
+        assert curve.cells_of(keys).tolist() == [list(cell) for cell in cells]
+        assert curve.keys_of(np.asarray(cells)).tolist() == keys.tolist()
+
+    @pytest.mark.parametrize("name", BUILDS_AT_2_TO_THE_32)
+    def test_keys_of_and_cells_of_use_the_kernels_where_keys_fit(self, name):
+        curve = make_curve(name, 16, 2)
+        cells = np.asarray([(0, 0), (7, 8), (15, 0), (3, 15)])
+        keys = curve.keys_of(cells)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == curve.index_many(cells).tolist()
+        assert curve.cells_of(keys).tolist() == cells.tolist()
+
+    def test_onion_keys_in_bulk_up_to_the_last_side_that_fits(self):
+        fits = make_curve("onion", 3_037_000_499, 2)
+        assert fits.size - 1 <= 2**63 - 1
+        cells = np.asarray([[1_518_500_249] * 2, [0, 0], [3_037_000_498, 1]])
+        keys = fits.index_many(cells)
+        assert keys.tolist() == [fits.index(tuple(cell)) for cell in cells.tolist()]
+        assert fits.point_many(keys).tolist() == cells.tolist()
+        with pytest.raises(InvalidUniverseError):
+            make_curve("onion", 3_037_000_500, 2).index_many(np.asarray([[0, 0]]))
 
 
 class TestTraversal:

@@ -141,7 +141,7 @@ class TestRectRuns:
 
     @given(st.data())
     def test_large_sides_match_keyed_cells(self, data):
-        side = data.draw(st.integers(255, 257))
+        side = data.draw(st.sampled_from([255, 256, 257, 1000, 1023]))
         coordinate = st.integers(0, side - 1)
         x0, x1 = sorted(data.draw(st.tuples(coordinate, coordinate)))
         y0, y1 = sorted(data.draw(st.tuples(coordinate, coordinate)))
@@ -149,3 +149,36 @@ class TestRectRuns:
         assert onion2d_rect_runs(side, rect.lo, rect.hi) == query_runs_vectorized(
             OnionCurve2D(side), rect
         )
+
+    def test_side_2_to_the_32_matches_scalar_keys(self):
+        """Past 2**63 the keys are exact Python ints: each rect's runs
+        equal the runs of its cells keyed one by one with ``index``,
+        sorted.  An int64 walk would wrap the keys near the centre."""
+        side = 2**32
+        curve = OnionCurve2D(side)
+        top, mid = side - 1, 2**31
+        rects = [
+            ((0, 0), (3, 2)),  # the origin corner
+            ((top - 3, top - 2), (top, top)),  # the far corner
+            ((mid - 3, mid - 3), (mid + 2, mid + 2)),  # whole centre rings
+            ((mid - 2, mid - 1), (mid + 1, mid + 3)),  # across the centre
+            ((7, 7), (11, 12)),  # across ring 10's first corner
+            ((top - 12, top - 12), (top - 8, top - 7)),  # across a far corner
+            ((5, 0), (5, 9)),  # one cell wide
+            ((mid - 4, mid), (mid + 4, mid)),  # one cell high, at the centre
+            ((mid - 1, mid - 1), (mid - 1, mid - 1)),  # one centre cell
+        ]
+        for lo, hi in rects:
+            keys = sorted(
+                curve.index((x, y))
+                for x in range(lo[0], hi[0] + 1)
+                for y in range(lo[1], hi[1] + 1)
+            )
+            runs = [[keys[0], keys[0]]]
+            for key in keys[1:]:
+                if key == runs[-1][1] + 1:
+                    runs[-1][1] = key
+                else:
+                    runs.append([key, key])
+            assert onion2d_rect_runs(side, lo, hi) == [tuple(run) for run in runs], lo
+        assert max(keys) > 2**63

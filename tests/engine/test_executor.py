@@ -367,6 +367,30 @@ class TestKeysBeyondInt64:
         assert [r.point for r in index.range_query(rect).records] == [inside]
         assert [r.point for r in index.cursor(Query.rect(rect)).fetchall()] == [inside]
 
+    @pytest.mark.parametrize("load", ["bulk", "one at a time"])
+    def test_onion_keys_past_2_to_the_63_in_bulk_and_one_at_a_time(self, load):
+        """The 2-D onion curve keys the centre of side 2**32 past 2**63,
+        which the vectorized kernels refuse: a bulk load keys its points
+        with the exact scalar kernel, as single inserts do, so both the
+        universe and the rect around the centre find their records
+        through an ``object`` key column."""
+        index = SFCIndex(make_curve("onion", self.SIDE, 2), page_capacity=2)
+        centre = 2**31 - 1
+        points = [(0, 0), (centre, centre), (5, 7)]
+        if load == "bulk":
+            index.bulk_load(points)
+        else:
+            for point in points:
+                index.insert(point)
+        assert index.curve.index((centre, centre)) == 2**64 - 4
+        universe = Rect((0, 0), (self.TOP, self.TOP))
+        around = Rect((centre - 1, centre - 1), (centre + 1, centre + 1))
+        for rect, found in [(universe, sorted(points)), (around, [(centre, centre)])]:
+            assert sorted(r.point for r in index.range_query(rect).records) == found
+            cursor = index.cursor(Query.rect(rect))
+            assert sorted(r.point for r in cursor.fetchall()) == found
+        assert index.page_layout.keys.dtype == object
+
 
 class TestBatchExecution:
     def test_batch_results_keep_caller_order(self, rng):

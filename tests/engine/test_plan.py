@@ -65,13 +65,18 @@ class TestPageLayout:
     def test_spans_follow_the_first_last_key_rule(self, page_capacity, count):
         """Every run over the key range, among them runs before the first
         key, past the last key, inside a gap within a page and over
-        duplicates spilling across a page boundary."""
+        duplicates spilling across a page boundary; the pages
+        :meth:`PageLayout.resolve` lists are the span's."""
         keys = self.KEYS[:count]
         layout = packed(page_capacity, keys)
         for start in range(0, keys[-1] + 3):
             for end in range(start, keys[-1] + 3):
                 expected = first_last_key_span(page_capacity, keys, start, end)
                 assert layout.spans([(start, end)]) == (expected,), (start, end)
+                pages = layout.resolve([(start, end)]).pages
+                assert list(pages) == list(range(expected[0], expected[1] + 1)), (
+                    start, end
+                )
 
     def test_span_covers_run_pages(self):
         layout = packed(10, range(40))

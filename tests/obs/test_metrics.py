@@ -277,13 +277,14 @@ def _small_store(shards=1):
 
 def _mid_execute(monkeypatch, tmp_path, shards=1, drain_cursor=False):
     """Execute (or drain a cursor) with metrics switched on at the first
-    run slice: ``repro_query_latency_seconds``."""
+    charged read pass, which every execution runs between its start time
+    and its report: ``repro_query_latency_seconds``."""
     from repro.api import Query
-    from repro.engine import executor
+    from repro.engine.executor import Executor
     from repro.geometry import Rect
 
     store = _small_store(shards)
-    monkeypatch.setattr(executor, "slice_run", _switched_on(executor.slice_run))
+    monkeypatch.setattr(Executor, "_read", _switched_on(Executor._read))
     query = Query.rect(Rect((0, 0), (5, 5)))
     if drain_cursor:
         return lambda: store.cursor(query).fetchall()

@@ -253,6 +253,31 @@ def test_shard_transparency_of_durability(kind, tmp_path):
     assert probes == expected
 
 
+def test_recovers_keys_past_int64(tmp_path):
+    """At side 2**32 the 2-D onion curve keys the centre past 2**63, a
+    universe the vectorized kernels refuse. Recovery reloads the
+    checkpoint through ``bulk_load``, which keys it with the exact
+    scalar kernel, so the recovered store finds every record."""
+    side = 2**32
+    centre, top = 2**31 - 1, side - 1
+    root = tmp_path / "d"
+    store = SFCIndex(make_curve("onion", side, 2), page_capacity=2, durable_path=root)
+    store.bulk_load([(0, 0), (centre, centre)], ["corner", "centre"])
+    store.insert((5, 7), "inserted")
+    store.checkpoint()
+    store.insert((centre + 1, centre), "replayed")
+    recovered = recover(root)
+    report = recovered.durability.last_recovery
+    assert (report.checkpoint_records, report.frames_replayed) == (3, 1)
+    universe = Rect((0, 0), (top, top))
+    around = Rect((centre - 1, centre - 1), (centre + 1, centre + 1))
+    for rect, found in [(universe, 4), (around, 2)]:
+        records = sorted((r.point, r.payload) for r in store.range_query(rect).records)
+        assert len(records) == found
+        again = recovered.range_query(rect).records
+        assert sorted((r.point, r.payload) for r in again) == records
+
+
 class TestSharded:
     def test_rebalance_is_replayed(self, tmp_path):
         store = _build("sharded", tmp_path)
