@@ -4,18 +4,20 @@ When the drift detector names a better curve, the data still lives in
 pages packed in *old*-curve key order.  :class:`OnlineMigrator` moves it:
 
 1. **snapshot** — the index hands over a consistent ``(version,
-   records)`` view of its contents (taken under the store mutex,
-   walking its B+-tree in key order);
+   records)`` view of its contents: its current record column, in key
+   order, taken under the store mutex;
 2. **re-key** — the records' cells are mapped to keys under the target
    curve in bounded ``batch_size`` chunks (one ``keys_of`` call per
-   chunk, a vectorized ``index_many`` where the keys fit int64); queries
-   keep serving from the old layout the whole time — nothing the
-   serving path reads has been touched;
-3. **cutover** — the index atomically installs the re-keyed records: a
-   new B+-tree, a shadow :class:`~repro.engine.plan.PageLayout` packed
-   onto the same append-only page store (old pages stay readable for
-   in-flight queries), new planner and executor, epoch bumped, plan
-   cache and buffer pool invalidated.  The cutover *refuses* if writes
+   chunk, a vectorized ``index_many`` where the keys fit int64), kept in
+   snapshot order; queries keep serving from the old layout the whole
+   time — nothing the serving path reads has been touched;
+3. **cutover** — the index atomically installs the re-keyed records:
+   sorted stably by new key, as a bulk load sorts, filed into a new
+   B+-tree and packed as a shadow
+   :class:`~repro.engine.plan.PageLayout` onto the same append-only
+   page store (old pages stay readable for in-flight queries), new
+   planner and executor, epoch bumped, plan cache and buffer pool
+   invalidated.  The cutover *refuses* if writes
    landed since the snapshot (the version moved) and the migrator
    retries; the final attempt holds the store mutex across
    snapshot → re-key → cutover, so the loop always terminates — at the
@@ -32,7 +34,9 @@ pages for every query — which is the differential guarantee
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..curves.base import SpaceFillingCurve
 from ..errors import InvalidQueryError
@@ -99,7 +103,8 @@ class OnlineMigrator:
     ``_migration_cutover()``, the re-entrant ``_mutex`` and ``epoch``)
     once for :class:`~repro.index.spatial.SFCIndex` and
     :class:`~repro.index.sharded.ShardedSFCIndex` alike: the cutover
-    files every record into one new tree and packs one page layout, and
+    sorts the snapshot's column by new key, files every record into one
+    new tree and packs one page layout, and
     a sharded store keeps its shard map of key intervals, so shard
     transparency survives the migration.
 
@@ -138,36 +143,32 @@ class OnlineMigrator:
     def _rekey(
         self,
         target: SpaceFillingCurve,
-        entries: List[Tuple[int, Record]],
+        records: Sequence[Record],
         quiet: bool = False,
-    ) -> Tuple[List[Tuple[int, Record]], int]:
+    ) -> Tuple[np.ndarray, int]:
         """Key every snapshot record under ``target`` in bounded chunks.
 
-        Returns the ``(new_key, record)`` pairs sorted ascending (stable,
-        so same-key records keep their snapshot order) and the number of
+        Returns the new keys in snapshot order (``keys[i]`` is the key
+        of ``records[i]``; the cutover sorts them) and the number of
         chunks processed.  ``quiet`` suppresses the progress hook — the
         lock-held final pass must not re-enter the index through a
         caller callback (a same-thread write would dirty the version the
         held lock exists to freeze).
         """
-        keyed: List[Tuple[int, Record]] = []
-        total = len(entries)
+        chunks = [np.empty(0, dtype=np.int64)]  # an empty store has no chunk
+        total = len(records)
         batches = 0
         for start in range(0, total, self._batch_size):
-            chunk = entries[start : start + self._batch_size]
+            chunk = records[start : start + self._batch_size]
             with _obs_span("migration_batch", kind="migration") as sp:
-                keys = target.keys_of([record.point for _, record in chunk])
-                keyed.extend(
-                    (int(key), record) for key, (_, record) in zip(keys, chunk)
-                )
+                chunks.append(target.keys_of([record.point for record in chunk]))
                 batches += 1
                 sp.set("batch", batches)
                 sp.set("records", len(chunk))
             _MIGRATION_BATCHES.inc()
             if self._on_batch is not None and not quiet:
                 self._on_batch(min(start + self._batch_size, total), total)
-        keyed.sort(key=lambda pair: pair[0])
-        return keyed, batches
+        return np.concatenate(chunks), batches
 
     def migrate(self, index, target: SpaceFillingCurve) -> MigrationReport:
         """Move ``index`` onto ``target``, serving the old layout until cutover."""
@@ -201,17 +202,17 @@ class OnlineMigrator:
             # writers; the cutover refuses when the version moved.
             while attempts < self._max_attempts - 1:
                 attempts += 1
-                version, entries = index._migration_snapshot()
-                keyed, batches = self._rekey(target, entries)
-                if index._migration_cutover(target, keyed, version):
-                    sp.set("records", len(keyed))
+                version, records = index._migration_snapshot()
+                keys, batches = self._rekey(target, records)
+                if index._migration_cutover(target, keys, records, version):
+                    sp.set("records", len(records))
                     sp.set("attempts", attempts)
                     return self._report_done(
                         MigrationReport(
                             old_curve=incumbent,
                             new_curve=target,
                             migrated=True,
-                            records=len(keyed),
+                            records=len(records),
                             batches=batches,
                             batch_size=self._batch_size,
                             attempts=attempts,
@@ -226,20 +227,20 @@ class OnlineMigrator:
             # the re-entrant lock and dirty the frozen version.
             attempts += 1
             with index._mutex:
-                version, entries = index._migration_snapshot()
-                keyed, batches = self._rekey(target, entries, quiet=True)
-                if not index._migration_cutover(target, keyed, version):
+                version, records = index._migration_snapshot()
+                keys, batches = self._rekey(target, records, quiet=True)
+                if not index._migration_cutover(target, keys, records, version):
                     raise AssertionError(
                         "cutover failed under the store mutex"
                     )  # pragma: no cover
-            sp.set("records", len(keyed))
+            sp.set("records", len(records))
             sp.set("attempts", attempts)
             return self._report_done(
                 MigrationReport(
                     old_curve=incumbent,
                     new_curve=target,
                     migrated=True,
-                    records=len(keyed),
+                    records=len(records),
                     batches=batches,
                     batch_size=self._batch_size,
                     attempts=attempts,

@@ -40,7 +40,7 @@ Quickstart::
 from .cursor import Cursor, CursorStats, QueryResult
 from .knn import KNNResult, Neighbor, knn_search
 from .query import Query, RectUnion
-from .store import ANY, SpatialStore, merge_plans, pack_layout
+from .store import ANY, SpatialStore, merge_plans
 
 __all__ = [
     "ANY",
@@ -54,5 +54,4 @@ __all__ = [
     "SpatialStore",
     "knn_search",
     "merge_plans",
-    "pack_layout",
 ]

@@ -6,30 +6,30 @@ copy of the serving facade — insert/delete/bulk-load, point queries,
 flush, planning, EXPLAIN, range queries, migration — and the two kept
 drifting.  ``SpatialStore`` hoists that facade into one abstract base:
 
-* **one storage topology** — one B+-tree of key buckets and one record
-  count for all records, so the key-ordered flush walk, snapshots and
-  the migration cutover exist once; a sharded store's shard map is key
-  intervals its planner clips plans to, not a second way to store
-  records;
+* **one storage topology** — the store's sorted key column and record
+  column (the *base*) are its only ordered copy of the records, with
+  one write delta of the keys written since; a B+-tree maps each key to
+  its bucket for :meth:`insert`, :meth:`delete` and :meth:`point_query`.
+  A sharded store's shard map is key intervals its planner clips plans
+  to, not a second way to store records;
 * **one lock model** — a re-entrant ``_mutex`` and a shared
   ``_io_lock`` created by the constructor, so every store is
   thread-safe under the same discipline;
 * **one write path** — :meth:`insert` / :meth:`bulk_load` /
-  :meth:`delete` key points under the store's mutex and file records
-  into the one tree (a bulk load keyed in one vectorized call, sorted
-  by key and filed with one tree insert per distinct key), so
-  ingestion semantics cannot diverge;
+  :meth:`delete` key points under the store's mutex, file records into
+  the one tree (a bulk load keyed in one vectorized call, sorted by key
+  and filed with one tree insert per distinct key) and note each key
+  they changed, with its bucket, in the write delta, so ingestion
+  semantics cannot diverge;
 * **one flush protocol** — :meth:`flush` packs the current columns
-  (:meth:`_current_columns`): the buckets of the keys written since
-  the last install, as their writes noted them, merged into that
-  layout's columns (or into the sorted columns of a bulk load into an
-  empty tree), or the key-ordered
-  :meth:`_flush_entries` walk when there is none to merge into; every
-  flush ends in :func:`pack_columns`, and the layout is installed via
-  the epoch-bumping :meth:`_install_layout` (the sharded layer's
+  (:meth:`_current_columns`): the base with the run of each noted key
+  replaced by its bucket, or the base as it is when no key was noted;
+  every flush ends in :func:`pack_columns`, and the layout is installed
+  via the epoch-bumping :meth:`_install_layout` (the sharded layer's
   byte-identical-layout guarantee rests on this single page-building
   rule); a layout is derived state, so flushing never writes the WAL,
-  and a checkpoint writes the same record column a flush packs;
+  and a checkpoint, a migration snapshot, ``rebalance`` and
+  ``shard_loads`` read the same columns a flush packs;
 * **one query surface** — :meth:`plan` / :meth:`explain` /
   :meth:`range_query` / :meth:`range_query_batch` remain, now thin
   facades over the composable front door: :meth:`execute` runs a
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +60,7 @@ from ..devtools.annotations import guarded_by
 from ..engine.cache import PlanCache
 from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import Page, Record
-from ..engine.plan import ExecutionPolicy, PageLayout, QueryPlan, key_column
+from ..engine.plan import _INT64_MAX, ExecutionPolicy, PageLayout, QueryPlan, key_column
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
 from ..geometry import Rect
 from ..obs.trace import span as _obs_span
@@ -70,9 +70,7 @@ from ..storage.disk import SimulatedDisk
 from .cursor import Cursor, QueryResult
 from .query import Query, RectUnion
 
-__all__ = [
-    "ANY", "SpatialStore", "pack_layout", "pack_columns", "merge_plans"
-]
+__all__ = ["ANY", "SpatialStore", "pack_columns", "merge_plans"]
 
 
 class _AnyPayload:
@@ -89,19 +87,6 @@ class _AnyPayload:
 #: not ``None`` — so records stored *with* ``payload=None`` can be
 #: targeted specifically via ``delete(point, None)``.
 ANY = _AnyPayload()
-
-#: A flush merges the keys written since the last install while they
-#: number at most this fraction of the previous layout's records; past
-#: it, writes stop tracking keys and the next flush walks the tree.  A
-#: merge costs a few us per written key on top of one copy of the
-#: columns, a walk a fixed Python pass over every record: on a
-#: 20,000-record onion store of side 256 (2-core x86-64, Python 3.11,
-#: numpy 2.4; median of 11 in each of five processes), merging 1,250
-#: keys (1/16) took 3.4-6.4 ms against 9.7-13.2 ms for the walk, and the
-#: two met between 4,000 and 5,000 keys (1/5 to 1/4).  1/16 keeps the
-#: merge well clear of that crossover.
-_MERGE_FRACTION = 1 / 16
-
 
 def _curve_spec(curve: SpaceFillingCurve) -> Tuple[str, int, int]:
     """``(name, side, dim)`` — enough to rebuild ``curve`` from the registry.
@@ -168,82 +153,72 @@ def _in_key_order(
 ) -> Tuple[np.ndarray, Tuple[Record, ...]]:
     """``keys`` and ``records`` as two columns sorted by key.
 
-    The sort is stable, so the records of one key keep their arrival
-    order: the order its bucket holds them in and a walk yields them.
-    The key column takes :func:`~repro.engine.plan.key_column`'s dtype.
+    The sort is stable, so the records of one key keep the order they
+    came in: a bulk load's arrival order, or a migration snapshot's
+    column order, the order the key's bucket holds them in.  The key
+    column takes :func:`~repro.engine.plan.key_column`'s dtype.
     """
     order = np.argsort(keys, kind="stable")
     return key_column(keys[order]), tuple([records[i] for i in order.tolist()])
 
 
-def _split_pairs(
-    records: Iterable[Tuple[int, Record]],
-) -> Tuple[List[int], Tuple[Record, ...]]:
-    """``(key, record)`` pairs as a key column and a record column."""
-    keys: List[int] = []
-    column: List[Record] = []
-    for key, record in records:
-        keys.append(key)
-        column.append(record)
-    return keys, tuple(column)
-
-
 def _merged_columns(
     base: PageLayout, written: Dict[int, Sequence[Record]]
-) -> Tuple[np.ndarray, Tuple[Record, ...]]:
+) -> PageLayout:
     """``base``'s columns with the run of each ``written`` key replaced
-    by the bucket its last write noted.
+    by the bucket its last write noted, as a page-less layout.
 
-    The columns a walk of the tree would yield: once the base is taken
-    (at an install, or by a bulk load into an empty tree), a bucket
-    changes only through ``insert`` or ``delete`` of its key, and both
-    note the key with its bucket after the write
-    (:meth:`SpatialStore._note_write`): the list the tree holds, in the
-    order the walk yields the key's records.  Every other run of the
-    base is still current, so the merge reads no tree.  It takes a few
-    steps per written key and none per record: the kept-key mask is one
-    ``np.repeat`` over the run edges, and the record column is one list
-    extended by each kept slice of the base and each bucket, made a
-    tuple once.  The key column is the base's other keys and each
-    written key once per record of its bucket, sorted; the
-    concatenation is ``object`` when either part is, and
-    :func:`pack_columns` then applies
-    :func:`~repro.engine.plan.key_column`'s rule to the result.
+    Every write notes each key it changed with that key's bucket after
+    the write (:meth:`SpatialStore._append_records`,
+    :meth:`SpatialStore._note_write`): the list the tree holds, in
+    arrival order, or the one a delete emptied.  Every other run of the base is
+    still current, so the merge reads no tree, and it stays cheap when
+    the delta is the whole store (the first read of a store built by
+    single inserts merges into empty columns).  The written keys are
+    sorted once, into one array: int64 where they fit, else by
+    :func:`~repro.engine.plan.key_column`'s rule.  One search of the
+    base's key column with that array finds both ends of every run; an
+    ``int64`` column holds only keys below :data:`_INT64_MAX`, so an
+    ``object`` array searches it clamped.  One loop fills the record
+    column with each kept slice of the base and each bucket; the key
+    column is the base's kept keys and the array repeated by the
+    buckets' sizes, merged.
     """
-    keys = sorted(written)
-    buckets = [written[key] for key in keys]
-    lo, hi = base.bounds([(key, key) for key in keys])
+    try:
+        keys = np.fromiter(written, dtype=np.int64, count=len(written))
+        keys.sort()
+    except OverflowError:  # a key past int64
+        keys = key_column(sorted(written))
+    column = base.keys
+    needles = keys
+    if keys.dtype == object and column.dtype != object:
+        needles = np.minimum(keys, _INT64_MAX).astype(np.int64)
+    lo = column.searchsorted(needles, side="left")
+    hi = column.searchsorted(needles, side="right")
     # Edges 0, lo[0], hi[0], lo[1], ..., hi[-1], n: the runs between
     # them alternate kept and written, starting and ending kept.
     edges = np.empty(2 * len(keys) + 2, dtype=np.int64)
-    edges[0], edges[-1] = 0, len(base.records)
+    edges[0], edges[-1] = 0, len(column)
     edges[1:-1:2] = lo
     edges[2:-1:2] = hi
     kept = np.repeat(np.arange(len(edges) - 1) % 2 == 0, np.diff(edges))
+    buckets = list(map(written.__getitem__, keys.tolist()))
     records = base.records
-    column: List[Record] = []
+    merged: List[Record] = []
     start = 0
-    for bucket, run_lo, run_hi in zip(buckets, lo, hi):
-        column += records[start:run_lo]
-        column += bucket
+    for bucket, run_lo, run_hi in zip(buckets, lo.tolist(), hi.tolist()):
+        if start < run_lo:
+            merged += records[start:run_lo]
+        merged += bucket
         start = run_hi
-    column += records[start:]
-    counts = [len(bucket) for bucket in buckets]
-    merged = np.concatenate((base.keys[kept], np.repeat(key_column(keys), counts)))
+    merged += records[start:]
+    counts = list(map(len, buckets))
+    merged_keys = np.concatenate((column[kept], np.repeat(keys, counts)))
     # Two ascending parts: a stable (run-merging) sort is one linear merge.
-    merged.sort(kind="stable")
-    return merged, tuple(column)
-
-
-def pack_layout(
-    disk: SimulatedDisk,
-    page_capacity: int,
-    records: Iterable[Tuple[int, Record]],
-) -> PageLayout:
-    """Pack ``(key, record)`` pairs (ascending keys) into a page layout:
-    the pairs split into a key column and a record column, in order,
-    and laid out with :func:`pack_columns`."""
-    return pack_columns(disk, page_capacity, *_split_pairs(records))
+    merged_keys.sort(kind="stable")
+    return PageLayout(
+        capacity=base.capacity, keys=key_column(merged_keys), records=tuple(merged)
+    )
 
 
 def pack_columns(
@@ -264,10 +239,9 @@ def pack_columns(
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
     the layout will serve (CONTRIBUTING invariant 14): exact scan runs
     are sliced from the record column without a geometric test.  Every
-    flush ends here, whether its columns were merged or walked, and so
-    does the migration cutover, so the sharded index's
-    byte-identical-layout guarantee (and with it shard transparency)
-    rests on this one function.
+    flush ends here, and so does the migration cutover, so the sharded
+    index's byte-identical-layout guarantee (and with it shard
+    transparency) rests on this one function.
 
     A page carries only its record count, so the layout's full pages
     share one ``Page(page_capacity)`` and a short last page is one more
@@ -334,11 +308,12 @@ def merge_plans(
 class SpatialStore(abc.ABC):
     """Abstract base of every SFC-keyed store (single-node or sharded).
 
-    The storage topology lives here, once: one B+-tree mapping each
-    curve key to its bucket of records, one record count, the
-    key-ordered flush walk, snapshots and the migration
-    snapshot/cutover.  Subclasses pick only the serving engine through
-    two methods: :meth:`_make_planner` and :meth:`_make_executor`.
+    The storage topology lives here, once: the sorted key and record
+    columns, the write delta that the next read merges into them, one
+    B+-tree mapping each curve key to its bucket of records, one record
+    count, snapshots and the migration snapshot/cutover.  Subclasses
+    pick only the serving engine through two methods:
+    :meth:`_make_planner` and :meth:`_make_executor`.
 
     One lock model for every store: the constructor creates a
     re-entrant ``_mutex`` (every mutation, snapshot and introspection
@@ -389,13 +364,15 @@ class SpatialStore(abc.ABC):
         self._tree = BPlusTree()  # guarded-by: _mutex
         self._count = 0  # guarded-by: _mutex
         self._layout: Optional[PageLayout] = None  # guarded-by: _mutex
-        #: The last installed layout's two columns, without its pages (so
-        #: they still die with the layout's last reader), and each key
-        #: written since it was installed, mapped to its current bucket:
-        #: the next flush merges those buckets into the base.  Both None
-        #: when the next flush must walk.
-        self._base: Optional[PageLayout] = None  # guarded-by: _mutex
-        self._dirty: Optional[Dict[int, Sequence[Record]]] = None  # guarded-by: _mutex
+        #: The store's sorted key and record columns, without pages (so
+        #: an installed layout's still die with its last reader): the
+        #: only ordered copy of the records, empty at first.  Each key
+        #: written since they were taken maps to its current bucket in
+        #: the write delta, which the next read merges into them.
+        self._base = PageLayout(
+            capacity=page_capacity, keys=key_column([]), records=()
+        )  # guarded-by: _mutex
+        self._dirty: Dict[int, Sequence[Record]] = {}  # guarded-by: _mutex
         self._executor = None  # guarded-by: _mutex
         #: Layout generation, bumped by every flush and migration cutover;
         #: keys the plan cache so stale-generation plans cannot be served.
@@ -419,7 +396,7 @@ class SpatialStore(abc.ABC):
         ``_io_lock`` (callers hold the mutex)."""
 
     # ------------------------------------------------------------------
-    # Storage topology: one tree of key buckets and one record count
+    # Storage topology: sorted columns, a write delta, a tree of buckets
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of stored records."""
@@ -437,10 +414,14 @@ class SpatialStore(abc.ABC):
         distinct key takes one tree insert, in key order, whose bucket
         is that key's run of ``records``, or extends its bucket when the
         tree already holds the key; equal keys keep their column order.
-        A store with no records has an empty tree, which holds none of
-        the keys, so it is filled without a lookup.
+        Into a non-empty store, each distinct key is noted in the write
+        delta with its bucket.  A store with no records has an empty
+        tree, which holds none of the keys, so it is filled without a
+        lookup, and nothing is noted: a bulk load or a migration cutover
+        installs its sorted columns as the base, and an insert notes its
+        key itself (:meth:`_note_write`).
         """
-        tree = self._tree
+        tree, dirty = self._tree, self._dirty
         fresh = self._count == 0
         last: Optional[int] = None
         bucket: List[Record] = []
@@ -453,17 +434,11 @@ class SpatialStore(abc.ABC):
                     tree.insert(key, bucket)
                 else:
                     bucket = existing
+                if not fresh:
+                    dirty[key] = bucket
             bucket.append(record)
         self._count += len(records)
         return bucket
-
-    @guarded_by("_mutex")
-    def _flush_entries(self) -> Iterator[Tuple[int, Record]]:
-        """Every stored ``(key, record)`` in ascending key order
-        (callers hold the mutex)."""
-        return (
-            (key, record) for key, bucket in self._tree.items() for record in bucket
-        )
 
     def _snapshot(self):
         """Atomic ``(planner, layout, executor, epoch)`` for one layout
@@ -567,6 +542,21 @@ class SpatialStore(abc.ABC):
         if self._durability is not None:
             self._durability.log(("migrate",) + _curve_spec(curve))
 
+    @guarded_by("_mutex")
+    def _log_bulk(self, records: Sequence[Record]) -> None:
+        """Log a bulk load of ``records``, in arrival order (callers hold
+        the mutex, *before* applying the load).
+
+        The frame's ``(point, payload)`` list is built only when the
+        store is durable: a store without a WAL, and recovery's load of
+        a checkpoint, which runs before durability is attached, build
+        none.
+        """
+        if self._durability is not None:
+            self._durability.log(
+                ("bulk", [(record.point, record.payload) for record in records])
+            )
+
     def _attach_durability(self, durability) -> None:
         """Bind recovered durable backing to this store (recovery only)."""
         with self._mutex:
@@ -600,9 +590,8 @@ class SpatialStore(abc.ABC):
         images and atomically commit a manifest pointing at them.
 
         The images hold the record column a flush would pack
-        (:meth:`_current_columns`), so a checkpoint walks the tree only
-        when a flush would.  Recovery then bulk loads the images and
-        replays only WAL operations after the checkpoint, making
+        (:meth:`_current_columns`).  Recovery then bulk loads the images
+        and replays only WAL operations after the checkpoint, making
         recovery time proportional to the log suffix instead of the
         store's history.  ``compact=True`` additionally rotates the WAL,
         bounding the directory's size.  Returns the committed
@@ -614,9 +603,9 @@ class SpatialStore(abc.ABC):
                     "store has no durable backing; construct it with "
                     "durable_path= or load it through recover()"
                 )
-            _, records, _ = self._current_columns()
+            columns, _ = self._current_columns()
             return self._durability.write_checkpoint(
-                [(record.point, record.payload) for record in records],
+                [(record.point, record.payload) for record in columns.records],
                 self._durable_state(),
                 self._page_capacity,
                 compact=compact,
@@ -634,31 +623,23 @@ class SpatialStore(abc.ABC):
     ) -> None:
         """Bump the content version and drop the stale on-disk layout.
 
-        ``key`` is the one key whose bucket the write changed, and
-        ``bucket`` that key's bucket after the write: the list the tree
-        holds, or the one a delete emptied and took out of the tree.
-        The write delta maps the key to it, replacing what an earlier
-        write of the key noted, so a key emptied and filled again maps
-        to its new bucket; the next flush merges the delta's buckets
-        into the base, the last installed layout's columns.  ``base`` is
-        the sorted columns of a bulk load into an empty tree: they hold
-        every record, so they become the base, with no keys written
-        since.  Any other write with no key (a bulk load into a
-        non-empty tree changes many buckets), or one that takes the
-        written keys past :data:`_MERGE_FRACTION` of the base, drops the
-        base: the next flush walks the tree.
+        ``key`` is the one key whose bucket an insert or a delete
+        changed, and ``bucket`` that key's bucket after the write: the
+        list the tree holds, or the one a delete emptied and took out of
+        the tree.  The write delta maps the key to it, replacing what an
+        earlier write of the key noted, so a key emptied and filled
+        again maps to its new bucket.  ``base`` is the sorted columns of
+        a bulk load into an empty store: they hold every record, so they
+        become the base, with no keys noted.  A bulk load into a
+        non-empty store noted its keys as it filed them
+        (:meth:`_append_records`).
         """
         self._version += 1
         self._invalidate_layout()
         if base is not None:
             self._base, self._dirty = base, {}
-            return
-        base, dirty = self._base, self._dirty
-        if base is not None and dirty is not None and key is not None:
-            dirty[key] = bucket
-            if len(dirty) <= _MERGE_FRACTION * len(base.records):
-                return
-        self._base = self._dirty = None
+        elif key is not None:
+            self._dirty[key] = bucket
 
     def insert(self, point: Sequence[int], payload: Any = None) -> None:
         """Add a record at ``point``; multiple records per cell are allowed.
@@ -685,14 +666,16 @@ class SpatialStore(abc.ABC):
         (exact Python ints where the universe's keys pass int64) and
         stably sorted, so the records reach the tree in key order with
         equal keys in arrival order: one tree insert per distinct key
-        (:meth:`_append_records`).  The WAL frame keeps arrival order.
+        (:meth:`_append_records`).  The WAL frame keeps arrival order,
+        and is built only when the store is durable (:meth:`_log_bulk`).
         The on-disk layout is invalidated once at the end.  When the
-        tree was empty, the sorted columns hold every record and become
-        the base the next flush merges into, with nothing to merge
-        (:meth:`_note_write`); into a non-empty tree, the next flush
-        walks.  ``payloads`` may be longer than ``points`` (extras
-        ignored, so infinite iterators work) but running out of payloads
-        mid-load is an error, not silent truncation.
+        store was empty, the sorted columns hold every record and become
+        the base, with no keys noted (:meth:`_note_write`); into a
+        non-empty store, the load notes each distinct key with its
+        bucket, and the next read merges them into the base, as after
+        single inserts.  ``payloads`` may be longer than ``points``
+        (extras ignored, so infinite iterators work) but running out of
+        payloads mid-load is an error, not silent truncation.
         """
         with self._mutex:
             curve = self._curve
@@ -704,9 +687,7 @@ class SpatialStore(abc.ABC):
                 # A migration cut over while we were keying outside the
                 # mutex; re-key the already-validated cells (rare race).
                 keys = self._curve.keys_of([record.point for record in arrivals])
-            self._log_durable(
-                ("bulk", [(record.point, record.payload) for record in arrivals])
-            )
+            self._log_bulk(arrivals)
             column, records = _in_key_order(keys, arrivals)
             base = None
             if self._count == 0:
@@ -757,7 +738,7 @@ class SpatialStore(abc.ABC):
         """All records stored exactly at ``point``.
 
         One implementation for every store: an in-memory B+-tree
-        lookup that never touches the simulated disk, so single and
+        lookup of the point's bucket that never touches the simulated disk, so single and
         sharded stores report identical (zero) seek accounting for
         point lookups — the regression suite pins the equality.
         """
@@ -779,8 +760,8 @@ class SpatialStore(abc.ABC):
         weakref stays per page object, at most two per layout, and an
         8-byte slot under each never-reused page id): repeated
         write/flush cycles cannot leak simulated disk.  The page-less
-        base of its columns stays, for the next flush to merge the
-        written keys' buckets into (see :meth:`_note_write`).
+        base of its columns stays, for the next read to merge the
+        written keys' buckets into (see :meth:`_current_columns`).
         """
         self._layout = None
         self._executor = None
@@ -816,60 +797,45 @@ class SpatialStore(abc.ABC):
         self._executor = self._make_executor(layout)
 
     @guarded_by("_mutex")
-    def _current_columns(self) -> Tuple[np.ndarray, Tuple[Record, ...], Optional[int]]:
-        """The store's key column and record column, in key order, and
-        the number of written keys merged to get them, None on a walk
-        (callers hold the mutex).
+    def _current_columns(self) -> Tuple[PageLayout, int]:
+        """The store's key and record columns, in key order, as a
+        page-less layout, and the number of noted keys merged to get
+        them (callers hold the mutex).
 
-        The columns come from the base: the last installed layout's
-        columns, or the sorted columns of a bulk load into an empty
-        tree.  The runs of the keys written since are replaced with the
-        current buckets their writes noted (:func:`_merged_columns`),
-        so a merge reads no tree, and a base with no keys written since,
-        such as an installed layout's, is taken as it is.  With no base
-        to merge into — a first flush after single-record writes, and
-        after a bulk load into a non-empty tree or more written keys
-        than :data:`_MERGE_FRACTION` of the base — the tree is walked
-        (:meth:`_flush_entries`).  Either
-        result becomes the base, with no keys written since, so the next
-        flush or checkpoint takes it without merging again.
+        The base with the run of each key noted in the write delta
+        replaced by the key's current bucket (:func:`_merged_columns`),
+        or the base as it is when no key was noted.  The result becomes
+        the base, with no keys noted, so the next flush or checkpoint
+        takes it without merging again.  Every flush, checkpoint,
+        migration snapshot, ``rebalance`` and ``shard_loads`` reads the
+        records through here.
         """
-        base, dirty = self._base, self._dirty
-        if base is not None and dirty is not None:
-            if not dirty:
-                return base.keys, base.records, 0
-            merged: Optional[int] = len(dirty)
-            keys, records = _merged_columns(base, dirty)
-        else:
-            merged = None
-            keys, records = _split_pairs(self._flush_entries())
-        self._base = PageLayout(
-            capacity=self._page_capacity, keys=key_column(keys), records=records
-        )
-        self._dirty = {}
-        return self._base.keys, records, merged
+        dirty = self._dirty
+        if dirty:
+            self._base = _merged_columns(self._base, dirty)
+            self._dirty = {}
+        return self._base, len(dirty)
 
     def flush(self) -> None:
         """Lay every record out on the simulated disk in curve-key order.
 
-        Packs the current columns (:meth:`_current_columns`): a flush
-        after single-record writes merges them into the base, so the
-        first flush after a bulk load into an empty tree merges no keys
-        at all, and a flush with no base to merge into walks the tree.
-        Every path ends in :func:`pack_columns`, which fills pages to
-        ``page_capacity`` records in one disk allocation, and the new
-        layout is installed via :meth:`_install_layout` (epoch bump,
-        buffer pool and plan cache invalidated: both refer to the
-        previous layout).  The ``flush`` span's ``merged_keys`` is the
-        number of keys merged, or None on a walk.  Nothing is logged:
-        the layout is a pure function of the logged records and the
-        curve, so a read never writes the WAL and recovery rebuilds the
-        same pages when it first reads.
+        Packs the current columns (:meth:`_current_columns`), so the
+        first flush after a bulk load into an empty store merges no keys
+        at all.  :func:`pack_columns` fills pages to ``page_capacity``
+        records in one disk allocation, and the new layout is installed
+        via :meth:`_install_layout` (epoch bump, buffer pool and plan
+        cache invalidated: both refer to the previous layout).  The
+        ``flush`` span's ``merged_keys`` is the number of noted keys
+        merged.  Nothing is logged: the layout is a pure function of the
+        logged records and the curve, so a read never writes the WAL and
+        recovery rebuilds the same pages when it first reads.
         """
         with self._mutex:
             with _obs_span("flush", kind="storage") as sp:
-                keys, records, merged = self._current_columns()
-                layout = pack_columns(self._disk, self._page_capacity, keys, records)
+                columns, merged = self._current_columns()
+                layout = pack_columns(
+                    self._disk, self._page_capacity, columns.keys, columns.records
+                )
                 self._install_layout(layout)
                 sp.set("merged_keys", merged)
                 sp.set("pages", len(layout.page_ids))
@@ -1056,36 +1022,37 @@ class SpatialStore(abc.ABC):
 
         return OnlineMigrator(batch_size=batch_size).migrate(self, curve)
 
-    def _migration_snapshot(self) -> Tuple[int, List[Tuple[int, Record]]]:
-        """A consistent ``(version, [(key, record)])`` view of the contents.
-
-        Taken under the mutex, walking :meth:`_flush_entries` — the same
-        key-ordered record walk a flush packs — so the snapshot can
-        never diverge from it.
-        """
+    def _migration_snapshot(self) -> Tuple[int, Tuple[Record, ...]]:
+        """A consistent ``(version, records)`` view of the contents: the
+        current record column (:meth:`_current_columns`), in key order,
+        taken under the mutex, the same column a flush packs."""
         with self._mutex:
-            return self._version, list(self._flush_entries())
+            columns, _ = self._current_columns()
+            return self._version, columns.records
 
     def _migration_cutover(
         self,
         curve: SpaceFillingCurve,
-        keyed: List[Tuple[int, Record]],
+        keys: np.ndarray,
+        records: Tuple[Record, ...],
         expected_version: int,
     ) -> bool:
-        """Atomically install records re-keyed under ``curve``.
+        """Atomically install ``records`` re-keyed under ``curve``.
 
-        ``keyed`` must be sorted ascending by new key.  Under the mutex:
-        refuses (returns False) when writes landed since the snapshot
-        ``expected_version`` was taken — the migrator then re-snapshots.
-        Otherwise every record goes into a fresh tree through
-        :meth:`_append_records`, the apply path of every write, the
-        shadow layout is packed on the same append-only disk by
-        :func:`pack_columns`, which both flush paths end in — keeping a
-        migrated store identical to a fresh one, shard transparency
-        included — and the store serves the new curve through a new
-        planner and executor, epoch bumped, plan cache and buffer pool
-        invalidated, and the next flush merging into the new curve's
-        columns.
+        ``records`` is the record column of the snapshot taken at
+        ``expected_version``, and ``keys[i]`` the key of ``records[i]``
+        under ``curve``.  Under the mutex: refuses (returns False) when
+        writes landed since the snapshot was taken — the migrator then
+        re-snapshots.  Otherwise the columns are sorted by new key with
+        :func:`_in_key_order`, the stable sort a bulk load uses, so the
+        records of one key keep their snapshot order; every record goes
+        into a fresh tree through :meth:`_append_records`, the apply
+        path of every write; the shadow layout is packed on the same
+        append-only disk by :func:`pack_columns`, which every flush ends
+        in — keeping a migrated store identical to a fresh one, shard
+        transparency included — and the store serves the new curve
+        through a new planner and executor, epoch bumped, plan cache and
+        buffer pool invalidated, and the new curve's columns the base.
         """
         with self._mutex:
             if self._version != expected_version:
@@ -1095,10 +1062,9 @@ class SpatialStore(abc.ABC):
             self._planner = self._make_planner(curve)
             self._tree = BPlusTree()
             self._count = 0
-            keys = [key for key, _ in keyed]
-            records = tuple(record for _, record in keyed)
-            self._append_records(keys, records)
+            column, ordered = _in_key_order(keys, records)
+            self._append_records(column.tolist(), ordered)
             self._install_layout(
-                pack_columns(self._disk, self._page_capacity, keys, records)
+                pack_columns(self._disk, self._page_capacity, column, ordered)
             )
             return True

@@ -51,6 +51,13 @@ _LINES = (3, 5, 6, 8)
 _INNER_FACES = (4, 7, 9, 10)
 
 
+def _outer_cells(s: int, j: np.ndarray) -> np.ndarray:
+    """``s**3 - j**3``, the cells outside the layer of side ``j``, as
+    ``(s - j) * (s*s + s*j + j*j)``: no term passes int64 where the
+    difference fits it, though ``s**3`` is ``2**63`` at side ``2**21``."""
+    return (s - j) * (s * s + s * j + j * j)
+
+
 class OnionCurve3D(SpaceFillingCurve):
     """Closed-form three-dimensional onion curve on an even-sided cube."""
 
@@ -243,7 +250,7 @@ class OnionCurve3D(SpaceFillingCurve):
         sizes = self._piece_sizes_arrays(j)
         offsets = self._offsets_before(sizes)
         off = np.select([g == gv for gv in range(1, 11)], [offsets[gv] for gv in range(1, 11)])
-        return (s**3 - j**3 + off + r).astype(np.int64)
+        return (_outer_cells(s, j) + off + r).astype(np.int64)
 
     def _piece_sizes_arrays(self, j: np.ndarray) -> Dict[int, np.ndarray]:
         """Per-cell piece sizes, keyed by piece id, for layer sides ``j``."""
@@ -273,16 +280,20 @@ class OnionCurve3D(SpaceFillingCurve):
     def point_many(self, keys: np.ndarray) -> np.ndarray:
         keys = self._check_keys_array(keys)
         s = self._side
-        remaining = (s**3 - keys).astype(np.int64)
-        j = np.round(np.cbrt(remaining.astype(np.float64))).astype(np.int64)
+        # j is the least side whose cube reaches s**3 - key: the layer
+        # holding the key, before the parity fix.  A key is below
+        # s**3 - j**3 exactly when j**3 < s**3 - key.  s**3 - 1 - key
+        # fits int64 where every key does.
+        remaining = (s**3 - 1 - keys).astype(np.float64) + 1
+        j = np.round(np.cbrt(remaining)).astype(np.int64)
         for _ in range(2):  # exact fix-up of the float cube root
-            j = np.where(j**3 < remaining, j + 1, j)
-            j = np.where((j > 1) & ((j - 1) ** 3 >= remaining), j - 1, j)
+            j = np.where(keys < _outer_cells(s, j), j + 1, j)
+            j = np.where((j > 1) & (keys >= _outer_cells(s, j - 1)), j - 1, j)
         j = np.where((s - j) % 2 != 0, j + 1, j)
         t = (s - j) // 2 + 1
         lo = t - 1
         hi = s - t
-        pos = keys - (s**3 - j**3)
+        pos = keys - _outer_cells(s, j)
 
         sizes = self._piece_sizes_arrays(j)
         g = np.zeros(keys.shape[0], dtype=np.int64)

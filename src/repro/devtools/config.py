@@ -102,7 +102,9 @@ RESOURCE_PAIRS: Tuple[ResourcePair, ...] = (
 #: In any function that calls one of these, the durability-ordering
 #: rule requires the append to dominate every state mutation
 #: (CONTRIBUTING invariant 7: log-then-apply).
-WAL_LOG_CALLS: FrozenSet[str] = frozenset({"_log_durable", "_log_migrate"})
+WAL_LOG_CALLS: FrozenSet[str] = frozenset(
+    {"_log_durable", "_log_migrate", "_log_bulk"}
+)
 
 #: ``self.<name>(...)`` calls that *apply* a mutation to in-memory
 #: state.  Together with any ``self.<attr> = ...`` store they are the

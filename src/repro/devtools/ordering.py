@@ -8,7 +8,8 @@ CFG from :mod:`repro.devtools.dataflow`:
 
   - *log-then-apply* (CONTRIBUTING invariant 7): in any function that
     appends to the WAL (a :data:`~repro.devtools.config.WAL_LOG_CALLS`
-    call — ``self._log_durable`` / ``self._log_migrate``), the append
+    call — ``self._log_durable`` / ``self._log_migrate`` /
+    ``self._log_bulk``), the append
     must **dominate** every state mutation: every
     :data:`~repro.devtools.config.DURABLE_APPLY_CALLS` call and every
     ``self.<attr> = ...`` store must be reachable only through the log

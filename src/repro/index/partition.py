@@ -37,23 +37,28 @@ Shard = Tuple[int, int]
 
 
 def equal_key_shards(curve: SpaceFillingCurve, num_shards: int) -> List[Shard]:
-    """Cut ``[0, n)`` into ``num_shards`` near-equal contiguous key ranges."""
+    """Cut ``[0, n)`` into ``num_shards`` near-equal contiguous key ranges.
+
+    Shard ``i`` starts at ``n * i // num_shards``, in Python ints, so the
+    cuts are exact in a universe whose keys pass float64's 53 bits.
+    """
     if num_shards < 1:
         raise InvalidQueryError(f"num_shards must be >= 1, got {num_shards}")
     n = curve.size
     if num_shards > n:
         raise InvalidQueryError(f"cannot cut {n} keys into {num_shards} shards")
-    bounds = np.linspace(0, n, num_shards + 1, dtype=np.int64)
-    return [(int(a), int(b) - 1) for a, b in zip(bounds, bounds[1:])]
+    bounds = [n * i // num_shards for i in range(num_shards + 1)]
+    return [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
 
 
 def balanced_shards(keys: Sequence[int], num_shards: int, key_space: int) -> List[Shard]:
     """Cut at key quantiles so each shard holds ~equal record counts.
 
-    ``keys`` is a sample (or the full set) of stored curve keys;
-    ``key_space`` is the exclusive upper bound of the key domain.  Every
-    key must lie in ``[0, key_space)`` — a sample outside the domain
-    would silently produce a map not covering the key space.
+    ``keys`` is a sample (or the full set) of stored curve keys, such as
+    a store's key column; ``key_space`` is the exclusive upper bound of
+    the key domain.  Every key must lie in ``[0, key_space)`` — a sample
+    outside the domain would silently produce a map not covering the
+    key space.  Keys past int64 are sorted exactly, as Python ints.
 
     Each cut is the *last* sampled key of the shard it closes, so a
     two-key sample split two ways yields one key per shard (cutting at
@@ -64,7 +69,10 @@ def balanced_shards(keys: Sequence[int], num_shards: int, key_space: int) -> Lis
     """
     if num_shards < 1:
         raise InvalidQueryError(f"num_shards must be >= 1, got {num_shards}")
-    sorted_keys = np.sort(np.asarray(list(keys), dtype=np.int64))
+    try:
+        sorted_keys = np.sort(np.asarray(keys, dtype=np.int64))
+    except OverflowError:  # a key past int64
+        sorted_keys = np.sort(np.asarray(keys, dtype=object))
     if sorted_keys.size == 0:
         raise InvalidQueryError("cannot balance shards over an empty key sample")
     if sorted_keys[0] < 0 or sorted_keys[-1] >= key_space:

@@ -12,8 +12,8 @@ stored.
 
 The records, the write path and the flushed pages are the shared
 :class:`~repro.api.store.SpatialStore` implementation, the same one
-:class:`SFCIndex` serves through: one B+-tree, one record count, one
-:class:`SimulatedDisk` and one global
+:class:`SFCIndex` serves through: one pair of sorted key and record
+columns, one record count, one :class:`SimulatedDisk` and one global
 :class:`~repro.engine.plan.PageLayout`, so the layout is byte-for-byte
 the one the unsharded index builds.  So are the serving facade —
 updates, point lookups, flush, planning, the
@@ -169,13 +169,13 @@ class ShardedSFCIndex(SpatialStore):
 
     @property
     def shard_loads(self) -> Tuple[int, ...]:
-        """Record count per shard (the balance ``rebalance`` restores),
-        counted from the tree's buckets in each shard's key interval."""
+        """Record count per shard (the balance ``rebalance`` restores):
+        the current key column's positions of each shard's first and
+        last key, from one :meth:`~repro.engine.plan.PageLayout.bounds`
+        search, which clamps past int64."""
         with self._mutex:
-            return tuple(
-                sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))
-                for lo, hi in self._shards
-            )
+            lo, hi = self._current_columns()[0].bounds(self._shards)
+            return tuple(end - start for start, end in zip(lo, hi))
 
     def shard_of(self, point: Sequence[int]) -> int:
         """Id of the shard serving ``point``'s curve key."""
@@ -205,9 +205,10 @@ class ShardedSFCIndex(SpatialStore):
     def rebalance(self, num_shards: Optional[int] = None) -> Tuple[Shard, ...]:
         """Re-cut the shard map at record-count quantiles.
 
-        Uses :func:`~repro.index.partition.balanced_shards` over every
-        stored key (weighted by record count) so each shard serves about
-        the same load; an empty index falls back to equal key ranges.
+        Uses :func:`~repro.index.partition.balanced_shards` over the
+        current key column (one key per record) so each shard serves
+        about the same load; an empty index falls back to equal key
+        ranges.
         The new map is computed — and a bad ``num_shards`` refused —
         before the operation is logged, so the WAL never holds a
         rebalance that replay would refuse.  No record moves: the map
@@ -216,8 +217,8 @@ class ShardedSFCIndex(SpatialStore):
         """
         with self._mutex:
             target = num_shards if num_shards is not None else len(self._shards)
-            keys = [key for key, _ in self._flush_entries()]
-            if keys:
+            keys = self._current_columns()[0].keys
+            if len(keys):
                 shard_map = balanced_shards(keys, target, self._curve.size)
             else:
                 shard_map = equal_key_shards(self._curve, target)

@@ -1,18 +1,18 @@
 """``SFCIndex``: a multi-dimensional index over any registered curve.
 
 This is the substrate the paper motivates but does not ship: points are
-mapped to 1-D keys by a space filling curve, stored in a B+-tree for
-updates and point lookups, and flushed to a simulated disk in key order
-for scans.
+mapped to 1-D keys by a space filling curve, kept in sorted key and
+record columns (with a B+-tree of key buckets for updates and point
+lookups), and flushed to a simulated disk in key order for scans.
 
 The serving facade — updates, point lookups, flush, planning, EXPLAIN,
 range queries, the composable :class:`~repro.api.Query` front door with
 streaming :class:`~repro.api.Cursor` results and kNN, and online
 migration — and the storage topology behind it live on the shared
 :class:`~repro.api.store.SpatialStore` base (one implementation for this
-class and :class:`~repro.index.sharded.ShardedSFCIndex`): one B+-tree,
-one record count, and the same re-entrant mutex and I/O lock as every
-store, so it is thread-safe.  This module only picks its serving
+class and :class:`~repro.index.sharded.ShardedSFCIndex`): one pair of
+sorted columns, one record count, and the same re-entrant mutex and I/O
+lock as every store, so it is thread-safe.  This module only picks its serving
 engine — a plain :class:`~repro.engine.planner.Planner` and an
 :class:`~repro.engine.executor.Executor` sharing the store's I/O lock.
 
@@ -34,14 +34,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..api.store import SpatialStore, pack_layout
+from ..api.store import SpatialStore
 from ..curves.base import SpaceFillingCurve
 from ..engine.cost import CostModel
 from ..engine.executor import Executor, RangeQueryResult, Record
 from ..engine.plan import PageLayout
 from ..engine.planner import Planner
 
-__all__ = ["Record", "RangeQueryResult", "SFCIndex", "pack_layout"]
+__all__ = ["Record", "RangeQueryResult", "SFCIndex"]
 
 
 class SFCIndex(SpatialStore):

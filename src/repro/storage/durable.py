@@ -346,8 +346,7 @@ def recover(
     The checkpoint's records are bulk loaded into the empty store, in
     the key order their pages hold them in, so the load's sorted
     columns become the base: the first read merges the replayed writes
-    into them under the rules of a live store's flush, instead of
-    walking the tree.
+    into them under the rules of a live store's flush.
 
     The log ends at its last valid frame (:func:`~repro.storage.wal.scan_wal`):
     zeros past it are the space a live log had reserved, and only

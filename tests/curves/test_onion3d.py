@@ -148,6 +148,27 @@ class TestVectorized:
             curve.point(int(k)) for k in keys
         ]
 
+    def test_kernels_are_exact_where_the_cube_of_the_side_passes_int64(self):
+        """At side 2**21 the largest key, 2**63 - 1, fits int64, but
+        side**3 is 2**63: both kernels agree with the scalar ones on the
+        8 corners, the centre and 1,000 seeded cells."""
+        side = 2**21
+        curve = OnionCurve3D(side)
+        ends = (0, side - 1)
+        corners = [[x, y, z] for x in ends for y in ends for z in ends]
+        rng = np.random.default_rng(21)
+        cells = np.vstack(
+            [corners, [[side // 2] * 3], rng.integers(0, side, size=(1000, 3))]
+        )
+        keys = [curve.index(tuple(cell)) for cell in cells.tolist()]
+        assert curve.index_many(cells).tolist() == keys
+        points = curve.point_many(np.array(keys, dtype=np.int64))
+        assert [tuple(p) for p in points.tolist()] == [curve.point(k) for k in keys]
+        assert [tuple(p) for p in curve.point_many([0, curve.size - 1]).tolist()] == [
+            curve.point(0),
+            curve.point(curve.size - 1),
+        ]
+
     def test_permuted_vectorized_matches_scalar(self):
         curve = OnionCurve3D(8, face_order=TestFaceOrderAblation.REVERSED)
         keys = np.arange(curve.size, dtype=np.int64)

@@ -91,14 +91,10 @@ BREAKS = (
     _break(
         "shard-loads", "unguarded-access", SHARDED,
         "        with self._mutex:\n"
-        "            return tuple(\n"
-        "                sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
-        "                for lo, hi in self._shards\n"
-        "            )\n",
-        "        return tuple(\n"
-        "            sum(len(bucket) for _, bucket in self._tree.range_scan(lo, hi))\n"
-        "            for lo, hi in self._shards\n"
-        "        )\n",
+        "            lo, hi = self._current_columns()[0].bounds(self._shards)\n"
+        "            return tuple(end - start for start, end in zip(lo, hi))\n",
+        "        lo, hi = self._current_columns()[0].bounds(self._shards)\n"
+        "        return tuple(end - start for start, end in zip(lo, hi))\n",
         f"{SHARDED}::ShardedSFCIndex.shard_loads::_shards",
     ),
     _break(

@@ -5,7 +5,8 @@ import dataclasses
 
 import pytest
 
-from repro.api import merge_plans, pack_layout
+from repro.api import merge_plans
+from repro.api.store import pack_columns
 from repro.core.clustering import clustering_number
 from repro.curves import make_curve
 from repro.engine import CostModel, ExecutionPolicy, Planner, QueryPlan
@@ -39,8 +40,8 @@ class TestExecutionPolicy:
 
 def packed(page_capacity, keys):
     """A layout packed from ascending ``keys`` the way a flush packs one."""
-    entries = [(key, Record((key,), i)) for i, key in enumerate(keys)]
-    return pack_layout(SimulatedDisk(), page_capacity, entries)
+    records = tuple(Record((key,), i) for i, key in enumerate(keys))
+    return pack_columns(SimulatedDisk(), page_capacity, keys, records)
 
 
 def first_last_key_span(page_capacity, keys, start, end):

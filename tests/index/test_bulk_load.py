@@ -12,7 +12,7 @@ from repro.errors import OutOfUniverseError
 from repro.geometry import Rect
 from repro.index import SFCIndex
 
-from layout_oracle import assert_serves_the_walk
+from layout_oracle import ArrivalModel
 
 UNIVERSE = Rect((0, 0), (15, 15))
 
@@ -51,10 +51,10 @@ class TestEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(loads=loads)
     def test_matches_insert_loop(self, loads):
-        """Loads into empty and non-empty stores leave the same buckets
-        as inserting every record in arrival order, and the bulk
-        store's reads serve the walk, whichever flush path ran."""
-        bulk, loop = fresh_index(), fresh_index()
+        """Loads into empty and non-empty stores hold the same records at
+        every cell as inserting every record in arrival order, and both
+        stores' reads serve the arrival-order model."""
+        bulk, loop, model = fresh_index(), fresh_index(), ArrivalModel()
         first = 0  # payloads are unique, so per-key order shows
         for points, form, payload_form, read in loads:
             payloads = {
@@ -63,20 +63,26 @@ class TestEquivalence:
                 "iterator": itertools.count(first),
             }[payload_form]
             bulk.bulk_load(handed_over(points, form), payloads)
-            for i, point in enumerate(points):
-                loop.insert(point, None if payloads is None else first + i)
+            attached = [None if payloads is None else first + i for i in range(len(points))]
+            for point, payload in zip(points, attached):
+                loop.insert(point, payload)
+            model.bulk_load(points, attached)
             first += len(points)
-            with bulk._mutex, loop._mutex:
-                assert list(bulk._flush_entries()) == list(loop._flush_entries())
+            with bulk._mutex:
                 bulk._tree.check_invariants()
-            assert len(bulk) == len(loop)
+            assert len(bulk) == len(loop) == len(model)
+            for cell in set(points):
+                expected = [(point, payload) for point, payload in model.rows if point == cell]
+                assert [(r.point, r.payload) for r in bulk.point_query(cell)] == expected
+                assert loop.point_query(cell) == bulk.point_query(cell)
             if read:
                 # identical records in identical on-disk order
                 assert bulk.range_query(UNIVERSE).records == loop.range_query(UNIVERSE).records
                 assert bulk.disk.num_pages == loop.disk.num_pages
-                assert_serves_the_walk(bulk)
+                model.assert_served(bulk)
+                model.assert_served(loop)
         bulk.range_query(UNIVERSE)
-        assert_serves_the_walk(bulk)
+        model.assert_served(bulk)
 
     def test_duplicate_cells_keep_arrival_order(self):
         index = fresh_index()
@@ -146,14 +152,43 @@ class TestValidationAndInvalidation:
         assert sorted(r.payload for r in result.records) == ["new", "old"]
 
 
+def test_a_3d_onion_store_of_side_2_pow_21_loads_exactly():
+    """At side 2**21 the 3-d onion curve's largest key is 2**63 - 1, so
+    ``keys_of`` sends the load to the vector kernels: a bulk-loaded
+    store holds the same layout as one built by single inserts, which
+    is the model's, and answers a 3x3x3 rect at the centre the same.
+    (A scan of the whole universe would plan from its boundary shell,
+    about 6 * 2**42 cells, so the layouts stand in for it.)"""
+    side = 2**21
+    curve = make_curve("onion", side, 3)
+    ends = (0, side - 1)
+    corners = [(x, y, z) for x in ends for y in ends for z in ends]
+    rng = np.random.default_rng(21)
+    cells = corners + [(side // 2,) * 3] + list(map(tuple, rng.integers(0, side, (1000, 3))))
+    bulk = SFCIndex(curve, page_capacity=8)
+    loop = SFCIndex(curve, page_capacity=8)
+    model = ArrivalModel()
+    bulk.bulk_load(cells, range(len(cells)))
+    for i, cell in enumerate(cells):
+        loop.insert(cell, i)
+    model.bulk_load(cells, range(len(cells)))
+    centre = Rect((side // 2 - 1,) * 3, (side // 2 + 1,) * 3)
+    ours, theirs = bulk.range_query(centre), loop.range_query(centre)
+    assert [r.payload for r in ours.records] == [r.payload for r in theirs.records] == [8]
+    assert (ours.seeks, ours.pages_read) == (theirs.seeks, theirs.pages_read)
+    model.assert_served(bulk)
+    model.assert_served(loop)
+
+
 @pytest.mark.parametrize("preloaded", [False, True])
 def test_a_migration_while_keying_rekeys_the_load(preloaded):
     """A migration that cuts over while ``bulk_load`` keys its points
     outside the mutex: the load re-keys its cells under the new curve,
     so every record lands in the bucket its point's new key names."""
-    index = fresh_index()
+    index, model = fresh_index(), ArrivalModel()
     if preloaded:
         index.bulk_load([(3, 3), (14, 2)], payloads=["p", "q"])
+        model.bulk_load([(3, 3), (14, 2)], payloads=["p", "q"])
     hilbert = make_curve("hilbert", 16, 2)
     points = [(3, 3), (1, 2), (3, 3), (9, 9), (1, 2), (3, 3), (0, 15)]
 
@@ -164,6 +199,7 @@ def test_a_migration_while_keying_rekeys_the_load(preloaded):
             yield i
 
     index.bulk_load(points, payloads())
+    model.bulk_load(points, range(len(points)))
     assert index.curve == hilbert
     for point in set(points):
         expected = [i for i, p in enumerate(points) if p == point]
@@ -174,4 +210,4 @@ def test_a_migration_while_keying_rekeys_the_load(preloaded):
     with index._mutex:
         index._tree.check_invariants()
     assert len(index.range_query(UNIVERSE).records) == len(index)
-    assert_serves_the_walk(index)
+    model.assert_served(index)

@@ -1,17 +1,16 @@
-"""Merge-on-flush: a flush that merges writes serves what a walk would.
+"""Merge-on-flush: every read serves the arrival-order model.
 
-A flush after single-record writes keeps the previous layout's two
-columns and replaces only the runs of the keys written since, each with
-that key's current B+-tree bucket.  A bulk load into an empty tree hands
-the flush its sorted columns to merge into instead.  With no columns to
-merge into (a first flush after single-record writes, after a bulk load
-into a non-empty tree, or once the written keys pass
-``_MERGE_FRACTION`` of the base's records) it walks the tree.  The
-served layout must not depend on which path ran: the same
-keys and dtype, the same ``Record`` objects in the same order, and the
-same page sizes as :func:`pack_layout` over a fresh walk.  A checkpoint
-writes the record column a flush would pack, so its page images must
-hold the walked pairs too.
+The store's sorted key and record columns are its only ordered copy of
+the records.  Every write notes each key it changed with that key's
+current B+-tree bucket, and the next read merges those buckets into the
+columns: the run of each noted key is replaced, every other run is
+kept.  A bulk load into an empty store hands its sorted columns over
+instead, with no keys to merge.  Every read here is compared with an
+:class:`~layout_oracle.ArrivalModel` that saw the same writes, and
+which reads nothing of the store: the same keys and dtype, the same
+points and payloads in the same order, and the same page sizes.  A
+checkpoint writes the record column a flush would pack, so its page
+images must be the model's too.
 """
 
 import tempfile
@@ -23,146 +22,138 @@ from hypothesis import strategies as st
 
 from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve
 from repro.api import ANY
-from repro.api import store as store_module
 from repro.obs import start_trace
 from repro.storage.pagefile import load_pages
 
-from layout_oracle import assert_serves_the_walk
+from layout_oracle import Modelled
 
 SIDE = 8
 CAPACITY = 3
 UNIVERSE = Rect((0, 0), (SIDE - 1, SIDE - 1))
-#: One record in every cell: 64 records, so the merge tracks 4 keys.
+#: One record in every cell: 64 records.
 GRID = [(x, y) for x in range(SIDE) for y in range(SIDE)]
 
 
 def _store(kind, **durable):
     curve = make_curve("onion", SIDE, 2)
     if kind == "single":
-        return SFCIndex(curve, page_capacity=CAPACITY, **durable)
-    return ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY, **durable)
+        store = SFCIndex(curve, page_capacity=CAPACITY, **durable)
+    else:
+        store = ShardedSFCIndex(curve, num_shards=2, page_capacity=CAPACITY, **durable)
+    return Modelled(store)
 
 
-def assert_shard_loads(store):
-    """Each shard's load is the number of served keys in its interval."""
-    starts = [lo for lo, _ in store.shards]
-    bounds = np.searchsorted(store.page_layout.keys, starts + [store.curve.size])
-    assert store.shard_loads == tuple(np.diff(bounds).tolist())
+def assert_shard_loads(both):
+    """Each shard's load is the number of the model's keys in its interval."""
+    store = both.store
+    keys = [key for key, _, _ in both.model.layout(store.curve)]
+    assert store.shard_loads == tuple(
+        sum(lo <= key <= hi for key in keys) for lo, hi in store.shards
+    )
     assert sum(store.shard_loads) == len(store)
 
 
-def read(store, universe=UNIVERSE):
-    """A full-universe range query, checked against the store and the walk
-    (and, on a sharded store, against its shard loads)."""
-    result = store.range_query(universe)
-    assert len(result.records) == len(store)
-    assert_serves_the_walk(store)
-    if isinstance(store, ShardedSFCIndex):
-        assert_shard_loads(store)
+def read(both, universe=UNIVERSE):
+    """A full-universe range query, checked against the model (and, on a
+    sharded store, its shard loads too)."""
+    result = both.store.range_query(universe)
+    assert len(result.records) == len(both.model)
+    both.model.assert_served(both.store)
+    if isinstance(both.store, ShardedSFCIndex):
+        assert_shard_loads(both)
 
 
-def empty(store):
-    """Delete every record, one call per record."""
-    for cell in GRID:
-        for record in store.point_query(cell):
-            assert store.delete(cell, record.payload)
-    assert len(store) == 0
-
-
-def assert_checkpoint_holds_the_walk(store):
-    """A checkpoint's page images are the walked ``(point, payload)``
-    pairs, cut into pages of the store's capacity."""
-    with store._mutex:
-        walked = [(r.point, r.payload) for _, r in store._flush_entries()]
+def assert_checkpoint_holds_the_model(both):
+    """A checkpoint's page images are the model's ``(point, payload)``
+    pairs in key order, cut into pages of the store's capacity."""
+    store = both.store
     manifest = store.checkpoint(compact=True)
     pages = load_pages(store.durability.root, manifest)
-    assert pages == [walked[i : i + CAPACITY] for i in range(0, len(walked), CAPACITY)]
+    assert pages == both.model.page_images(store.curve, CAPACITY)
 
 
 def merged_keys(trace):
-    """Each flush span's ``merged_keys``, in order (None for a walk)."""
+    """Each flush span's ``merged_keys``, in order."""
     return [span.attrs["merged_keys"] for span in trace.find("flush")]
 
 
 @pytest.mark.parametrize("kind", ["single", "sharded"])
 class TestFlushPath:
     def test_flush_span_names_the_path(self, kind):
-        store = _store(kind)
-        store.bulk_load(GRID)
+        both = _store(kind)
+        both.bulk_load(GRID)
         with start_trace("flushes") as trace:
-            read(store)  # the load into an empty tree left its columns
-            store.insert((1, 2), "a")
-            read(store)
-            store.insert((1, 2), "b")
-            store.insert((5, 6), "c")
-            assert store.delete((3, 3))
-            read(store)
-            store.flush()  # no writes since the last install
-            store.bulk_load([(5, 5)])
-            read(store)  # a bulk load into a non-empty tree drops the base
-            for x in range(SIDE):  # 8 keys, past 1/16 of 67 records
-                store.insert((x, 0), "d")
-            read(store)
-            empty(store)
-            store.bulk_load(GRID)
-            read(store)  # a tree emptied by deletes takes the load's columns
-            empty(store)
-            store.bulk_load(GRID)
-            store.bulk_load([(5, 5)])
-            read(store)  # the second load found a non-empty tree
-        assert merged_keys(trace) == [0, 1, 3, 0, None, None, 0, None]
+            read(both)  # the load into an empty store left its columns
+            both.insert((1, 2), "a")
+            read(both)
+            both.insert((1, 2), "b")
+            both.insert((5, 6), "c")
+            assert both.delete((3, 3))
+            read(both)
+            both.store.flush()  # no writes since the last install
+            both.bulk_load([(5, 5)])
+            read(both)  # a load into a non-empty store notes its keys
+            for x in range(SIDE):  # 8 keys
+                both.insert((x, 0), "d")
+            read(both)
+            both.empty()
+            both.bulk_load(GRID)
+            read(both)  # a store emptied by deletes takes the load's columns
+            both.empty()
+            both.bulk_load(GRID)
+            both.bulk_load([(5, 5), (6, 6), (5, 5)])
+            read(both)  # the second load found a non-empty store
+        assert merged_keys(trace) == [0, 1, 3, 0, 1, 8, 0, 2]
 
     def test_a_missed_delete_leaves_nothing_to_merge(self, kind):
-        store = _store(kind)
-        store.bulk_load(GRID, payloads=["p"] * len(GRID))
-        read(store)
+        both = _store(kind)
+        both.bulk_load(GRID, payloads=["p"] * len(GRID))
+        read(both)
         with start_trace("flushes") as trace:
-            assert not store.delete((4, 4), "q")
-            assert store.delete((2, 2), "p")
-            assert not store.delete((2, 2))
-            read(store)
+            assert not both.delete((4, 4), "q")
+            assert both.delete((2, 2), "p")
+            assert not both.delete((2, 2))
+            read(both)
         assert merged_keys(trace) == [1]
-        assert store.point_query((2, 2)) == []
+        assert both.store.point_query((2, 2)) == []
 
     def test_deleting_every_record_merges_to_an_empty_layout(self, kind):
-        store = _store(kind)
+        both = _store(kind)
         cells = [(2, 2)] * 40 + [(6, 1)] * 24
-        store.bulk_load(cells, payloads=range(len(cells)))
-        read(store)
+        both.bulk_load(cells, payloads=range(len(cells)))
+        read(both)
         with start_trace("flushes") as trace:
-            for cell in [(2, 2), (6, 1)]:
-                for record in store.point_query(cell):
-                    assert store.delete(cell, record.payload)
-            read(store)
+            both.empty()
+            read(both)
         assert merged_keys(trace) == [2]
-        layout = store.page_layout
+        layout = both.store.page_layout
         assert (layout.num_pages, layout.keys.dtype) == (0, np.int64)
 
     def test_a_write_after_migration_merges_into_the_new_columns(self, kind):
-        store = _store(kind)
-        store.bulk_load(GRID)
-        read(store)
-        store.insert((2, 5), "before")
-        store.migrate_to(make_curve("hilbert", SIDE, 2))
-        assert_serves_the_walk(store)
-        store.insert((4, 4), "after")
+        both = _store(kind)
+        both.bulk_load(GRID)
+        read(both)
+        both.insert((2, 5), "before")
+        both.store.migrate_to(make_curve("hilbert", SIDE, 2))
+        both.model.assert_served(both.store)
+        both.insert((4, 4), "after")
         with start_trace("flushes") as trace:
-            read(store)
+            read(both)
         assert merged_keys(trace) == [1]
 
 
 def test_write_rebalance_read_merges_the_written_keys():
-    """A rebalance moves no key and rebuilds every bucket in walk order,
-    so the keys written before it still merge into the base."""
-    store = _store("sharded")
-    store.bulk_load(GRID)
-    read(store)
-    store.insert((0, 7), "x")
-    assert store.delete((1, 1))
-    store.rebalance(3)
+    """A rebalance cuts at the current key column, so it merges the keys
+    written before it, and the read after it has none left to merge."""
+    both = _store("sharded")
+    both.bulk_load(GRID)
+    read(both)
+    both.insert((0, 7), "x")
+    assert both.delete((1, 1))
+    both.store.rebalance(3)
     with start_trace("flushes") as trace:
-        read(store)
-    assert merged_keys(trace) == [2]
+        read(both)
+    assert merged_keys(trace) == [0]
 
 
 class TestKeyDtypeThroughTheMerge:
@@ -174,19 +165,19 @@ class TestKeyDtypeThroughTheMerge:
     TOP = (SIDE - 1, SIDE - 1)
 
     def test_int64_object_int64(self):
-        store = SFCIndex(make_curve("zorder", self.SIDE, 2), page_capacity=2)
+        both = Modelled(SFCIndex(make_curve("zorder", self.SIDE, 2), page_capacity=2))
         for point in GRID:
-            store.insert(point)
-        store.flush()
-        assert store.page_layout.keys.dtype == np.int64
+            both.insert(point)
+        both.store.flush()
+        assert both.store.page_layout.keys.dtype == np.int64
         universe = Rect((0, 0), self.TOP)
         with start_trace("flushes") as trace:
-            store.insert(self.TOP)
-            read(store, universe)
-            assert store.page_layout.keys.dtype == object
-            assert store.delete(self.TOP)
-            read(store, universe)
-            assert store.page_layout.keys.dtype == np.int64
+            both.insert(self.TOP)
+            read(both, universe)
+            assert both.store.page_layout.keys.dtype == object
+            assert both.delete(self.TOP)
+            read(both, universe)
+            assert both.store.page_layout.keys.dtype == np.int64
         assert merged_keys(trace) == [1, 1]
 
 
@@ -214,40 +205,37 @@ initial = st.lists(
 )
 
 
-def _run(store, load, script):
-    """Run ``script`` on ``store``, checking the layout after every read."""
-    with pytest.MonkeyPatch.context() as patch:
-        # The fraction only picks the path.  At 1, every read after
-        # writes to a non-empty base merges, so the script exercises the
-        # merge as often as it can; TestFlushPath covers the fraction.
-        patch.setattr(store_module, "_MERGE_FRACTION", 1.0)
-        store.bulk_load(load, payloads=[i % 3 for i in range(len(load))])
-        read(store)
-        for op in script:
-            kind = op[0]
-            if kind == "insert":
-                store.insert(op[1], op[2])
-            elif kind == "delete":
-                store.delete(op[1], op[2])
-            elif kind == "read":
-                read(store)
-            elif kind == "clear":
-                empty(store)
-            elif kind == "bulk":
-                store.bulk_load(op[1])
-            elif kind == "flush":  # the second has no writes since the first
-                for _ in range(2):
-                    store.flush()
-                    assert_serves_the_walk(store)
-            elif kind == "migrate":  # to one of the two other curves
-                target = [name for name in CURVES if name != store.curve.name][op[1]]
-                store.migrate_to(make_curve(target, SIDE, 2))
-                assert_serves_the_walk(store)
-            elif kind == "rebalance":
-                store.rebalance(op[1])
-            elif kind == "checkpoint":
-                assert_checkpoint_holds_the_walk(store)
-        read(store)
+def _run(both, load, script):
+    """Run ``script`` on a store and its model, checking the layout after
+    every read."""
+    store = both.store
+    both.bulk_load(load, payloads=[i % 3 for i in range(len(load))])
+    read(both)
+    for op in script:
+        kind = op[0]
+        if kind == "insert":
+            both.insert(op[1], op[2])
+        elif kind == "delete":
+            both.delete(op[1], op[2])
+        elif kind == "read":
+            read(both)
+        elif kind == "clear":
+            both.empty()
+        elif kind == "bulk":
+            both.bulk_load(op[1])
+        elif kind == "flush":  # the second has no writes since the first
+            for _ in range(2):
+                store.flush()
+                both.model.assert_served(store)
+        elif kind == "migrate":  # to one of the two other curves
+            target = [name for name in CURVES if name != store.curve.name][op[1]]
+            store.migrate_to(make_curve(target, SIDE, 2))
+            both.model.assert_served(store)
+        elif kind == "rebalance":
+            store.rebalance(op[1])
+        elif kind == "checkpoint":
+            assert_checkpoint_holds_the_model(both)
+    read(both)
 
 
 @settings(max_examples=100, deadline=None)
@@ -257,7 +245,7 @@ def _run(store, load, script):
 @example(
     load=[(1, 1), (2, 2)], script=[("delete", (1, 1), ANY), ("insert", (1, 1), 2)]
 )
-def test_merged_layout_equals_walked_layout(load, script):
+def test_merged_layout_equals_the_model(load, script):
     _run(_store("single"), load, script)
 
 
@@ -268,27 +256,27 @@ def test_merged_layout_equals_walked_layout(load, script):
         st.one_of(ops, st.tuples(st.just("rebalance"), st.integers(1, 3))), max_size=30
     ),
 )
-def test_merged_layout_equals_walked_layout_sharded(load, script):
+def test_merged_layout_equals_the_model_sharded(load, script):
     _run(_store("sharded"), load, script)
 
 
 #: Checkpoints between the other ops: they take the current columns,
-#: merged or walked, which must be what a walk of the tree yields.
+#: which must be the model's.
 checkpointed = st.lists(st.one_of(ops, st.just(("checkpoint",))), max_size=30)
 
 
 def _run_durable(kind, load, script):
     with tempfile.TemporaryDirectory(prefix="merge-flush-") as root:
-        store = _store(kind, durable_path=root, durable_sync=False)
+        both = _store(kind, durable_path=root, durable_sync=False)
         try:
-            _run(store, load, script + [("checkpoint",)])
+            _run(both, load, script + [("checkpoint",)])
         finally:
-            store.durability.close()
+            both.store.durability.close()
 
 
 @settings(max_examples=50, deadline=None)
 @given(load=initial, script=checkpointed)
-def test_checkpoint_images_equal_the_walk(load, script):
+def test_checkpoint_images_equal_the_model(load, script):
     _run_durable("single", load, script)
 
 
@@ -302,5 +290,5 @@ def test_checkpoint_images_equal_the_walk(load, script):
         max_size=30,
     ),
 )
-def test_checkpoint_images_equal_the_walk_sharded(load, script):
+def test_checkpoint_images_equal_the_model_sharded(load, script):
     _run_durable("sharded", load, script)

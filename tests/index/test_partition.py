@@ -30,6 +30,25 @@ class TestEqualKeyShards:
         sizes = [e - s + 1 for s, e in shards]
         assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("side", [3_037_000_499, 2**32])
+    def test_cuts_are_exact_past_float64(self, side):
+        """Shard ``i`` starts at ``size * i // num_shards``, in integers,
+        where a float cut would miss the last key or overflow."""
+        curve = make_curve("onion", side, 2)
+        n = curve.size
+        starts = [n * i // 8 for i in range(8)]
+        assert equal_key_shards(curve, 8) == list(zip(starts, [s - 1 for s in starts[1:]] + [n - 1]))
+
+    def test_cuts_that_floats_made_do_not_move(self):
+        """Up to 13 shards, the integer cuts are the float cuts the store
+        made before, at every side up to 128 in dims 1 to 3."""
+        for dim in (2, 3):
+            for side in range(2, 129, 2 if dim == 3 else 1):
+                curve = make_curve("onion", side, dim)
+                for shards in range(1, min(14, curve.size + 1)):
+                    floats = np.linspace(0, curve.size, shards + 1, dtype=np.int64)
+                    assert [lo for lo, _ in equal_key_shards(curve, shards)] == floats[:-1].tolist()
+
     def test_guards(self):
         curve = make_curve("onion", 8, 2)
         with pytest.raises(InvalidQueryError):

@@ -132,6 +132,45 @@ class TestRebalance:
         assert shards[0][0] == 0 and shards[-1][1] == index.curve.size - 1
 
 
+@pytest.mark.parametrize("side", [3_037_000_499, 2**32])
+def test_a_universe_past_float64_shards_exactly(side):
+    """At side 3,037,000,499 the keys pass float64's 53 bits, and at
+    2**32 they pass int64 too: the store builds, serves three rects as
+    the single store does, counts every record in one shard, and
+    rebalances at the exact stored keys."""
+    curve = make_curve("onion", side, 2)
+    sharded = ShardedSFCIndex(curve, num_shards=8, page_capacity=8)
+    single = SFCIndex(curve, page_capacity=8)
+    rng = np.random.default_rng(3)
+    top, mid = side - 1, side // 2
+    points = list(map(tuple, rng.integers(0, side, size=(300, 2)))) + [
+        (0, 0),
+        (top, top),
+        (mid, mid),
+        (0, top),
+    ]
+    for index in (sharded, single):
+        index.bulk_load(points)
+        index.insert((mid + 1, mid))
+    for rect in (
+        Rect((0, 0), (top, top)),
+        Rect((mid - 3, mid - 3), (mid + 3, mid + 3)),
+        Rect((0, 0), (top, 0)),
+    ):
+        ours, theirs = sharded.range_query(rect), single.range_query(rect)
+        assert ours.records == theirs.records
+        assert (ours.seeks, ours.sequential_reads) == (theirs.seeks, theirs.sequential_reads)
+    assert sum(sharded.shard_loads) == len(sharded) == 305
+    keys = sorted(curve.index(point) for point in points + [(mid + 1, mid)])
+    shards = sharded.rebalance(4)
+    assert shards[0][0] == 0 and shards[-1][1] == curve.size - 1
+    for (_, end), (start, _) in zip(shards, shards[1:]):
+        assert start == end + 1 and end in keys
+    assert sharded.shard_loads == tuple(
+        sum(lo <= key <= hi for key in keys) for lo, hi in shards
+    )
+
+
 class TestResultSurface:
     def test_result_reports_fanout_and_parallel_cost(self):
         index = _build(num_shards=8)

@@ -17,10 +17,10 @@ from repro.curves.onion3d import OnionCurve3D
 from repro.errors import InvalidQueryError, RecoveryError, StorageError
 from repro.obs import start_trace
 from repro.storage.durable import Durability
-from repro.storage.pagefile import FORMAT, MANIFEST_NAME, wal_file_name
+from repro.storage.pagefile import FORMAT, MANIFEST_NAME, load_pages, wal_file_name
 from repro.storage.wal import WriteAheadLog, scan_wal
 
-from layout_oracle import assert_serves_the_walk
+from layout_oracle import Modelled
 
 DATA = Path(__file__).resolve().parent / "data"
 SIDE = 8
@@ -42,13 +42,17 @@ def _build(kind, tmp_path, **kwargs):
 
 
 def _populate(store):
+    """A bulk load and single writes; returns the store's
+    :class:`~layout_oracle.Modelled` twin, which saw the same writes."""
+    both = Modelled(store)
     pts = [(x, y) for x in range(SIDE) for y in range(0, SIDE, 2)]
-    store.bulk_load(pts, list(range(len(pts))))
-    store.insert((1, 1), "a")
-    store.insert((1, 1), None)
-    store.delete((1, 1), None)
-    store.insert((3, 3), "b")
-    store.delete((5, 4))
+    both.bulk_load(pts, list(range(len(pts))))
+    both.insert((1, 1), "a")
+    both.insert((1, 1), None)
+    both.delete((1, 1), None)
+    both.insert((3, 3), "b")
+    both.delete((5, 4))
+    return both
 
 
 def _state(kind, **fields):
@@ -92,49 +96,56 @@ def _signature(store):
 class TestDurableRoundtrip:
     def test_recover_equals_original(self, kind, tmp_path):
         store = _build(kind, tmp_path)
-        _populate(store)
+        both = _populate(store)
         recovered = recover(tmp_path / "d")
         assert type(recovered) is type(store)
         assert _signature(recovered) == _signature(store)
+        both.model.assert_served(recovered)
 
     def test_recover_after_flush_and_checkpoint(self, kind, tmp_path):
         store = _build(kind, tmp_path)
-        _populate(store)
+        both = _populate(store)
         store.flush()
         manifest = store.checkpoint()
         assert manifest.generation == 1
         assert manifest.record_count == len(store)
-        store.insert((7, 7), "late")
+        assert load_pages(tmp_path / "d", manifest) == both.model.page_images(
+            store.curve, 4
+        )
+        both.insert((7, 7), "late")
         recovered = recover(tmp_path / "d")
         report = recovered.durability.last_recovery
         assert report.generation == 1
         assert report.checkpoint_records == manifest.record_count
         assert report.frames_replayed == 1  # just the post-checkpoint insert
         assert _signature(recovered) == _signature(store)
+        both.model.assert_served(recovered)
 
     def test_first_read_merges_the_replay_into_the_checkpoint(self, kind, tmp_path):
         """The checkpoint's records are bulk loaded into an empty store,
         so their sorted columns are the base: the first read merges the
-        replayed write into them instead of walking the tree."""
+        replayed write into them, and serves what the writes before the
+        checkpoint and after it, in arrival order, make."""
         store = _build(kind, tmp_path)
-        _populate(store)
+        both = _populate(store)
         store.checkpoint()
-        store.insert((7, 7), "late")
+        both.insert((7, 7), "late")
         recovered = recover(tmp_path / "d")
         with start_trace("first read") as trace:
             recovered.range_query(FULL)
         assert [span.attrs["merged_keys"] for span in trace.find("flush")] == [1]
-        assert_serves_the_walk(recovered)
+        both.model.assert_served(recovered)
         assert _signature(recovered) == _signature(store)
 
     def test_recover_after_migration(self, kind, tmp_path):
         store = _build(kind, tmp_path)
-        _populate(store)
+        both = _populate(store)
         report = store.migrate_to(make_curve("hilbert", SIDE, 2))
         assert report.migrated
         recovered = recover(tmp_path / "d")
         assert recovered.curve == make_curve("hilbert", SIDE, 2)
         assert _signature(recovered) == _signature(store)
+        both.model.assert_served(recovered)
 
     def test_compact_checkpoint_rotates_the_log(self, kind, tmp_path):
         store = _build(kind, tmp_path)
