@@ -21,10 +21,12 @@ execute it through exactly the legacy plan/execute path, so the old
 ``range_query`` facade keeps returning byte-identical results.
 
 :class:`RectUnion` is the region a multi-rect query scans: it
-duck-types the :class:`~repro.geometry.Rect` surface the engine's
-filter and telemetry touch (``contains``, ``lengths``, ``dim``), so a
-merged :class:`~repro.engine.plan.QueryPlan` over a union flows through
-the executors unchanged.
+duck-types the :class:`~repro.geometry.Rect` surface that EXPLAIN and
+the workload recorder's telemetry touch (``lengths``, ``dim``,
+``str``), so a merged :class:`~repro.engine.plan.QueryPlan` over a
+union flows through the executors unchanged.  No read tests a record
+against it: a merged plan's records are found by key, from the union's
+exact runs.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from ..geometry import Cell, Rect
 
 __all__ = ["Query", "RectUnion", "Predicate", "Projection"]
 
-#: A row filter: records failing it are dropped after the region filter
-#: (they still count as scanned I/O — the predicate is not pushed into
-#: the page reads).
+#: A row filter: records of the region failing it are dropped (they
+#: still count as scanned I/O — the predicate is not pushed into the
+#: page reads).
 Predicate = Callable[[Record], bool]
 
 #: A row transform applied to each surviving record as it is yielded.
@@ -53,10 +55,9 @@ class RectUnion:
     """A union of axis-aligned rects — the region of a multi-rect query.
 
     Covers exactly the cells contained in at least one member rect.
-    Duck-types the part of the :class:`~repro.geometry.Rect` surface the
-    engine touches: ``contains`` (the executor's filter of gap-merged
-    runs), ``lengths`` and ``dim`` (bounding-box telemetry for the
-    workload recorder).
+    Duck-types the part of the :class:`~repro.geometry.Rect` surface a
+    plan's region shows: ``lengths`` and ``dim`` (bounding-box telemetry
+    for the workload recorder) and ``str`` (EXPLAIN).
     """
 
     rects: Tuple[Rect, ...]
@@ -93,14 +94,6 @@ class RectUnion:
     def lengths(self) -> Tuple[int, ...]:
         """Bounding-box side lengths (the recorder's shape telemetry)."""
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
-
-    def contains(self, cell) -> bool:
-        """True when ``cell`` lies inside at least one member rect."""
-        return any(rect.contains(cell) for rect in self.rects)
-
-    def fits_in(self, side: int) -> bool:
-        """True when every member rect fits the universe."""
-        return all(rect.fits_in(side) for rect in self.rects)
 
     def __str__(self) -> str:
         return " ∪ ".join(str(rect) for rect in self.rects)
@@ -169,8 +162,8 @@ class Query:
     # ------------------------------------------------------------------
     def where(self, predicate: Predicate) -> "Query":
         """Keep only records passing ``predicate`` (composes with a prior
-        ``where`` conjunctively).  Filtering happens after the region
-        filter and does not change what is read from disk."""
+        ``where`` conjunctively).  It filters the region's records and
+        does not change what is read from disk."""
         previous = self.predicate
         combined = (
             predicate

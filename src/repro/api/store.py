@@ -237,8 +237,9 @@ def pack_columns(
     filled to ``page_capacity``, so page ``p`` holds the records at
     positions ``[p * page_capacity, (p + 1) * page_capacity)``.
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
-    the layout will serve (CONTRIBUTING invariant 14): exact scan runs
-    are sliced from the record column without a geometric test.  Every
+    the layout will serve (CONTRIBUTING invariant 14): a query's records
+    are sliced from the record column at its exact runs' positions,
+    without a geometric test.  Every
     flush ends here, and so does the migration cutover, so the sharded
     index's byte-identical-layout guarantee (and with it shard
     transparency) rests on this one function.
@@ -280,26 +281,27 @@ def merge_plans(
     covered by several rects is scanned once and each record returned
     once), gap merging is re-applied to the *union* — matching what
     planning the union region directly would produce — and the union's
-    scan runs are resolved against ``layout``
-    (:meth:`~repro.engine.plan.PageLayout.resolve`).  The plan's region
-    is the :class:`~repro.api.query.RectUnion` of the member rects: an exact
-    run of the union holds only the union's cells, and the filter of a
-    gap-merged run admits exactly them.
+    scan runs and exact runs are resolved against ``layout``
+    (:meth:`~repro.engine.plan.PageLayout.resolve`).  The union's exact
+    runs hold exactly the keys of the union's cells, so its records are
+    their slices.  The plan's region, the
+    :class:`~repro.api.query.RectUnion` of the member rects, is for
+    EXPLAIN and the recorder's shape telemetry.
     """
     if not plans:
         raise InvalidQueryError("merge_plans needs at least one plan")
     if len(plans) == 1:
         return plans[0]
     policy = plans[0].policy
-    runs = merge_runs_with_gaps(sorted(run for plan in plans for run in plan.runs), 0)
-    scan_runs = merge_runs_with_gaps(runs, policy.gap_tolerance)
-    positions = layout.resolve(scan_runs) if layout is not None else None
+    runs = tuple(merge_runs_with_gaps(sorted(run for plan in plans for run in plan.runs), 0))
+    scan_runs = tuple(merge_runs_with_gaps(runs, policy.gap_tolerance))
+    positions = layout.resolve(scan_runs, runs) if layout is not None else None
     return QueryPlan(
         curve=plans[0].curve,
         rect=RectUnion(tuple(plan.rect for plan in plans)),
         policy=policy,
-        runs=tuple(runs),
-        scan_runs=tuple(scan_runs),
+        runs=runs,
+        scan_runs=scan_runs,
         cost_model=plans[0].cost_model,
         positions=positions,
     )

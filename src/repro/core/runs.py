@@ -50,7 +50,8 @@ def merge_runs_with_gaps(runs: Sequence[KeyRun], gap_tolerance: int) -> List[Key
     Haverkort discussed in the paper's related work: the scanner may read
     a *superset* of the query's cells in exchange for fewer seeks.  The
     merged runs cover every original key plus the tolerated gap cells;
-    callers filter the extra records afterwards.
+    the records of those cells are over-read: the executor still
+    returns only the records of the original runs.
 
     Returns the merged runs (sorted, disjoint).  ``gap_tolerance = 0``
     degenerates to merging only exactly-adjacent runs (a no-op for the

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..errors import InvalidUniverseError
 
-#: Maximum total key width supported by the vectorized int64 code paths.
+#: Maximum total key width supported by the vectorized int64 code paths:
+#: the ``_VECTOR_KEY_BITS`` of the curves built on them.
 MAX_VECTOR_BITS = 62
 
 

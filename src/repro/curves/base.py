@@ -19,9 +19,6 @@ import numpy as np
 from ..errors import InvalidUniverseError, OutOfUniverseError
 from ..geometry import Cell, check_cell, validate_dim, validate_side
 
-#: The largest int64: the vectorized kernels compute keys in int64.
-_INT64_MAX = 2**63 - 1
-
 
 class SpaceFillingCurve(abc.ABC):
     """A bijection between grid cells and 1-D keys.
@@ -49,6 +46,12 @@ class SpaceFillingCurve(abc.ABC):
     #: sparse (no jumps); the 3-D onion curve has O(side) analytic jumps.
     #: The boundary-shell clustering algorithm needs this capability.
     has_sparse_discontinuities: bool = False
+
+    #: The widest key, in bits, that the vectorized kernels compute
+    #: exactly.  They compute in int64, so the default is 63: every key
+    #: that fits.  A curve whose kernels hold fewer key bits states its
+    #: width here (see :meth:`_vector_exact`).
+    _VECTOR_KEY_BITS: int = 63
 
     def __init__(self, side: int, dim: int):
         self._side = validate_side(side)
@@ -147,11 +150,12 @@ class SpaceFillingCurve(abc.ABC):
 
     def keys_of(self, cells: Sequence[Sequence[int]]) -> np.ndarray:
         """Keys for a sequence (or ``(n, dim)`` array) of cells, exact in
-        every universe: one :meth:`index_many` call where every key fits
-        int64, else :meth:`index` per cell, as Python ints in an
-        ``object`` array.  What keys a store's records or a query's
-        cells calls this, so it serves a universe the kernels refuse."""
-        if self.size - 1 <= _INT64_MAX:
+        every universe: one :meth:`index_many` call where the kernels key
+        the universe exactly (:meth:`_vector_exact`), else :meth:`index`
+        per cell, as Python ints in an ``object`` array.  What keys a
+        store's records or a query's cells calls this, so it serves a
+        universe the kernels refuse."""
+        if self._vector_exact():
             return self.index_many(np.asarray(cells, dtype=np.int64))
         return np.array([self.index(cell) for cell in cells], dtype=object)
 
@@ -159,28 +163,35 @@ class SpaceFillingCurve(abc.ABC):
         """Cells for a sequence of keys, as an ``(n, dim)`` int64 array,
         exact in every universe: :meth:`point_many`, or :meth:`point` per
         key where the kernels refuse the universe (see :meth:`keys_of`)."""
-        if self.size - 1 <= _INT64_MAX:
+        if self._vector_exact():
             return self.point_many(keys)
         cells = [self.point(key) for key in keys]
         return np.asarray(cells, dtype=np.int64).reshape(len(cells), self._dim)
 
-    def _check_int64_keys(self) -> None:
-        """Refuse a universe whose largest key (``size − 1``) exceeds
-        int64: a numpy kernel would wrap its keys, or fail part-way,
-        where the scalar :meth:`index` and :meth:`point` stay exact.
-        Every vectorized kernel validates its input through
+    def _vector_exact(self) -> bool:
+        """True when the vectorized kernels key this universe exactly:
+        its largest key, ``size − 1``, has at most
+        :attr:`_VECTOR_KEY_BITS` bits.  The one statement of where the
+        kernels stop: they refuse past it, and :meth:`keys_of` and
+        :meth:`cells_of` take the scalar kernels there."""
+        return (self.size - 1).bit_length() <= self._VECTOR_KEY_BITS
+
+    def _check_vector_universe(self) -> None:
+        """Refuse a universe the vectorized kernels do not key exactly
+        (:meth:`_vector_exact`): a numpy kernel would wrap its keys, or
+        fail part-way, where the scalar :meth:`index` and :meth:`point`
+        stay exact.  Every vectorized kernel validates its input through
         :meth:`_check_cells_array` or :meth:`_check_keys_array`, which
-        call this first, so none keys anything first;
-        :meth:`keys_of` and :meth:`cells_of` key such a universe with
-        the scalar kernels instead."""
-        if self.size - 1 > _INT64_MAX:
+        call this first, so none keys anything first."""
+        if not self._vector_exact():
             raise InvalidUniverseError(
-                f"{self!r}: keys up to {self.size - 1} do not fit in int64, "
-                "so the vectorized kernels cannot key this universe"
+                f"{self!r}: keys up to {self.size - 1} need "
+                f"{(self.size - 1).bit_length()} bits, and the vectorized "
+                f"kernels key at most {self._VECTOR_KEY_BITS}"
             )
 
     def _check_cells_array(self, cells: np.ndarray) -> np.ndarray:
-        self._check_int64_keys()
+        self._check_vector_universe()
         cells = np.asarray(cells, dtype=np.int64)
         if cells.ndim != 2 or cells.shape[1] != self._dim:
             raise OutOfUniverseError(
@@ -191,7 +202,7 @@ class SpaceFillingCurve(abc.ABC):
         return cells
 
     def _check_keys_array(self, keys: np.ndarray) -> np.ndarray:
-        self._check_int64_keys()
+        self._check_vector_universe()
         keys = np.asarray(keys, dtype=np.int64).ravel()
         if keys.size and (keys.min() < 0 or keys.max() >= self.size):
             raise OutOfUniverseError("key array has keys outside the universe")

@@ -19,6 +19,7 @@ from ..errors import InvalidUniverseError
 from ..geometry import Cell
 from .base import SpaceFillingCurve
 from ._bits import (
+    MAX_VECTOR_BITS,
     bits_for_side,
     deinterleave,
     deinterleave_many,
@@ -36,6 +37,7 @@ class GrayCodeCurve(SpaceFillingCurve):
 
     is_continuous = False
     is_prefix_contiguous = True
+    _VECTOR_KEY_BITS = MAX_VECTOR_BITS
 
     def __init__(self, side: int, dim: int):
         super().__init__(side, dim)

@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from ..errors import InvalidUniverseError, OutOfUniverseError
+from ..errors import InvalidUniverseError
 from ..geometry import Cell
 from .base import SpaceFillingCurve
 from ._bits import MAX_VECTOR_BITS, bits_for_side
@@ -96,6 +96,7 @@ class HilbertCurve(SpaceFillingCurve):
     """The Hilbert curve on a power-of-two grid in any dimension >= 1."""
 
     is_continuous = True
+    _VECTOR_KEY_BITS = MAX_VECTOR_BITS
 
     def __init__(self, side: int, dim: int):
         super().__init__(side, dim)
@@ -125,15 +126,8 @@ class HilbertCurve(SpaceFillingCurve):
     # ------------------------------------------------------------------
     # Vectorized kernels
     # ------------------------------------------------------------------
-    def _check_vector_ok(self) -> None:
-        if self._bits * self._dim > MAX_VECTOR_BITS:
-            raise OutOfUniverseError(
-                "universe too large for int64 vectorized Hilbert keys"
-            )
-
     def index_many(self, cells: np.ndarray) -> np.ndarray:
         cells = self._check_cells_array(cells)
-        self._check_vector_ok()
         dim, bits = self._dim, self._bits
         x = cells.astype(np.int64).copy()
         q = 1 << (bits - 1)
@@ -164,7 +158,6 @@ class HilbertCurve(SpaceFillingCurve):
 
     def point_many(self, keys: np.ndarray) -> np.ndarray:
         keys = self._check_keys_array(keys)
-        self._check_vector_ok()
         dim, bits = self._dim, self._bits
         x = np.zeros((keys.shape[0], dim), dtype=np.int64)
         for b in range(bits):

@@ -15,6 +15,7 @@ from ..errors import InvalidUniverseError
 from ..geometry import Cell
 from .base import SpaceFillingCurve
 from ._bits import (
+    MAX_VECTOR_BITS,
     bits_for_side,
     deinterleave,
     deinterleave_many,
@@ -28,6 +29,7 @@ class ZOrderCurve(SpaceFillingCurve):
 
     is_continuous = False
     is_prefix_contiguous = True
+    _VECTOR_KEY_BITS = MAX_VECTOR_BITS
 
     def __init__(self, side: int, dim: int):
         super().__init__(side, dim)

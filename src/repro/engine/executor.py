@@ -8,20 +8,23 @@ I/O, and reports the measured I/O profile as a :class:`RangeQueryResult`.
 The records come from the layout, not from the pages read: a
 :class:`~repro.engine.plan.PageLayout` is one key column and one record
 column, so a run's records are one slice of the record column.  The
-plan carries each scan run's record positions and the pages they span,
-found by one search of the key column when it was planned
-(:meth:`PageLayout.resolve`), so an execution reads those pages and
-slices at those positions, and searches nothing.  A plan resolved
-against another layout — a layout-free plan, or one planned before a
-flush replaced the layout — is resolved against the executor's own on
-the spot (:meth:`QueryPlan.positions_in`).  An *exact* scan run — one
-of the plan's key runs, the paper's clusters — covers only keys of
-cells inside the query, so an execution appends its slice inline,
-whole, with no geometric test and no call per run (a
-:class:`PlanStream` appends each page's part of it).  Only a gap-merged
-run can hold cells outside the query: :func:`slice_run` filters its
-slice by the query region, and the records it discards are the run's
-over-read.
+plan carries the record positions of its scan runs and of its exact
+runs, and the pages the scan runs span, found by searching the key
+column when it was planned (:meth:`PageLayout.resolve`), so an
+execution reads those pages and slices at those positions, and
+searches nothing.  A plan resolved against another layout — a
+layout-free plan, or one planned before a flush replaced the layout —
+is resolved against the executor's own on the spot
+(:meth:`QueryPlan.positions_in`).
+
+Records are found by key alone.  The exact runs — the paper's clusters
+— cover exactly the keys of the cells inside the query, and every
+layout key is its record's curve key (CONTRIBUTING invariant 14), so
+an execution returns the slices at the exact runs' positions, with no
+geometric test (a :class:`PlanStream` returns each page's part of
+them).  A gap-merged scan run also covers tolerated-gap keys: its
+records are read and charged, and the records the scan runs hold
+beyond the exact runs' are the execution's over-read, a count.
 
 Every execution — :meth:`Executor.execute`, the scatter–gather
 ``execute`` and a :class:`PlanStream` — charges its page reads through
@@ -61,7 +64,6 @@ __all__ = [
     "Page",
     "PlanStream",
     "execution_order",
-    "slice_run",
 ]
 
 
@@ -102,30 +104,6 @@ class Page:
 
     def __len__(self) -> int:
         return self.size
-
-
-def slice_run(
-    column: Sequence[Record], lo: int, hi: int, region, records: List[Record]
-) -> int:
-    """Append the records of ``column[lo:hi]`` whose points lie in
-    ``region`` to ``records``; return the over-read, the count of those
-    that miss it.
-
-    The filter of a gap-merged scan run (see
-    :attr:`~repro.engine.plan.QueryPlan.scan_exact`): a record of its
-    slice that misses the query region sat in a tolerated gap.  An exact
-    run needs no filter, so every execution appends its slice whole,
-    inline.  The single statement of the filter, shared by every
-    execution path (the shard-transparency contract depends on them
-    scanning identically); a :class:`PlanStream` calls it per page.
-    """
-    over_read = 0
-    for record in column[lo:hi]:
-        if region.contains(record.point):
-            records.append(record)
-        else:
-            over_read += 1
-    return over_read
 
 
 def execution_order(plans: Sequence) -> List[int]:
@@ -197,15 +175,18 @@ class PlanStream:
 
     A view over the :class:`Executor` that opened it: the stream keeps
     only its own tallies, and reads, charges and reports through the
-    executor.  Iterating the stream yields one list of region-matched
-    records per page read, in key order: the part of the run's slice of
-    the record column that lies on that page.  Each page is charged by
-    :meth:`Executor._read`, one page per call under the executor's I/O
-    lock, along the run/span walk :meth:`Executor.execute` takes, so a
-    fully drained stream charges identical seeks, sequential reads and
-    over-read — the differential suites in ``tests/api`` prove the
-    equivalence.  An abandoned stream charges only the pages it actually
-    pulled, which is where a row limit's early-exit saving comes from.
+    executor.  Iterating the stream yields one list of the query's
+    records per page read, in key order: the parts of the exact runs'
+    slices of the record column that lie on that page within the scan
+    run being read, found by one index that moves along the exact runs
+    as the pages advance.  The page's other scan-run records are its
+    over-read.  Each page is charged by :meth:`Executor._read`, one page
+    per call under the executor's I/O lock, along the run/span walk
+    :meth:`Executor.execute` takes, so a fully drained stream charges
+    identical seeks, sequential reads and over-read — the differential
+    suites in ``tests/api`` prove the equivalence.  An abandoned stream
+    charges only the pages it actually pulled, which is where a row
+    limit's early-exit saving comes from.
 
     Peak record residency is one page: nothing is accumulated across
     pages.  The stream reports exactly once, through
@@ -263,7 +244,7 @@ class PlanStream:
 
     @property
     def records_streamed(self) -> int:
-        """Region-matched records yielded so far."""
+        """Records of the query yielded so far."""
         return self._records
 
     @property
@@ -281,14 +262,16 @@ class PlanStream:
         return self._gen
 
     def _run(self) -> Iterator[List[Record]]:
-        plan = self._plan
         positions = self._positions
         read = self._executor._read
         layout = self._executor.layout
         cap, column = layout.capacity, layout.records
+        exact_lo, exact_hi = positions.exact_lo, positions.exact_hi
+        count = len(exact_lo)
+        j = 0  # the first exact run that does not end before the page's part
         try:
-            for (first, last), lo, hi, exact in zip(
-                positions.spans(), positions.lo, positions.hi, plan.scan_exact
+            for (first, last), lo, hi in zip(
+                positions.spans(), positions.lo, positions.hi
             ):
                 for position in range(first, last + 1):
                     seeks, sequential, cold = read((position,))
@@ -300,12 +283,13 @@ class PlanStream:
                     matched: List[Record] = []
                     edge = position * cap  # the page's first record position
                     start, end = max(lo, edge), min(hi, edge + cap)
-                    if exact:
-                        matched += column[start:end]
-                    else:
-                        self._over_read += slice_run(
-                            column, start, end, plan.rect, matched
-                        )
+                    while j < count and exact_hi[j] <= start:
+                        j += 1
+                    k = j
+                    while k < count and exact_lo[k] < end:
+                        matched += column[max(exact_lo[k], start):min(exact_hi[k], end)]
+                        k += 1
+                    self._over_read += end - start - len(matched)
                     self._records += len(matched)
                     yield matched
         finally:
@@ -443,23 +427,17 @@ class Executor:
             cold = pool.stats.misses - misses_before if pool is not None else None
         return seeks, sequential, cold
 
-    def _slice(
-        self, plan: QueryPlan, positions: Positions
-    ) -> Tuple[List[Record], int]:
-        """The records of every scan run of ``plan``, in key order, and
-        the over-read: each run is the slice of the layout's record
-        column at its ``positions`` in this executor's layout.  An exact
-        run's slice is appended inline, whole; a gap-merged run's goes
-        through :func:`slice_run`, filtered by the plan's region."""
+    def _slice(self, positions: Positions) -> Tuple[List[Record], int]:
+        """The records an execution returns, in key order, and its
+        over-read: the slices of the layout's record column at the exact
+        runs' ``positions`` in this executor's layout, and the count of
+        the scan runs' other records.  The single statement of the slice
+        rule, shared by every materialized execution."""
         column = self._layout.records
         records: List[Record] = []
-        over_read = 0
-        for start, end, exact in zip(positions.lo, positions.hi, plan.scan_exact):
-            if exact:
-                records += column[start:end]
-            else:
-                over_read += slice_run(column, start, end, plan.rect, records)
-        return records, over_read
+        for start, end in zip(positions.exact_lo, positions.exact_hi):
+            records += column[start:end]
+        return records, positions.scanned - len(records)
 
     def _report(
         self,
@@ -527,9 +505,10 @@ class Executor:
         page of a sweep costs a seek unless it directly follows the
         previous read (the disk's accounting, not the executor's).
         ``_shared_pages`` is the batch path's shared-scan state: pages
-        the batch already read are not read again.  The pages and the
-        records come from the plan's positions in this executor's
-        layout (:meth:`QueryPlan.positions_in`).
+        the batch already read are not read again.  The pages come from
+        the plan's scan runs' positions in this executor's layout
+        (:meth:`QueryPlan.positions_in`), and the records from its
+        exact runs' (:meth:`_slice`).
         """
         positions = plan.positions_in(self._layout)
         started = time.perf_counter() if METRICS.enabled else 0.0
@@ -538,7 +517,7 @@ class Executor:
         # untraced result.
         with _obs_span("execute", kind="io") as sp:
             seeks, sequential, cold = self._read(positions.pages, _shared_pages)
-            records, over_read = self._slice(plan, positions)
+            records, over_read = self._slice(positions)
             result = RangeQueryResult(
                 records=records,
                 runs=len(plan.scan_runs),

@@ -3,15 +3,16 @@
 A :class:`QueryPlan` is the planner's output and the executor's input: the
 query's exact key runs under the curve, the runs actually scanned after
 the :class:`ExecutionPolicy`'s gap merging, and — when the plan was built
-against a flushed :class:`PageLayout` — the record positions of each
-scan run, from one search of the key column (:meth:`PageLayout.resolve`),
-and with them the inclusive page span each run touches.  From the spans
-the plan predicts the seek/sequential-read split of its own execution
-(`estimated_seeks` replays the disk's head rule), which is the paper's
-clustering story made operational: for page-aligned layouts
-``estimated_seeks`` equals the clustering number.  The executor reads
-the pages and slices the record column at the positions, so a plan
-searches the key column once, when it is planned, however often it runs.
+against a flushed :class:`PageLayout` — the record positions of both,
+from the searches of the key column :meth:`PageLayout.resolve` makes,
+and with the scan runs' positions the inclusive page span each scan run
+touches.  From the spans the plan predicts the seek/sequential-read
+split of its own execution (`estimated_seeks` replays the disk's head
+rule), which is the paper's clustering story made operational: for
+page-aligned layouts ``estimated_seeks`` equals the clustering number.
+The executor reads the scan runs' pages and slices the record column at
+the exact runs' positions, so a plan searches the key column only when
+it is planned, however often it runs.
 """
 
 from __future__ import annotations
@@ -52,14 +53,20 @@ def _page_spans(lo: array, hi: array, capacity: int, size: int) -> Tuple[PageSpa
 
 @dataclass(frozen=True, eq=False)
 class Positions:
-    """A plan's scan runs resolved against one layout
+    """A plan's runs resolved against one layout
     (:meth:`PageLayout.resolve`), stored by the plan in place of page
     spans.
 
-    Run ``i``'s records are ``records[lo[i]:hi[i]]``; its page span
-    follows from them (:meth:`spans`).  ``pages`` is every run's span
-    concatenated: the page positions the plan's scan reads, in order.
-    All three are ``array('q')``, compact and never mutated.
+    Scan run ``i``'s records are ``records[lo[i]:hi[i]]``; its page span
+    follows from them (:meth:`spans`).  ``pages`` is every scan run's
+    span concatenated: the page positions the plan's scan reads, in
+    order.  Exact run ``j``'s records are
+    ``records[exact_lo[j]:exact_hi[j]]``, and they are the records an
+    execution returns: a record lies in the query exactly when its key
+    lies in one of the exact runs (CONTRIBUTING invariant 14).  When no
+    gap was merged, ``exact_lo`` and ``exact_hi`` are ``lo`` and ``hi``
+    themselves.  Every column is an ``array('q')``, compact and never
+    mutated.
 
     ``keys`` is the layout's key column.
     :func:`~repro.api.store.pack_columns` allocates every layout's key
@@ -69,18 +76,32 @@ class Positions:
     so plans compare exactly as they did when they stored spans.
     """
 
-    __slots__ = ("keys", "capacity", "lo", "hi", "pages")
+    __slots__ = ("keys", "capacity", "lo", "hi", "pages", "exact_lo", "exact_hi")
 
     keys: np.ndarray
     capacity: int
     lo: array
     hi: array
     pages: array
+    exact_lo: array
+    exact_hi: array
 
     def spans(self) -> Tuple[PageSpan, ...]:
-        """The inclusive page span of each run, in order (see
+        """The inclusive page span of each scan run, in order (see
         :meth:`PageLayout.resolve`)."""
         return _page_spans(self.lo, self.hi, self.capacity, len(self.keys))
+
+    @property
+    def scanned(self) -> int:
+        """The records the scan runs hold: what an execution reads."""
+        return sum(self.hi) - sum(self.lo)
+
+    @property
+    def returned(self) -> int:
+        """The records the exact runs hold: what an execution returns.
+        The rest of :attr:`scanned` is its over-read, the records in
+        tolerated gaps."""
+        return sum(self.exact_hi) - sum(self.exact_lo)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Positions):
@@ -188,14 +209,18 @@ class PageLayout:
             array("q", hi.astype(np.int64, copy=False).tobytes()),
         )
 
-    def resolve(self, runs: Sequence[KeyRun]) -> Positions:
-        """The key runs' record positions and pages, from one
-        :meth:`bounds` search and one loop over its positions.
+    def resolve(self, scan_runs: Sequence[KeyRun], runs: Sequence[KeyRun]) -> Positions:
+        """The record positions of the ``scan_runs`` and of the exact
+        ``runs`` they cover, and the pages the scan runs span, from one
+        :meth:`bounds` search per run list and one loop over the scan
+        runs' positions.
 
-        A run's page span is exact on both ends: the first page holds
-        the run's first record (so duplicate keys spilling past a page
-        boundary are found without reading the previous page) and the
-        last page holds its last.  A run over a gap inside one page
+        When no gap was merged (``scan_runs == runs``) the exact runs'
+        positions are the scan runs' own arrays, with no second search.
+        A scan run's page span is exact on both ends: the first page
+        holds the run's first record (so duplicate keys spilling past a
+        page boundary are found without reading the previous page) and
+        the last page holds its last.  A run over a gap inside one page
         reads that page; a run past the largest key reads nothing.  An
         empty span (``last < first``) means no pages hold keys of the
         run.  The loop extends the page list with each run's span as it
@@ -205,7 +230,7 @@ class PageLayout:
         plan, or one planned against another layout, on the spot
         (:meth:`QueryPlan.positions_in`).
         """
-        lo, hi = self.bounds(runs)
+        lo, hi = self.bounds(scan_runs)
         capacity, size = self.capacity, len(self.keys)
         pages: List[int] = []
         for start, end in zip(lo, hi):
@@ -216,7 +241,8 @@ class PageLayout:
                 pages.append(first)
             else:
                 pages += range(first, last + 1)
-        return Positions(self.keys, capacity, lo, hi, array("q", pages))
+        exact_lo, exact_hi = (lo, hi) if scan_runs == runs else self.bounds(runs)
+        return Positions(self.keys, capacity, lo, hi, array("q", pages), exact_lo, exact_hi)
 
     def span(self, start: int, end: int) -> PageSpan:
         """The :meth:`spans` entry of the one run ``[start, end]``."""
@@ -225,7 +251,7 @@ class PageLayout:
     def spans(self, runs: Sequence[KeyRun]) -> Tuple[PageSpan, ...]:
         """Inclusive page positions each key run touches, in order: the
         spans of :meth:`resolve`."""
-        return self.resolve(runs).spans()
+        return self.resolve(runs, runs).spans()
 
 
 @dataclass(frozen=True)
@@ -246,8 +272,8 @@ class QueryPlan:
     #: Runs actually scanned, after the policy's gap merging.
     scan_runs: Tuple[KeyRun, ...]
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: The scan runs resolved against a layout, or ``None`` for
-    #: layout-free plans.
+    #: The scan and exact runs resolved against a layout, or ``None``
+    #: for layout-free plans.
     positions: Optional[Positions] = field(default=None, repr=False)
 
     @property
@@ -256,7 +282,7 @@ class QueryPlan:
         return None if self.positions is None else self.positions.spans()
 
     def positions_in(self, layout: PageLayout) -> Positions:
-        """The scan runs' positions in ``layout``.
+        """The scan runs' and exact runs' positions in ``layout``.
 
         The carried :attr:`positions` when the plan was resolved against
         ``layout`` (the identity of its key column), else
@@ -268,7 +294,7 @@ class QueryPlan:
         positions = self.positions
         if positions is not None and positions.keys is layout.keys:
             return positions
-        return layout.resolve(self.scan_runs)
+        return layout.resolve(self.scan_runs, self.runs)
 
     # ------------------------------------------------------------------
     # Shape
@@ -298,25 +324,6 @@ class QueryPlan:
         exact = sum(end - start + 1 for start, end in self.runs)
         merged = sum(end - start + 1 for start, end in self.scan_runs)
         return merged - exact
-
-    @functools.cached_property
-    def scan_exact(self) -> Tuple[bool, ...]:
-        """Per scan run: True when it is one of the exact ``runs``.
-
-        An exact scan run holds only keys of cells inside the query (for
-        a clipped shard fragment, the clip of an exact run still does),
-        so the executor slices its records by key with no geometric
-        test.  A gap-merged run — or a clipped piece of one — can hold
-        tolerated-gap cells and is filtered by :attr:`rect`.  When the
-        scan runs are the key runs (no gap was merged, as in every plan
-        at ``gap_tolerance=0``), every run is exact and no set is built.
-        Cached on the (immutable) plan, so a cached plan computes it
-        once.
-        """
-        if self.scan_runs == self.runs:  # no gap merged
-            return (True,) * len(self.runs)
-        exact = set(self.runs)
-        return tuple(run in exact for run in self.scan_runs)
 
     # ------------------------------------------------------------------
     # Cost prediction

@@ -199,10 +199,11 @@ class Planner:
     ) -> QueryPlan:
         """Plan one range query.
 
-        With a ``layout`` the plan carries its scan runs' record
-        positions and pages (:meth:`PageLayout.resolve`), and predicts
-        the executor's exact seek/sequential split; without one it falls
-        back to the paper's pure model (one seek per scan run).
+        With a ``layout`` the plan carries the record positions of its
+        scan runs and of its exact runs, and the scan runs' pages
+        (:meth:`PageLayout.resolve`), and predicts the executor's exact
+        seek/sequential split; without one it falls back to the paper's
+        pure model (one seek per scan run).
         """
         rect.check_fits(self._curve.side)
         with _obs_span("plan", kind="plan") as sp:
@@ -213,7 +214,7 @@ class Planner:
                 if policy.gap_tolerance
                 else runs
             )
-            positions = layout.resolve(scan_runs) if layout is not None else None
+            positions = layout.resolve(scan_runs, runs) if layout is not None else None
             plan = QueryPlan(
                 curve=self._curve,
                 rect=rect,

@@ -16,12 +16,11 @@ layer:
 * :class:`ScatterGatherExecutor`, an
   :class:`~repro.engine.executor.Executor`, executes a sharded plan in
   one key-ordered pass that charges exactly the page sequence the
-  single index would read, then slices the layout's record column at
-  each fragment's record positions in shard order, which gathers the
-  per-shard records in key order.  A fragment's positions come from
-  one search of its clipped runs when it is scattered, which is
-  planning time, so a cached sharded plan searches nothing when it
-  runs.
+  single index would read, then slices the layout's record column once,
+  at the global plan's exact runs, as the single-index executor does.
+  A fragment's positions come from resolving its clipped runs when it
+  is scattered, which is planning time, so a cached sharded plan
+  searches nothing when it runs.
 
 **Shard-transparency by construction.**  Storage is shared (the
 disaggregated-storage idiom): shards own key intervals, but records,
@@ -36,8 +35,9 @@ shard map and gap tolerance.  The differential suite in
 
 Per-shard attribution is a *second* accounting, taken from the plan
 rather than from a second scan: each fragment's I/O is its predicted
-page reads, replayed independently (its own head), and its records are
-the slices of the record column at its clipped runs' positions.
+page reads, replayed independently (its own head), and its records and
+over-read are counts from its clipped runs' positions; no fragment is
+sliced.
 ``parallel_cost(workers)`` and :func:`makespan` price those per-shard
 costs as if the shards ran on that many workers — a simulated
 cost-model estimate: no code here runs in parallel.  Serial totals
@@ -57,7 +57,7 @@ from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
 from ..storage.disk import replay_reads
 from .cost import DEFAULT_COST_MODEL, CostModel
-from .executor import BatchResult, Executor, PlanStream, RangeQueryResult, Record
+from .executor import BatchResult, Executor, PlanStream, RangeQueryResult
 from .plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from .planner import Planner
 
@@ -114,17 +114,18 @@ def scatter_plan(
     Gap merging must already have happened on the global plan (clips
     are taken from its ``scan_runs``), so a tolerated gap spanning a
     shard boundary behaves exactly as it would unsharded.  With a
-    ``layout``, each fragment's clipped runs are resolved against it
+    ``layout``, each fragment's clipped scan runs and clipped exact runs
+    are resolved against it
     (:meth:`~repro.engine.plan.PageLayout.resolve`).
     """
     with _obs_span("scatter", kind="plan") as sp:
         fragments = []
         for shard_id, shard in enumerate(shards):
-            scan_runs = clip_runs(plan.scan_runs, shard)
+            scan_runs = tuple(clip_runs(plan.scan_runs, shard))
             if not scan_runs:
                 continue
-            runs = clip_runs(plan.runs, shard)
-            positions = layout.resolve(scan_runs) if layout is not None else None
+            runs = tuple(clip_runs(plan.runs, shard))
+            positions = layout.resolve(scan_runs, runs) if layout is not None else None
             fragments.append(
                 ShardFragment(
                     shard_id=shard_id,
@@ -133,8 +134,8 @@ def scatter_plan(
                         curve=plan.curve,
                         rect=plan.rect,
                         policy=plan.policy,
-                        runs=tuple(runs),
-                        scan_runs=tuple(scan_runs),
+                        runs=runs,
+                        scan_runs=scan_runs,
                         cost_model=plan.cost_model,
                         positions=positions,
                     ),
@@ -497,14 +498,15 @@ class ScatterGatherExecutor(Executor):
     """Executes sharded plans: one key-ordered pass, per-shard attribution.
 
     Construction, the buffer pool, the recorder, the shared I/O lock,
-    the charged read pass, the record slices and the execution report
-    are :class:`~repro.engine.executor.Executor`'s.  A sharded plan runs
-    as a single charged pass over the *global* plan's pages — page for
+    the charged read pass, the slice rule and the execution report are
+    :class:`~repro.engine.executor.Executor`'s.  A sharded plan runs as
+    a single charged pass over the *global* plan's pages — page for
     page the sequence the single-index executor reads, which keeps the
-    measured seeks/pages identical to unsharded execution — and then
-    slices the record column at each fragment's positions, in shard
-    order.  Concatenating the fragments' records in shard order *is*
-    global key order, because shards are ascending key intervals.
+    measured seeks/pages identical to unsharded execution — and one
+    slice of the record column at the global plan's exact runs, which
+    gives the records the fragments would give concatenated in shard
+    order, because shards are ascending key intervals.  Each shard's
+    records and over-read are counts from its fragment's positions.
 
     :meth:`execute` does not call :meth:`Executor.execute`: a sharded
     execution is one execution, so it opens one execution span, and
@@ -520,33 +522,33 @@ class ScatterGatherExecutor(Executor):
 
         ``_shared_pages`` is the batch path's shared-scan state.  Each
         shard's :class:`ShardStats` carries its fragment's records and
-        over-read plus the fragment's I/O replayed on its own head.
-        The global plan and every fragment are taken at their positions
-        in this executor's layout (:meth:`QueryPlan.positions_in`).
+        over-read, counted from the fragment's positions, plus the
+        fragment's I/O replayed on its own head.  The global plan and
+        every fragment are taken at their positions in this executor's
+        layout (:meth:`QueryPlan.positions_in`).
         """
         layout = self._layout
         plan = splan.plan
+        positions = plan.positions_in(layout)
         started = time.perf_counter() if METRICS.enabled else 0.0
         # One canonical kind="io" span for the charged pass; the
         # per-fragment children use kind="shard" — a second accounting
         # of the same pages, excluded from Trace.io_totals exactly like
         # ShardStats is excluded from the serial totals.
         with _obs_span("scatter_execute", kind="io") as sp:
-            seeks, sequential, cold = self._read(
-                plan.positions_in(layout).pages, _shared_pages
-            )
-            records: List[Record] = []
+            seeks, sequential, cold = self._read(positions.pages, _shared_pages)
+            records, over_read = self._slice(positions)
             per_shard = []
             for fragment in splan.fragments:
                 fplan = fragment.plan
-                positions = fplan.positions_in(layout)
-                shard_records, shard_over = self._slice(fplan, positions)
-                records += shard_records
+                fpositions = fplan.positions_in(layout)
+                shard_records = fpositions.returned
+                shard_over = fpositions.scanned - shard_records
                 # A fragment resolved on the spot is priced in this layout.
                 frag_seeks, frag_seq = (
                     fplan._predicted_reads
-                    if positions is fplan.positions
-                    else replay_reads(positions.spans())
+                    if fpositions is fplan.positions
+                    else replay_reads(fpositions.spans())
                 )
                 per_shard.append(
                     ShardStats(
@@ -554,28 +556,27 @@ class ScatterGatherExecutor(Executor):
                         runs=fplan.num_scan_runs,
                         seeks=frag_seeks,
                         sequential_reads=frag_seq,
-                        records=len(shard_records),
+                        records=shard_records,
                         over_read=shard_over,
                     )
                 )
                 with _obs_span(f"shard[{fragment.shard_id}]", kind="shard") as fsp:
                     fsp.set("seeks", frag_seeks)
                     fsp.set("sequential_reads", frag_seq)
-                    fsp.set("records", len(shard_records))
+                    fsp.set("records", shard_records)
                     fsp.set("over_read", shard_over)
             result = ShardedRangeQueryResult(
                 records=records,
                 runs=plan.num_scan_runs,
                 seeks=seeks,
                 sequential_reads=sequential,
-                over_read=sum(s.over_read for s in per_shard),
+                over_read=over_read,
                 per_shard=tuple(per_shard),
                 fanout_cost=splan.fanout_cost,
             )
             sp.set("fan_out", len(splan.fragments))
             self._report(
-                sp, started, plan, seeks, sequential, result.over_read,
-                len(records), cold,
+                sp, started, plan, seeks, sequential, over_read, len(records), cold
             )
         return result
 

@@ -61,8 +61,28 @@ class RecoveryError(StorageError):
     """A durable store directory cannot be recovered into a live store.
 
     Raised when the directory holds no durable store at all, when the
-    checkpoint manifest or a checkpointed page image fails its CRC, or
-    when the log's header frame (the store's construction parameters)
-    is missing.  A torn WAL *tail* is not an error — recovery truncates
-    it and reports the dropped bytes instead.
+    checkpoint manifest or a checkpointed page image fails its CRC, when
+    the log's header frame (the store's construction parameters) is
+    missing, or when the log is corrupt in its middle
+    (:class:`CorruptWalError`).  A torn WAL *tail* is not an error —
+    recovery truncates it and reports the dropped bytes instead.
     """
+
+
+class CorruptWalError(RecoveryError):
+    """A bad WAL frame that later writes follow: mid-log corruption.
+
+    A crash tears at most the last append, which leaves a prefix of one
+    frame; bytes past the end of the frame a bad header claims were
+    written after it, so the frames there hold acknowledged operations.
+    Recovery refuses such a log and truncates nothing.  ``path`` is the
+    log file and ``offset`` the bad frame's first byte.
+    """
+
+    def __init__(self, path, offset: int) -> None:
+        self.path = path
+        self.offset = offset
+        super().__init__(
+            f"corrupt WAL {path}: the frame at offset {offset} is unreadable "
+            "and later writes follow it, so it is no torn tail"
+        )

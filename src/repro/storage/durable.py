@@ -358,9 +358,12 @@ def recover(
     holds no recoverable store, or one whose manifest or WAL header
     records an on-disk format other than
     :data:`~repro.storage.pagefile.FORMAT` — never for a torn WAL tail,
-    which is truncated and reported instead.  The tail is truncated only
-    after the store is rebuilt and the suffix replayed, so a refusal
-    leaves the WAL as it found it.
+    which is truncated and reported instead.  A bad frame that later
+    writes follow is mid-log corruption, not a torn tail:
+    :class:`~repro.errors.CorruptWalError` names the file and the
+    frame's offset.  The tail is truncated only after the store is
+    rebuilt and the suffix replayed, so a refusal leaves the WAL as it
+    found it.
     """
     file_ops = ops if ops is not None else FileOps()
     root = Path(path)

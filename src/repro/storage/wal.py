@@ -29,10 +29,15 @@ the log at the first header whose body length is 0 (the reservation's
 zeros), or at the first incomplete frame, CRC mismatch or undecodable
 body.  Everything before that point is the *durable prefix*.  Past it,
 only non-zero bytes are a torn tail, which recovery reports and
-truncates; zeros are reserved space.  A log reopened after a crash
-therefore resumes at the end of its last valid frame, never at its
-file size: a frame written after the zeros would sit past the end of
-the log and be lost.
+truncates; zeros are reserved space.  A crash tears at most the last
+append, a prefix of one frame, so a torn tail ends within the frame its
+header claims (a zero-length header claims none).  A non-zero byte past
+that was written by a later append: the bad frame lies in the middle of
+the log, and the scan raises :class:`~repro.errors.CorruptWalError`
+rather than drop the acknowledged frames after it.  A log reopened
+after a crash therefore resumes at the end of its last valid frame,
+never at its file size: a frame written after the zeros would sit past
+the end of the log and be lost.
 
 Operations are *logical* and point-based (``("insert", point,
 payload)``, never curve keys), so a log written under one curve
@@ -57,7 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Optional, Tuple, Union
 
-from ..errors import WalError
+from ..errors import CorruptWalError, WalError
 from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
 
@@ -215,6 +220,9 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
     frame, CRC mismatch or undecodable body, the torn tail a crash
     mid-append leaves behind.  Reports where the durable prefix ends
     and how many non-zero bytes follow it, so the caller can truncate.
+    Raises :class:`~repro.errors.CorruptWalError` when a non-zero byte
+    lies past the end of the frame the bad header claims: a later append
+    wrote it, so the bad frame is not the log's torn last one.
     """
     data = Path(path).read_bytes()
     frames = []
@@ -236,10 +244,15 @@ def scan_wal(path: Union[str, Path]) -> WalScan:
             break
         frames.append((body_end, op))
         offset = body_end
+    torn_bytes = len(data[offset:].rstrip(b"\0"))
+    if offset + FRAME_HEADER.size <= len(data):  # stopped at a bad header
+        length, _ = FRAME_HEADER.unpack_from(data, offset)
+        if torn_bytes > FRAME_HEADER.size + length:
+            raise CorruptWalError(path, offset)
     return WalScan(
         frames=tuple(frames),
         valid_size=offset,
-        torn_bytes=len(data[offset:].rstrip(b"\0")),
+        torn_bytes=torn_bytes,
         file_size=len(data),
     )
 

@@ -102,24 +102,12 @@ class TestBuilderImmutability:
 
 
 class TestRectUnion:
-    def test_contains_is_the_union(self):
-        union = RectUnion((R1, R2))
-        assert union.contains((0, 0))
-        assert union.contains((6, 7))
-        assert union.contains((2, 2))  # in both
-        assert not union.contains((6, 0))
-
     def test_bounding_box_telemetry(self):
         union = RectUnion((R1, R2))
         assert union.lo == (0, 0)
         assert union.hi == (6, 7)
         assert union.lengths == (7, 8)
         assert union.dim == 2
-
-    def test_fits_in(self):
-        union = RectUnion((R1, R2))
-        assert union.fits_in(8)
-        assert not union.fits_in(6)
 
     def test_validation(self):
         with pytest.raises(InvalidQueryError):

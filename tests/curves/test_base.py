@@ -1,5 +1,7 @@
 """Contract tests for the :class:`SpaceFillingCurve` base class."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,53 @@ class TestKeysPastInt64:
         assert fits.point_many(keys).tolist() == cells.tolist()
         with pytest.raises(InvalidUniverseError):
             make_curve("onion", 3_037_000_500, 2).index_many(np.asarray([[0, 0]]))
+
+
+def _largest_int64_universe(name, dim):
+    """``name``'s ``dim``-d curve at the largest side, of those it builds,
+    whose keys fit int64: the integer ``dim``-th root of 2**63, or the
+    largest power of two or of three below it; None if it builds none."""
+    root = int(round(2 ** (63 / dim)))
+    while root**dim > 2**63:
+        root -= 1
+    while (root + 1) ** dim <= 2**63:
+        root += 1
+    three = 1
+    while three * 3 <= root:
+        three *= 3
+    for side in (root, 1 << (root.bit_length() - 1), three):
+        try:
+            return make_curve(name, side, dim)
+        except (InvalidUniverseError, OutOfUniverseError):  # peano is 2-d only
+            continue
+    return None
+
+
+LARGEST_INT64_UNIVERSES = [
+    (name, dim)
+    for name in curve_names()
+    for dim in (2, 3, 4)
+    if _largest_int64_universe(name, dim) is not None
+]
+
+
+class TestLargestInt64Universes:
+    """Where every key fits int64, ``keys_of`` and ``cells_of`` equal
+    ``index`` and ``point``, whether the curve's vectorized kernels key
+    the universe or refuse it: the Hilbert, z-order and Gray kernels
+    key at most 62 bits, and a 3-d key at side 2**21 has 63."""
+
+    @pytest.mark.parametrize("name, dim", LARGEST_INT64_UNIVERSES)
+    def test_keys_of_and_cells_of_equal_index_and_point(self, name, dim):
+        curve = _largest_int64_universe(name, dim)
+        side = curve.side
+        assert curve.size - 1 <= 2**63 - 1
+        rng = np.random.default_rng(dim)
+        cells = [*itertools.product((0, side - 1), repeat=dim), (side // 2,) * dim]
+        cells += [tuple(int(v) for v in row) for row in rng.integers(0, side, size=(20, dim))]
+        keys = curve.keys_of(cells)
+        assert keys.tolist() == [curve.index(cell) for cell in cells]
+        assert curve.cells_of(keys).tolist() == [list(cell) for cell in cells]
 
 
 class TestTraversal:

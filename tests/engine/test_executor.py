@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import Query
-from repro.api.query import RectUnion
 from repro.core.runs import merge_runs_with_gaps, query_runs
 from repro.curves import make_curve
 from repro.engine import ExecutionPolicy, PageLayout, Planner, ShardedPlanner
@@ -120,12 +119,14 @@ class TestFacadeEquivalence:
 
 
 class TestExactRunsSkipTheFilter:
-    """At gap tolerance 0 every scan run is one of the query's exact key
-    runs, so no read path may test a record's geometry: with the
-    region tests patched to raise, every read still answers exactly."""
+    """Records are found by key alone: a plan's exact runs hold exactly
+    the keys of the query's cells, so no read path tests a record's
+    geometry, at any gap tolerance.  With ``Rect.contains`` patched to
+    raise, every read still answers exactly.  At gap 2 the two rects
+    merge no runs; at gap 6 both do, and so does their union."""
 
-    @pytest.mark.parametrize("num_shards", [1, 3])
-    def test_gap_zero_reads_never_test_geometry(self, num_shards, monkeypatch, rng):
+    @staticmethod
+    def _reads_never_test_geometry(num_shards, gap, monkeypatch, rng):
         curve = make_curve("onion", 16, 2)
         if num_shards == 1:
             store = SFCIndex(curve, page_capacity=4)
@@ -141,11 +142,13 @@ class TestExactRunsSkipTheFilter:
             return sorted(record.payload for record in records)
 
         def reads():
+            query = Query.rect(rect_a).hint(gap_tolerance=gap)
+            union = Query.union_of([rect_a, rect_b]).hint(gap_tolerance=gap)
             return (
-                payloads(store.execute(Query.rect(rect_a)).records),
-                payloads(store.cursor(Query.rect(rect_a)).fetchall()),
+                payloads(store.execute(query).records),
+                payloads(store.cursor(query).fetchall()),
                 [round(d, 9) for d in store.knn(center, k).distances],
-                payloads(store.execute(Query.union_of([rect_a, rect_b])).records),
+                payloads(store.execute(union).records),
             )
 
         def inside(*rects):
@@ -168,14 +171,24 @@ class TestExactRunsSkipTheFilter:
         # below then only executes.
         assert reads() == brute_force
         misses = store.plan_cache.stats.misses
+        merged = store.execute(Query.union_of([rect_a, rect_b]).hint(gap_tolerance=gap))
+        assert (merged.over_read > 0) == (gap == 6)
 
         def forbidden(self, cell):
-            raise AssertionError(f"geometric test of {cell} on an exact run")
+            raise AssertionError(f"geometric test of {cell} during a read")
 
         monkeypatch.setattr(Rect, "contains", forbidden)
-        monkeypatch.setattr(RectUnion, "contains", forbidden)
         assert reads() == brute_force
         assert store.plan_cache.stats.misses == misses
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_gap_zero_reads_never_test_geometry(self, num_shards, monkeypatch, rng):
+        self._reads_never_test_geometry(num_shards, 0, monkeypatch, rng)
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("gap", [2, 6])
+    def test_gap_merged_reads_never_test_geometry(self, gap, num_shards, monkeypatch, rng):
+        self._reads_never_test_geometry(num_shards, gap, monkeypatch, rng)
 
 
 class TestCachedPlansSearchNothing:

@@ -74,7 +74,7 @@ class TestPageLayout:
             for end in range(start, keys[-1] + 3):
                 expected = first_last_key_span(page_capacity, keys, start, end)
                 assert layout.spans([(start, end)]) == (expected,), (start, end)
-                pages = layout.resolve([(start, end)]).pages
+                pages = layout.resolve([(start, end)], [(start, end)]).pages
                 assert list(pages) == list(range(expected[0], expected[1] + 1)), (
                     start, end
                 )
@@ -158,32 +158,52 @@ class TestQueryPlanShape:
 
 
 class TestScanExactness:
-    """``QueryPlan.scan_exact``: a scan run skips the geometric filter
-    exactly when it is one of the plan's exact key runs."""
+    """A plan's exact runs resolve to their own record positions,
+    ``Positions.exact_lo`` and ``exact_hi``: the records an execution
+    returns.  With no gap merged they are the scan runs' own arrays; a
+    gap-merged plan searches the key column once more for them."""
 
     def test_gap_zero_every_scan_run_is_exact(self, rng):
-        planner = Planner(make_curve("hilbert", 16, 2))
+        index = full_grid_index("hilbert", side=16, page_capacity=4)
         for _ in range(20):
             lo = rng.integers(0, 16, size=2)
             hi = [min(int(l) + int(e), 15) for l, e in zip(lo, rng.integers(0, 9, 2))]
-            plan = planner.plan(Rect(tuple(int(l) for l in lo), tuple(hi)))
-            assert plan.scan_exact == (True,) * plan.num_scan_runs
+            rect = Rect(tuple(int(l) for l in lo), tuple(hi))
+            positions = index.plan(rect).positions
+            assert positions.exact_lo is positions.lo
+            assert positions.exact_hi is positions.hi
+            assert positions.returned == positions.scanned == rect.volume
 
     def test_gap_merged_runs_are_inexact_unmerged_exact(self):
-        planner = Planner(make_curve("hilbert", 16, 2))
-        plan = planner.plan(Rect((2, 3), (9, 11)), ExecutionPolicy(gap_tolerance=6))
-        for (start, end), exact in zip(plan.scan_runs, plan.scan_exact):
-            # an unmerged scan run covers one exact run, a merged one several
-            covered = [run for run in plan.runs if start <= run[0] and run[1] <= end]
-            assert exact == (len(covered) == 1)
-        assert set(plan.scan_exact) == {True, False}
+        index = full_grid_index("hilbert", side=16, page_capacity=4)
+        rect = Rect((2, 3), (9, 11))
+        plan = index.plan(rect, gap_tolerance=6)
+        positions = plan.positions
+        exact_lo, exact_hi = index.page_layout.bounds(plan.runs)
+        assert (positions.exact_lo, positions.exact_hi) == (exact_lo, exact_hi)
+        merged = 0
+        for (start, end), lo, hi in zip(plan.scan_runs, positions.lo, positions.hi):
+            # an unmerged scan run covers one exact run and holds exactly
+            # its records; a merged one also holds its gaps' records
+            covered = [
+                j for j, run in enumerate(plan.runs) if start <= run[0] and run[1] <= end
+            ]
+            exact = sum(exact_hi[j] - exact_lo[j] for j in covered)
+            assert (exact == hi - lo) == (len(covered) == 1)
+            merged += len(covered) > 1
+        assert merged
+        assert positions.returned == rect.volume < positions.scanned
 
     def test_union_of_overlapping_rects_is_exact(self):
         index = full_grid_index("onion", side=16, page_capacity=4)
-        plans = [index.plan(Rect((2, 2), (9, 8))), index.plan(Rect((6, 5), (13, 12)))]
+        rects = [Rect((2, 2), (9, 8)), Rect((6, 5), (13, 12))]
+        plans = [index.plan(rect) for rect in rects]
         union = merge_plans(plans, index.page_layout)
         assert len(union.runs) < sum(len(plan.runs) for plan in plans)  # overlap
-        assert union.scan_exact == (True,) * union.num_scan_runs
+        positions = union.positions
+        assert positions.exact_lo is positions.lo
+        cells = {cell for rect in rects for cell in rect.cells()}
+        assert positions.returned == positions.scanned == len(cells)
 
 
 class TestEstimates:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.api.store import pack_columns
 from repro.curves import make_curve
 from repro.engine import ExecutionPolicy, Planner
-from repro.engine.executor import execution_order
+from repro.engine.executor import Record, execution_order
 from repro.engine.scatter import (
     ShardedPlanner,
     ShardStats,
@@ -15,7 +16,7 @@ from repro.engine.scatter import (
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
 from repro.index import ShardedSFCIndex, equal_key_shards
-from repro.storage import replay_reads
+from repro.storage import SimulatedDisk, replay_reads
 
 
 # ----------------------------------------------------------------------
@@ -119,19 +120,31 @@ class TestShardedPlanner:
 
     def test_shard_cut_tolerated_gap_clips_to_an_inexact_run(self):
         """A shard boundary inside a merged run's tolerated gap leaves a
-        clipped run that is no clip of an exact run: it is filtered."""
+        clipped run that is no clip of an exact run: its fragment's
+        exact positions, the clipped exact runs', hold fewer records
+        than its scan positions.  An untouched exact run's fragment
+        resolves its scan positions once, as its exact positions."""
+        keys = list(range(self.curve.size))
+        records = tuple(Record(self.curve.point(key)) for key in keys)
+        layout = pack_columns(SimulatedDisk(), 4, keys, records)
         rect = Rect((0, 3), (5, 5))
-        splan = self.planner.plan(rect, ExecutionPolicy(gap_tolerance=6))
+        splan = self.planner.plan(rect, ExecutionPolicy(gap_tolerance=6), layout)
         assert splan.plan.scan_runs == ((23, 25), (44, 63))
-        assert splan.plan.scan_exact == (True, False)
+        assert (23, 25) in splan.plan.runs and (44, 63) not in splan.plan.runs
         (boundary,) = [lo for lo, _ in self.shards if 44 < lo <= 63]
         # the boundary cuts the merged run inside a gap between exact runs
         assert not any(s <= k <= e for s, e in splan.plan.runs for k in (boundary - 1, boundary))
         by_shard = {f.shard[0]: f.plan for f in splan.fragments}
         clipped = by_shard[boundary]
         assert clipped.scan_runs == ((boundary, 63),)
-        assert clipped.scan_exact == (False,)
-        assert by_shard[16].scan_exact == (True,)  # untouched exact run
+        assert clipped.runs == tuple(clip_runs(splan.plan.runs, (boundary, 63)))
+        positions = clipped.positions
+        assert positions.scanned == 64 - boundary
+        assert positions.returned == sum(end - start + 1 for start, end in clipped.runs)
+        assert positions.returned < positions.scanned
+        untouched = by_shard[16].positions  # the exact run (23, 25)
+        assert untouched.exact_lo is untouched.lo and untouched.exact_hi is untouched.hi
+        assert untouched.returned == untouched.scanned == 3
 
     def test_estimated_cost_adds_fanout_penalty(self):
         rect = Rect((0, 0), (7, 7))

@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from repro.errors import WalError
+from repro.errors import CorruptWalError, WalError
 from repro.storage.wal import (
     FRAME_HEADER,
     FileOps,
@@ -88,11 +88,24 @@ class TestTornTailDetection:
         assert scan.valid_size == full.frames[0][0]
 
     def test_corrupt_crc_stops_the_scan(self, tmp_path):
+        """A CRC mismatch in the middle of the log is corruption, not a
+        torn tail: the scan stops there and refuses the log."""
         path = tmp_path / "wal.log"
         _append_ops(path, [("flush",), ("insert", (1, 1), "a"), ("flush",)])
         data = bytearray(path.read_bytes())
         first_end = scan_wal(path).frames[0][0]
         data[first_end + FRAME_HEADER.size] ^= 0xFF  # flip a body byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptWalError) as raised:
+            scan_wal(path)
+        assert (raised.value.path, raised.value.offset) == (path, first_end)
+
+    def test_corrupt_crc_in_the_last_frame_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "wal.log"
+        _append_ops(path, [("flush",), ("insert", (1, 1), "a")])
+        data = bytearray(path.read_bytes())
+        first_end = scan_wal(path).frames[0][0]
+        data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         scan = scan_wal(path)
         assert [op for _, op in scan.frames] == [("flush",)]
@@ -110,15 +123,16 @@ class TestTornTailDetection:
 
     def test_valid_frame_cannot_hide_behind_a_bad_one(self, tmp_path):
         # A frame with a bad CRC followed by a perfectly valid frame:
-        # the scan must stop at the bad frame (replaying past a hole
-        # would reorder history).
+        # the scan must neither replay past the bad frame (replaying
+        # past a hole would reorder history) nor drop the valid frame as
+        # a torn tail.  It refuses the log.
         path = tmp_path / "wal.log"
         body = encode_op(("flush",))
         bad = FRAME_HEADER.pack(len(body), zlib.crc32(body) ^ 1) + body
         path.write_bytes(bad + encode_frame(body))
-        scan = scan_wal(path)
-        assert scan.frames == ()
-        assert scan.valid_size == 0
+        with pytest.raises(CorruptWalError) as raised:
+            scan_wal(path)
+        assert raised.value.offset == 0
 
 
 class TestReservation:
@@ -164,15 +178,20 @@ class TestReservation:
         wal.close()
 
     def test_zero_length_header_ends_the_log(self, tmp_path):
+        """A zero-length header ends the log, and only zeros may follow
+        it: no append writes one, so a frame after it means the header
+        was zeroed in the middle of the log."""
         path = tmp_path / "wal.log"
         first = encode_frame(encode_op(("flush",)))
         after = encode_frame(encode_op(("insert", (1, 2), "a")))
-        path.write_bytes(first + bytes(FRAME_HEADER.size) + after)
+        path.write_bytes(first + bytes(FRAME_HEADER.size + len(after)))
         scan = scan_wal(path)
         assert [op for _, op in scan.frames] == [("flush",)]
-        assert scan.valid_size == len(first)
-        # Non-zero bytes past the end of the log are torn, zeros are not.
-        assert scan.torn_bytes == FRAME_HEADER.size + len(after)
+        assert (scan.valid_size, scan.torn_bytes) == (len(first), 0)
+        path.write_bytes(first + bytes(FRAME_HEADER.size) + after)
+        with pytest.raises(CorruptWalError) as raised:
+            scan_wal(path)
+        assert raised.value.offset == len(first)
 
     def test_closed_log_is_byte_identical_to_an_unreserved_one(self, tmp_path):
         path = tmp_path / "wal.log"
