@@ -59,3 +59,36 @@ def test_bench_bulk_build(benchmark):
         return index
 
     benchmark(build)
+
+
+#: The merge-flush store: 20,000 onion points at side 256, 64 per page.
+MERGE_SIDE = 256
+MERGE_POINTS = 20_000
+
+
+def test_bench_merge_flush(benchmark):
+    """A flush that merges one read's worth of writes into the sorted
+    columns.  Each round notes 80 inserts and 20 deletes, untimed, and
+    times the ``flush()`` that merges their keys' buckets into about
+    20,000 records and packs the layout.  Afterwards the layout's key
+    column must be its records' curve keys, in order (CONTRIBUTING
+    invariant 14)."""
+    curve = make_curve("onion", MERGE_SIDE, 2)
+    index = SFCIndex(curve, page_capacity=64)
+    rng = np.random.default_rng(31)
+    live = list(map(tuple, rng.integers(0, MERGE_SIDE, size=(MERGE_POINTS, 2)).tolist()))
+    index.bulk_load(live)
+    index.flush()
+
+    def writes():
+        for point in map(tuple, rng.integers(0, MERGE_SIDE, size=(80, 2)).tolist()):
+            index.insert(point)
+            live.append(point)
+        for i in sorted(rng.choice(len(live), size=20, replace=False), reverse=True):
+            assert index.delete(live.pop(i))
+
+    benchmark.pedantic(index.flush, setup=writes, rounds=30, iterations=1)
+    layout = index.page_layout
+    assert len(layout.records) == len(live) == len(index)
+    points = [record.point for record in layout.records]
+    assert layout.keys.tolist() == curve.keys_of(points).tolist()

@@ -109,8 +109,9 @@ def _keyed_arrivals(
     curve: SpaceFillingCurve,
     points: Iterable[Sequence[int]],
     payloads: Optional[Iterable[Any]],
-) -> Tuple[np.ndarray, List[Record]]:
-    """Each point's key under ``curve`` and its record, in arrival order.
+) -> Tuple[np.ndarray, List[Tuple[int, ...]], List[Any]]:
+    """Each point's key under ``curve``, its cell and its payload, in
+    arrival order.
 
     The validation pass every bulk load shares: payload pairing rules
     (extras ignored so infinite iterators work, exhaustion mid-load is
@@ -118,7 +119,8 @@ def _keyed_arrivals(
     :meth:`~repro.curves.base.SpaceFillingCurve.keys_of` call: one
     vectorized ``index_many``, or exact Python ints in a universe whose
     keys pass int64 (a checkpoint of such a store recovers through
-    here).
+    here).  It builds no :class:`~repro.engine.executor.Record`: a bulk
+    load builds each one once, in key order (:func:`_in_key_order`).
     """
     cells: List[Tuple[int, ...]] = []
     attached: List[Any] = []
@@ -137,29 +139,31 @@ def _keyed_arrivals(
             cells.append(tuple(map(int, point)))
             attached.append(payload)
     if not cells:
-        return np.empty(0, dtype=np.int64), []
+        return np.empty(0, dtype=np.int64), cells, attached
     dim = curve.dim
     if any(len(cell) != dim for cell in cells):
         bad = next(cell for cell in cells if len(cell) != dim)
         raise OutOfUniverseError(
             f"cell {bad!r} outside {dim}-d universe of side {curve.side}"
         )
-    keys = curve.keys_of(cells)
-    return keys, list(map(Record, cells, attached))
+    return curve.keys_of(cells), cells, attached
 
 
-def _in_key_order(
-    keys: np.ndarray, records: Sequence[Record]
-) -> Tuple[np.ndarray, Tuple[Record, ...]]:
-    """``keys`` and ``records`` as two columns sorted by key.
+def _in_key_order(keys: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """``keys`` sorted, as a key column, and the input position of each
+    of its entries, in order: the sort a bulk load and a migration
+    cutover lay their record column out by.
 
     The sort is stable, so the records of one key keep the order they
     came in: a bulk load's arrival order, or a migration snapshot's
-    column order, the order the key's bucket holds them in.  The key
-    column takes :func:`~repro.engine.plan.key_column`'s dtype.
+    column order, the order the key's bucket holds them in.  The caller
+    builds its record column once, as a new list, by reading its inputs
+    at the returned positions, so the column's records lie in memory in
+    key order.  The key column takes
+    :func:`~repro.engine.plan.key_column`'s dtype.
     """
     order = np.argsort(keys, kind="stable")
-    return key_column(keys[order]), tuple([records[i] for i in order.tolist()])
+    return key_column(keys[order]), order.tolist()
 
 
 def _merged_columns(
@@ -179,10 +183,17 @@ def _merged_columns(
     :func:`~repro.engine.plan.key_column`'s rule.  One search of the
     base's key column with that array finds both ends of every run; an
     ``int64`` column holds only keys below :data:`_INT64_MAX`, so an
-    ``object`` array searches it clamped.  One loop fills the record
-    column with each kept slice of the base and each bucket; the key
-    column is the base's kept keys and the array repeated by the
-    buckets' sizes, merged.
+    ``object`` array searches it clamped.  One loop fills a new list
+    with each kept slice of the base and each bucket, and that list is
+    the merged record column: no code changes it afterwards
+    (CONTRIBUTING invariant 14), so a reader still holding the base's
+    column sees it as it was.  The key column is the base's kept keys
+    and the array repeated by the buckets' sizes, merged, under
+    :func:`~repro.engine.plan.key_column`'s rule.  A checkpoint, the
+    shard loads, ``rebalance`` and a migration snapshot install it
+    without packing, so the next merge searches it as it is: an
+    ``int64`` column holding :data:`_INT64_MAX` would give a clamped
+    search the wrong run.
     """
     try:
         keys = np.fromiter(written, dtype=np.int64, count=len(written))
@@ -217,7 +228,7 @@ def _merged_columns(
     # Two ascending parts: a stable (run-merging) sort is one linear merge.
     merged_keys.sort(kind="stable")
     return PageLayout(
-        capacity=base.capacity, keys=key_column(merged_keys), records=tuple(merged)
+        capacity=base.capacity, keys=key_column(merged_keys), records=merged
     )
 
 
@@ -225,7 +236,7 @@ def pack_columns(
     disk: SimulatedDisk,
     page_capacity: int,
     keys: Union[Sequence[int], np.ndarray],
-    records: Tuple[Record, ...],
+    records: List[Record],
 ) -> PageLayout:
     """Lay ascending ``keys`` and their ``records`` out as a page layout.
 
@@ -233,9 +244,11 @@ def pack_columns(
     that builds a :class:`~repro.engine.executor.Page`: the key column
     is a fresh array of :func:`~repro.engine.plan.key_column`'s dtype
     (its identity tells a plan's layout from another,
-    :meth:`~repro.engine.plan.QueryPlan.positions_in`), and pages are
-    filled to ``page_capacity``, so page ``p`` holds the records at
-    positions ``[p * page_capacity, (p + 1) * page_capacity)``.
+    :meth:`~repro.engine.plan.QueryPlan.positions_in`).  The layout
+    keeps the ``records`` list itself: a merge, a bulk load and a
+    cutover each build a new one, and no code changes it afterwards.
+    Pages are filled to ``page_capacity``, so page ``p`` holds the
+    records at positions ``[p * page_capacity, (p + 1) * page_capacity)``.
     ``keys[i]`` must be the curve key of ``records[i]`` under the curve
     the layout will serve (CONTRIBUTING invariant 14): a query's records
     are sliced from the record column at its exact runs' positions,
@@ -372,7 +385,7 @@ class SpatialStore(abc.ABC):
         #: written since they were taken maps to its current bucket in
         #: the write delta, which the next read merges into them.
         self._base = PageLayout(
-            capacity=page_capacity, keys=key_column([]), records=()
+            capacity=page_capacity, keys=key_column([]), records=[]
         )  # guarded-by: _mutex
         self._dirty: Dict[int, Sequence[Record]] = {}  # guarded-by: _mutex
         self._executor = None  # guarded-by: _mutex
@@ -545,9 +558,9 @@ class SpatialStore(abc.ABC):
             self._durability.log(("migrate",) + _curve_spec(curve))
 
     @guarded_by("_mutex")
-    def _log_bulk(self, records: Sequence[Record]) -> None:
-        """Log a bulk load of ``records``, in arrival order (callers hold
-        the mutex, *before* applying the load).
+    def _log_bulk(self, cells: List[Tuple[int, ...]], payloads: List[Any]) -> None:
+        """Log a bulk load of ``payloads`` at ``cells``, in arrival order
+        (callers hold the mutex, *before* applying the load).
 
         The frame's ``(point, payload)`` list is built only when the
         store is durable: a store without a WAL, and recovery's load of
@@ -555,9 +568,7 @@ class SpatialStore(abc.ABC):
         none.
         """
         if self._durability is not None:
-            self._durability.log(
-                ("bulk", [(record.point, record.payload) for record in records])
-            )
+            self._durability.log(("bulk", list(zip(cells, payloads))))
 
     def _attach_durability(self, durability) -> None:
         """Bind recovered durable backing to this store (recovery only)."""
@@ -666,38 +677,51 @@ class SpatialStore(abc.ABC):
 
         Keys are computed in one vectorized :meth:`index_many` call
         (exact Python ints where the universe's keys pass int64) and
-        stably sorted, so the records reach the tree in key order with
-        equal keys in arrival order: one tree insert per distinct key
-        (:meth:`_append_records`).  The WAL frame keeps arrival order,
-        and is built only when the store is durable (:meth:`_log_bulk`).
-        The on-disk layout is invalidated once at the end.  When the
-        store was empty, the sorted columns hold every record and become
-        the base, with no keys noted (:meth:`_note_write`); into a
-        non-empty store, the load notes each distinct key with its
-        bucket, and the next read merges them into the base, as after
-        single inserts.  ``payloads`` may be longer than ``points``
-        (extras ignored, so infinite iterators work) but running out of
-        payloads mid-load is an error, not silent truncation.
+        stably sorted, and each record is built once, after the sort,
+        straight into a new record column (:func:`_in_key_order`): its
+        records lie in memory in the key order every read walks them
+        in.  They reach the tree in that order, equal keys in arrival
+        order: one tree insert per distinct key (:meth:`_append_records`).
+        The WAL frame keeps arrival order, and is built only when the
+        store is durable (:meth:`_log_bulk`).  The on-disk layout is
+        invalidated once at the end.  When the store was empty, the
+        sorted columns hold every record and become the base, with no
+        keys noted (:meth:`_note_write`); into a non-empty store, the
+        load notes each distinct key with its bucket, and the next read
+        merges them into the base, as after single inserts.
+        ``payloads`` may be longer than ``points`` (extras ignored, so
+        infinite iterators work) but running out of payloads mid-load is
+        an error, not silent truncation.
+
+        The ``bulk_load`` span covers the whole load, keying included:
+        ``records`` is the number of records loaded, and ``base`` is
+        True when the load became the store's columns.
         """
-        with self._mutex:
-            curve = self._curve
-        keys, arrivals = _keyed_arrivals(curve, points, payloads)
-        if not arrivals:
-            return
-        with self._mutex:
-            if self._curve != curve:
-                # A migration cut over while we were keying outside the
-                # mutex; re-key the already-validated cells (rare race).
-                keys = self._curve.keys_of([record.point for record in arrivals])
-            self._log_bulk(arrivals)
-            column, records = _in_key_order(keys, arrivals)
+        with _obs_span("bulk_load", kind="storage") as sp:
+            with self._mutex:
+                curve = self._curve
+            keys, cells, attached = _keyed_arrivals(curve, points, payloads)
+            sp.set("records", len(cells))
             base = None
-            if self._count == 0:
-                base = PageLayout(
-                    capacity=self._page_capacity, keys=column, records=records
-                )
-            self._append_records(column.tolist(), records)
-            self._note_write(base=base)
+            if cells:
+                with self._mutex:
+                    if self._curve != curve:
+                        # A migration cut over while we were keying outside
+                        # the mutex; re-key the validated cells (rare race).
+                        keys = self._curve.keys_of(cells)
+                    self._log_bulk(cells, attached)
+                    column, order = _in_key_order(keys)
+                    records = [Record(cells[i], attached[i]) for i in order]
+                    # Freed before the tree insert lists the keys, where
+                    # the load's memory peaks.
+                    del order, cells, attached
+                    if self._count == 0:
+                        base = PageLayout(
+                            capacity=self._page_capacity, keys=column, records=records
+                        )
+                    self._append_records(column.tolist(), records)
+                    self._note_write(base=base)
+            sp.set("base", base is not None)
 
     def delete(self, point: Sequence[int], payload: Any = ANY) -> bool:
         """Remove one record matching ``point`` (and ``payload``, if given).
@@ -1024,10 +1048,12 @@ class SpatialStore(abc.ABC):
 
         return OnlineMigrator(batch_size=batch_size).migrate(self, curve)
 
-    def _migration_snapshot(self) -> Tuple[int, Tuple[Record, ...]]:
+    def _migration_snapshot(self) -> Tuple[int, List[Record]]:
         """A consistent ``(version, records)`` view of the contents: the
         current record column (:meth:`_current_columns`), in key order,
-        taken under the mutex, the same column a flush packs."""
+        taken under the mutex, the same list a flush packs.  No code
+        changes a record column after it is built, so the list stays as
+        it was whatever the store is asked to do afterwards."""
         with self._mutex:
             columns, _ = self._current_columns()
             return self._version, columns.records
@@ -1036,7 +1062,7 @@ class SpatialStore(abc.ABC):
         self,
         curve: SpaceFillingCurve,
         keys: np.ndarray,
-        records: Tuple[Record, ...],
+        records: List[Record],
         expected_version: int,
     ) -> bool:
         """Atomically install ``records`` re-keyed under ``curve``.
@@ -1047,7 +1073,8 @@ class SpatialStore(abc.ABC):
         writes landed since the snapshot was taken — the migrator then
         re-snapshots.  Otherwise the columns are sorted by new key with
         :func:`_in_key_order`, the stable sort a bulk load uses, so the
-        records of one key keep their snapshot order; every record goes
+        records of one key keep their snapshot order, into a new record
+        list (the snapshot's list is left as it was); every record goes
         into a fresh tree through :meth:`_append_records`, the apply
         path of every write; the shadow layout is packed on the same
         append-only disk by :func:`pack_columns`, which every flush ends
@@ -1064,7 +1091,9 @@ class SpatialStore(abc.ABC):
             self._planner = self._make_planner(curve)
             self._tree = BPlusTree()
             self._count = 0
-            column, ordered = _in_key_order(keys, records)
+            column, order = _in_key_order(keys)
+            ordered = [records[i] for i in order]
+            del order  # freed before the tree insert lists the keys
             self._append_records(column.tolist(), ordered)
             self._install_layout(
                 pack_columns(self._disk, self._page_capacity, column, ordered)

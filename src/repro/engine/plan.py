@@ -153,7 +153,11 @@ class PageLayout:
     ``keys[i]`` is the curve key of ``records[i]``.  Page ``p`` holds
     the records ``[p * capacity, (p + 1) * capacity)``, so a run's
     records are one slice of ``records`` and its pages follow from the
-    slice's ends.
+    slice's ends.  ``records`` is a list that no code changes after it
+    is built (CONTRIBUTING invariant 14): a flush's merge, a bulk load
+    and a migration cutover each build a new one, so a reader still
+    holding a superseded layout, or the base it shares its columns
+    with, reads them as they were.
 
     The layout owns its pages: ``pages[p]`` is the sized
     :class:`~repro.engine.executor.Page` stored under ``page_ids[p]``,
@@ -168,7 +172,7 @@ class PageLayout:
 
     capacity: int
     keys: np.ndarray
-    records: Tuple[Any, ...]
+    records: List[Any]
     page_ids: List[int] = field(default_factory=list)
     pages: List[Any] = field(default_factory=list)
 

@@ -182,6 +182,20 @@ BREAKS = (
         '            self._log_durable(("insert", record.point, payload))\n',
         f"{STORE}::SpatialStore.insert::_append_records",
     ),
+    Break(
+        "bulk-applies-first",
+        "durability-ordering",
+        (
+            (STORE, "                    self._log_bulk(cells, attached)\n", ""),
+            (
+                STORE,
+                "                    self._append_records(column.tolist(), records)\n",
+                "                    self._append_records(column.tolist(), records)\n"
+                "                    self._log_bulk(cells, attached)\n",
+            ),
+        ),
+        (("durability-ordering", f"{STORE}::SpatialStore.bulk_load::_append_records"),),
+    ),
     _break(
         "manifest-dir-fsync", "durability-ordering", PAGEFILE,
         "    ops.replace(tmp, root / MANIFEST_NAME)\n    ops.fsync_dir(root)\n",

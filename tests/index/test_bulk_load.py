@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.curves import make_curve
 from repro.errors import OutOfUniverseError
 from repro.geometry import Rect
-from repro.index import SFCIndex
+from repro.index import SFCIndex, ShardedSFCIndex
+from repro.obs import start_trace
 
 from layout_oracle import ArrivalModel
 
@@ -150,6 +151,39 @@ class TestValidationAndInvalidation:
         index.bulk_load([(2, 2)], payloads=["new"])
         result = index.range_query(Rect((0, 0), (15, 15)))
         assert sorted(r.payload for r in result.records) == ["new", "old"]
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+class TestBulkLoadSpan:
+    """Each bulk load is one ``bulk_load`` span, keying included: its
+    ``records`` is the number loaded, and ``base`` is True when the load
+    became the store's columns.  It is a storage span, not an I/O one."""
+
+    def _store(self, kind):
+        if kind == "single":
+            return fresh_index()
+        return ShardedSFCIndex(make_curve("onion", 16, 2), num_shards=3, page_capacity=4)
+
+    def test_one_span_per_load(self, kind):
+        store = self._store(kind)
+        grid = [(x, y) for x in range(16) for y in range(0, 16, 3)]
+        with start_trace("first") as trace:
+            store.bulk_load(grid, payloads=range(len(grid)))
+        (span,) = trace.find("bulk_load")
+        assert (span.kind, span.attrs) == ("storage", {"records": len(grid), "base": True})
+        assert trace.io_totals() == dict.fromkeys(trace.io_totals(), 0)
+        with start_trace("into a non-empty store") as trace:
+            store.bulk_load([(1, 1), (2, 2), (1, 1)])
+        (span,) = trace.find("bulk_load")
+        assert span.attrs == {"records": 3, "base": False}
+        assert len(store) == len(grid) + 3
+
+    def test_an_empty_load_has_a_span_too(self, kind):
+        store = self._store(kind)
+        with start_trace("empty") as trace:
+            store.bulk_load([])
+        (span,) = trace.find("bulk_load")
+        assert span.attrs == {"records": 0, "base": False}
 
 
 def test_a_3d_onion_store_of_side_2_pow_21_loads_exactly():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve
+from repro import Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
 from repro.api import ANY
 from repro.obs import start_trace
 from repro.storage.pagefile import load_pages
@@ -179,6 +179,50 @@ class TestKeyDtypeThroughTheMerge:
             read(both, universe)
             assert both.store.page_layout.keys.dtype == np.int64
         assert merged_keys(trace) == [1, 1]
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    def test_a_merge_without_packing_keeps_the_largest_int64_exact(self, kind):
+        """The key 2**63 - 1 fits int64, but an int64 column holds only
+        keys below it.  A checkpoint, or a sharded store's shard loads,
+        installs the merged columns without packing them; the column
+        holding that key must still be ``object``, or the next merge's
+        clamped search of 2**63 finds the run of 2**63 - 1 and drops
+        its record."""
+        curve = make_curve("zorder", self.SIDE, 2)
+        edge = 2**63 - 1
+        universe = Rect((0, 0), self.TOP)
+        with tempfile.TemporaryDirectory(prefix="merge-flush-") as root:
+            if kind == "single":
+                store = SFCIndex(
+                    curve, page_capacity=CAPACITY, durable_path=root, durable_sync=False
+                )
+            else:
+                store = ShardedSFCIndex(
+                    curve,
+                    num_shards=8,
+                    page_capacity=CAPACITY,
+                    durable_path=root,
+                    durable_sync=False,
+                )
+            both = Modelled(store)
+            try:
+                both.insert(curve.point(edge), "edge")
+                if kind == "single":
+                    store.checkpoint()
+                else:
+                    assert sum(store.shard_loads) == len(store) == 1
+                both.insert(curve.point(edge + 1), "past")
+                read(both, universe)
+                assert store.page_layout.keys.tolist() == [edge, edge + 1]
+                assert_checkpoint_holds_the_model(both)
+            finally:
+                store.durability.close()
+            recovered = recover(root, sync=False)
+            try:
+                assert len(recovered.range_query(universe).records) == 2
+                both.model.assert_served(recovered)
+            finally:
+                recovered.durability.close()
 
 
 cells = st.tuples(st.integers(0, SIDE - 1), st.integers(0, SIDE - 1))

@@ -10,6 +10,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import ANY, Rect, SFCIndex, ShardedSFCIndex, make_curve, recover
@@ -18,7 +19,7 @@ from repro.errors import InvalidQueryError, RecoveryError, StorageError
 from repro.obs import start_trace
 from repro.storage.durable import Durability
 from repro.storage.pagefile import FORMAT, MANIFEST_NAME, load_pages, wal_file_name
-from repro.storage.wal import WriteAheadLog, scan_wal
+from repro.storage.wal import FRAME_HEADER, WriteAheadLog, encode_op, scan_wal
 
 from layout_oracle import Modelled
 
@@ -262,6 +263,52 @@ def test_shard_transparency_of_durability(kind, tmp_path):
     _, _, probes = _signature(recovered)
     _, _, expected = _signature(reference)
     assert probes == expected
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+def test_a_bulk_frame_is_the_arrival_order_pair_list(kind, tmp_path):
+    """A bulk load logs its points and payloads as they were given, not
+    in the key order it files them in: each ``bulk`` frame's body is the
+    encoding of the pair list built from the raw inputs alone, for a
+    load into an empty store and for one into a non-empty store."""
+    store = _build(kind, tmp_path)
+    loads = [
+        ([(7, 7), (0, 0), (3, 5), (0, 0), (6, 1)], ["e", 0, None, ("t", 1), 2.5]),
+        (np.array([[2, 2], [7, 0], [2, 2], [1, 6]]), [b"x", "y", None, 3]),
+    ]
+    for points, payloads in loads:
+        keys = [store.curve.index(tuple(point)) for point in points]
+        assert keys != sorted(keys)
+        store.bulk_load(points, payloads)
+    data = (tmp_path / "d" / wal_file_name(0)).read_bytes()
+    ends = [end for end, _ in scan_wal(tmp_path / "d" / wal_file_name(0)).frames]
+    bodies = [data[start + FRAME_HEADER.size:end] for start, end in zip([0] + ends, ends)]
+    pairs = [
+        [(tuple(map(int, point)), payload) for point, payload in zip(points, payloads)]
+        for points, payloads in loads
+    ]
+    assert bodies[1:] == [encode_op(("bulk", load)) for load in pairs]
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+def test_recovery_loads_the_checkpoint_in_one_bulk_load_span(kind, tmp_path):
+    """Recovery's load of the checkpoint is a bulk load, with its own
+    span: one, holding every checkpointed record, which become the
+    recovered store's columns; the single writes after it replay as
+    inserts and deletes, with no span of their own."""
+    store = _build(kind, tmp_path)
+    _populate(store)
+    store.checkpoint()
+    checkpointed = len(store)
+    store.insert((6, 6), "after")
+    assert store.delete((1, 1), "a")
+    with start_trace("recover") as trace:
+        recovered = recover(tmp_path / "d")
+    (span,) = trace.find("bulk_load")
+    report = recovered.durability.last_recovery
+    assert (report.checkpoint_records, report.frames_replayed) == (checkpointed, 2)
+    assert span.attrs == {"records": checkpointed, "base": True}
+    assert _signature(recovered) == _signature(store)
 
 
 def test_recovers_keys_past_int64(tmp_path):

@@ -193,16 +193,30 @@ class TestStoreLiveness:
     def test_streaming_reader_survives_a_reflush(self, kind):
         """A cursor holds its executor, whose layout owns its pages, so a
         cursor that snapshotted the old generation keeps streaming; the
-        generation is freed once the cursor is gone."""
+        generation is freed once the cursor is gone.  No write changes a
+        column after it is built: the streamed generation's key and
+        record columns, and a migration snapshot held across the same
+        writes, read as they did, record for record."""
         store = _build(kind)
         store.bulk_load([(x, y) for x in range(SIDE) for y in range(SIDE)])
         cursor = store.cursor(Query.rect(FULL))
         first = next(iter(cursor))
+        keys, records = store.page_layout.keys, store.page_layout.records
+        _, snapshot = store._migration_snapshot()
+        keys_then = keys.copy()
+        held = [(records, list(records)), (snapshot, list(snapshot))]
         store.insert((3, 3), "mid-scan")
+        assert store.delete((0, 0))
+        store.bulk_load([(5, 5), (3, 3), (0, 6)], ["b", "c", "d"])
         store.flush()  # supersedes the generation the cursor is reading
+        assert len(store.page_layout.records) == SIDE * SIDE + 3
         assert store.disk.num_live_pages > store.page_layout.num_pages
         rows = [first] + list(cursor)
         assert len(rows) == SIDE * SIDE
+        assert keys.dtype == keys_then.dtype and keys.tolist() == keys_then.tolist()
+        for column, then in held:
+            assert len(column) == len(then) == SIDE * SIDE
+            assert all(now is was for now, was in zip(column, then))
         del cursor
         gc.collect()
         assert store.disk.num_live_pages == store.page_layout.num_pages
