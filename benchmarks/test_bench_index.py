@@ -5,6 +5,8 @@ Ties the paper's clustering story to the storage layer: on a large
 the Hilbert- or Z-keyed one.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,41 @@ def test_bench_bulk_build(benchmark):
         return index
 
     benchmark(build)
+
+
+#: The bulk-load store, ``scan_cold``'s shape: 50,000 uniform onion
+#: points at side 256, 64 per page.
+LOAD_SIDE = 256
+LOAD_POINTS = 50_000
+
+
+def test_bench_bulk_load(benchmark):
+    """A 50,000-point bulk load into a fresh store, then its flush: the
+    set-up every workload pays, and recovery's load of a checkpoint.  At
+    this size the tree fill and the collector show, which 2,000 points
+    do not.  Each round must leave a layout whose key column is its
+    records' curve keys, in order (CONTRIBUTING invariant 14), holding
+    every point, and the collector as the round found it."""
+    curve = make_curve("onion", LOAD_SIDE, 2)
+    rng = np.random.default_rng(41)
+    points = list(map(tuple, rng.integers(0, LOAD_SIDE, size=(LOAD_POINTS, 2)).tolist()))
+
+    def load():
+        enabled = gc.isenabled()
+        index = SFCIndex(curve, page_capacity=64)
+        index.bulk_load(points)
+        index.flush()
+        assert gc.isenabled() is enabled
+        return index
+
+    index = benchmark.pedantic(load, rounds=10, iterations=1)
+    assert gc.isenabled()
+    assert len(index) == LOAD_POINTS
+    layout = index.page_layout
+    assert len(layout.records) == LOAD_POINTS
+    loaded = [record.point for record in layout.records]
+    assert layout.keys.tolist() == curve.keys_of(loaded).tolist()
+    assert sorted(loaded) == sorted(points)
 
 
 #: The merge-flush store: 20,000 onion points at side 256, 64 per page.

@@ -48,8 +48,10 @@ and :meth:`~SpatialStore._make_executor`.
 from __future__ import annotations
 
 import abc
+import gc
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,6 +105,42 @@ def _curve_spec(curve: SpaceFillingCurve) -> Tuple[str, int, int]:
             f"{spec!r}; durable stores need registry-reconstructible curves"
         )
     return spec
+
+
+#: Makes reading and switching the collector one step (:func:`_collector_paused`).
+_COLLECTOR_SWITCH = threading.Lock()
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Python's cyclic garbage collector held off for the block, and put
+    back as it was on every exit.
+
+    A bulk load allocates a record per point and a bucket per distinct
+    key, and none of it is garbage, so the collections its allocations
+    would trigger free nothing: a 50,000-point load ran 202 of them.
+    The pause defers them, for the whole process, until the block ends,
+    and the first allocation after it runs one young collection over
+    what the block allocated.  A collector the caller had disabled stays
+    disabled.
+
+    The switch is the process's, shared by loads in several threads:
+    the load that finds it enabled enables it again as it ends, and a
+    load that starts inside that pause leaves it.  Reading and switching
+    it are one step under ``_COLLECTOR_SWITCH``, or a load could read
+    "disabled" inside another's pause and switch the collector off
+    after that pause ended, for good.  A thread that disables the
+    collector while a load runs finds it enabled once the load ends.
+    """
+    with _COLLECTOR_SWITCH:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            with _COLLECTOR_SWITCH:
+                gc.enable()
 
 
 def _keyed_arrivals(
@@ -695,9 +733,13 @@ class SpatialStore(abc.ABC):
 
         The ``bulk_load`` span covers the whole load, keying included:
         ``records`` is the number of records loaded, and ``base`` is
-        True when the load became the store's columns.
+        True when the load became the store's columns.  The load runs
+        with the cyclic garbage collector paused
+        (:func:`_collector_paused`): it allocates a record per point and
+        none of it is garbage, so collection waits until the load ends,
+        and the collector is put back as it was however the load exits.
         """
-        with _obs_span("bulk_load", kind="storage") as sp:
+        with _obs_span("bulk_load", kind="storage") as sp, _collector_paused():
             with self._mutex:
                 curve = self._curve
             keys, cells, attached = _keyed_arrivals(curve, points, payloads)

@@ -77,9 +77,15 @@ _QUERY_OVER_READ = METRICS.counter(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Record:
-    """A stored item: a grid cell plus an arbitrary payload."""
+    """A stored item: a grid cell plus an arbitrary payload.
+
+    Slotted, so a record has no ``__dict__``: it takes 48 bytes where a
+    dict-backed one takes 88, and a store holds one per point.  A frozen
+    value, not a tuple: it never compares equal to a ``(point,
+    payload)`` pair.
+    """
 
     point: Cell
     payload: Any = None

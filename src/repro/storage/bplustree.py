@@ -51,14 +51,18 @@ class BPlusTree:
     """B+-tree with ``order`` = maximum number of children per internal node.
 
     Leaves hold at most ``order − 1`` keys; non-root nodes keep at least
-    ``⌈order/2⌉ − 1`` keys (the textbook occupancy rule).
+    ``⌈order/2⌉ − 1`` keys (the textbook occupancy rule).  The tree
+    knows its rightmost leaf (``_tail``, the last leaf of the chain), so
+    a key above every stored key goes there without a descent: the
+    ascending inserts of a bulk load, a recovery or a migration cutover.
     """
 
     def __init__(self, order: int = 32):
         if order < 3:
             raise TreeError(f"order must be >= 3, got {order}")
         self._order = order
-        self._root: _Node = _Leaf()
+        self._tail = _Leaf()
+        self._root: _Node = self._tail
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -148,8 +152,19 @@ class BPlusTree:
     # Insertion
     # ------------------------------------------------------------------
     def insert(self, key: int, value: Any, replace: bool = False) -> None:
-        """Insert ``key``; duplicate keys raise unless ``replace=True``."""
-        leaf = self._find_leaf(key)
+        """Insert ``key``; duplicate keys raise unless ``replace=True``.
+
+        A key above the rightmost leaf's last key is above every stored
+        key, so it takes that leaf straight away, the one a descent from
+        the root would reach (PostgreSQL 11's fast path for inserts into
+        the rightmost B-tree leaf).  Every other key descends.  The
+        insert and the split after that are the same either way, so
+        every sequence of inserts builds the tree a descent per key
+        builds: ascending keys still leave every leaf but the last
+        half full.
+        """
+        tail = self._tail
+        leaf = tail if tail.keys and key > tail.keys[-1] else self._find_leaf(key)
         pos = bisect.bisect_left(leaf.keys, key)
         if pos < len(leaf.keys) and leaf.keys[pos] == key:
             if not replace:
@@ -172,6 +187,8 @@ class BPlusTree:
         right.next = leaf.next
         if right.next is not None:
             right.next.prev = right
+        else:
+            self._tail = right
         right.prev = leaf
         leaf.next = right
         self._insert_in_parent(leaf, right.keys[0], right)
@@ -284,6 +301,8 @@ class BPlusTree:
             left.next = right.next
             if right.next is not None:
                 right.next.prev = left
+            else:
+                self._tail = left
         else:
             assert isinstance(right, _Internal)
             left.keys.append(separator)
@@ -307,6 +326,8 @@ class BPlusTree:
                 raise AssertionError("leaf chain broken")
             if a.keys and b.keys and a.keys[-1] >= b.keys[0]:
                 raise AssertionError("leaf chain out of order")
+        if self._tail is not leaves[-1] or self._tail.next is not None:
+            raise AssertionError("tail is not the last leaf of the chain")
 
     def _walk_check(
         self,

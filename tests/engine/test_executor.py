@@ -1,6 +1,7 @@
 """Executor: facade equivalence with the pre-engine scan, batch execution."""
 
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.api import Query
 from repro.core.runs import merge_runs_with_gaps, query_runs
 from repro.curves import make_curve
-from repro.engine import ExecutionPolicy, PageLayout, Planner, ShardedPlanner
+from repro.engine import ExecutionPolicy, PageLayout, Planner, Record, ShardedPlanner
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex
 
@@ -68,6 +69,35 @@ def seed_range_query(index, rect, gap_tolerance=0):
         index.disk.stats.sequential_reads - seq_before,
         over_read,
     )
+
+
+class TestRecord:
+    """A record is a slotted frozen value: no ``__dict__``, no assignment,
+    equal and equally hashed when its fields are equal, and never equal
+    to a plain ``(point, payload)`` tuple."""
+
+    def test_slotted_and_frozen(self):
+        record = Record((1, 2), "a")
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.point = (3, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.payload = "b"
+        assert (record.point, record.payload) == ((1, 2), "a")
+        assert repr(record) == "Record(point=(1, 2), payload='a')"
+
+    def test_equal_fields_give_equal_records_and_hashes(self):
+        assert Record((1, 2), "a") == Record((1, 2), "a")
+        assert hash(Record((1, 2), "a")) == hash(Record((1, 2), "a"))
+        assert Record((1, 2)) == Record((1, 2), None)
+        assert Record((1, 2), "a") != Record((1, 2), "b")
+        assert Record((1, 2), "a") != Record((2, 1), "a")
+        assert len({Record((1, 2)), Record((1, 2)), Record((2, 1))}) == 2
+
+    def test_not_a_tuple(self):
+        assert Record((1, 2)) != ((1, 2), None)
+        assert ((1, 2), None) != Record((1, 2))
+        assert not isinstance(Record((1, 2)), tuple)
 
 
 class TestFacadeEquivalence:

@@ -1,6 +1,9 @@
 """Vectorized ``SFCIndex.bulk_load``: equivalence with insert-at-a-time."""
 
+import gc
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.curves import make_curve
-from repro.errors import OutOfUniverseError
+from repro.errors import InvalidQueryError, OutOfUniverseError
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex
 from repro.obs import start_trace
+from repro.storage.durable import recover
 
 from layout_oracle import ArrivalModel
 
@@ -184,6 +188,130 @@ class TestBulkLoadSpan:
             store.bulk_load([])
         (span,) = trace.find("bulk_load")
         assert span.attrs == {"records": 0, "base": False}
+
+
+def _switch_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as the test found it, whatever the
+    test switched it to."""
+    enabled = gc.isenabled()
+    yield
+    _switch_collector(enabled)
+
+
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+@pytest.mark.usefixtures("collector")
+class TestCollectorPause:
+    """A bulk load runs with the cyclic garbage collector paused, and
+    puts it back as it was on every exit: enabled when it was enabled,
+    still disabled when the caller had disabled it."""
+
+    def _store(self, kind, **kwargs):
+        if kind == "single":
+            return fresh_index(**kwargs)
+        return ShardedSFCIndex(
+            make_curve("onion", 16, 2), num_shards=3, page_capacity=4, **kwargs
+        )
+
+    @staticmethod
+    def _watched(items, seen):
+        """``items``, noting the collector's state as each is consumed."""
+        for item in items:
+            seen.append(gc.isenabled())
+            yield item
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    def test_paused_while_the_load_consumes_its_inputs(self, kind, was_enabled):
+        store = self._store(kind)
+        grid = [(x, y) for x in range(16) for y in range(0, 16, 2)]
+        _switch_collector(was_enabled)
+        seen = []
+        store.bulk_load(self._watched(grid, seen), self._watched(range(len(grid)), seen))
+        assert seen == [False] * (2 * len(grid))
+        assert gc.isenabled() is was_enabled
+        assert len(store) == len(grid)
+        store.bulk_load([(1, 1)] * 3)  # into a non-empty store
+        assert gc.isenabled() is was_enabled and len(store) == len(grid) + 3
+
+    @pytest.mark.parametrize("was_enabled", [True, False])
+    @pytest.mark.parametrize(
+        "points, payloads, error",
+        [
+            ([(0, 0), (1, 1), (2, 2)], ["x"], InvalidQueryError),
+            ([(0, 0), (16, 3)], None, OutOfUniverseError),
+            ([(0, 0, 0)], None, OutOfUniverseError),
+        ],
+        ids=["payloads-exhausted", "outside-the-universe", "wrong-dimension"],
+    )
+    def test_a_load_that_raises_restores_it(
+        self, kind, was_enabled, points, payloads, error
+    ):
+        store = self._store(kind)
+        _switch_collector(was_enabled)
+        seen = []
+        with pytest.raises(error):
+            store.bulk_load(self._watched(points, seen), payloads)
+        assert seen and not any(seen)
+        assert gc.isenabled() is was_enabled
+        assert len(store) == 0
+
+    def test_recovery_returns_with_the_collector_enabled(self, kind, tmp_path):
+        gc.enable()
+        store = self._store(kind, durable_path=tmp_path / "d")
+        grid = [(x, y) for x in range(16) for y in range(0, 16, 3)]
+        store.bulk_load(grid, range(len(grid)))
+        store.checkpoint()
+        store.bulk_load([(2, 2), (3, 3)])  # a bulk frame after the checkpoint
+        store.durability.close()
+        recovered = recover(tmp_path / "d")
+        assert gc.isenabled()
+        assert recovered.durability.last_recovery.frames_replayed == 1
+        assert len(recovered) == len(grid) + 2
+        recovered.durability.close()
+
+
+@pytest.mark.usefixtures("collector")
+@pytest.mark.parametrize("was_enabled", [True, False])
+def test_overlapping_loads_leave_the_collector_as_they_found_it(was_enabled):
+    """The collector's switch is the process's.  Loads that overlap in
+    four threads (more than the cores), with a short switch interval,
+    leave it as it was before the first began.  Reading it and
+    switching it off are one step: without that, a load that read
+    "disabled" inside another's pause could switch it off after that
+    pause ended, for good (15 of 1,000 such trials on a 2-core host)."""
+    grid = [(x, y) for x in range(4) for y in range(4)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(150 if was_enabled else 10):
+            _switch_collector(was_enabled)
+            store, errors = fresh_index(), []
+
+            def loads():
+                try:
+                    for _ in range(20):
+                        store.bulk_load(grid)
+                except Exception as exc:  # surfaced by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=loads) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert gc.isenabled() is was_enabled
+            assert len(store) == 4 * 20 * len(grid)
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def test_a_3d_onion_store_of_side_2_pow_21_loads_exactly():

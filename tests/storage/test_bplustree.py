@@ -143,3 +143,103 @@ class TestLeafChain:
         leaves = list(tree.leaves_for_range(5, 25))
         keys = [k for leaf in leaves for k in leaf.keys]
         assert set(range(5, 26)) <= set(keys)
+
+
+def _leaves(tree):
+    """The leaf chain, first leaf to last."""
+    node = tree._root
+    while hasattr(node, "children"):
+        node = node.children[0]
+    chain = []
+    while node is not None:
+        chain.append(node)
+        node = node.next
+    return chain
+
+
+class TestRightmostLeaf:
+    """A key above every stored key goes straight to the rightmost leaf
+    (``_tail``), which every split and merge keeps the last leaf of the
+    chain; ``check_invariants`` asserts that after every operation."""
+
+    @pytest.mark.parametrize("order, count", [(3, 200), (4, 200), (32, 1200)])
+    def test_ascending_inserts_through_root_splits(self, order, count):
+        tree = BPlusTree(order=order)
+        heights = []
+        for key in range(count):
+            tree.insert(key, -key)
+            tree.check_invariants()
+            assert tree._tail.keys[-1] == key
+            if tree.height not in heights:
+                heights.append(tree.height)
+        assert heights == list(range(1, len(heights) + 1)) and len(heights) >= 3
+        assert list(tree.items()) == [(k, -k) for k in range(count)]
+        assert all(tree.get(k) == -k for k in range(count))
+        # The split rule is unchanged: every leaf but the last keeps the
+        # left half of a leaf that overflowed.
+        chain = _leaves(tree)
+        assert chain[-1] is tree._tail
+        assert [len(leaf.keys) for leaf in chain[:-1]] == [order // 2] * (len(chain) - 1)
+
+    def test_a_key_at_or_below_the_maximum_descends(self):
+        tree = BPlusTree(order=4)
+        for key in range(0, 40, 2):
+            tree.insert(key, key)
+        tree.insert(37, 37)  # below the maximum, inside the tail's range
+        tree.insert(1, 1)
+        with pytest.raises(TreeError):
+            tree.insert(38, "again")  # the maximum itself is a duplicate
+        tree.insert(38, "replaced", replace=True)
+        tree.check_invariants()
+        assert [tree.get(k) for k in (1, 37, 38)] == [1, 37, "replaced"]
+        assert len(tree) == 22
+
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_tail_merged_into_its_left_sibling_then_insert_above(self, order):
+        tree = BPlusTree(order=order)
+        for key in range(12):
+            tree.insert(key, key)
+        old_tail = tree._tail
+        left = old_tail.prev
+        # Delete the rightmost leaf's keys until it merges into its left
+        # sibling, first thinning the sibling so it has no key to lend.
+        for key in reversed(list(old_tail.keys)):
+            while len(left.keys) > tree._min_keys:
+                tree.delete(left.keys[0])
+                tree.check_invariants()
+            tree.delete(key)
+            tree.check_invariants()
+            if tree._tail is not old_tail:
+                break
+        assert tree._tail is left and left.next is None
+        assert all(leaf is not old_tail for leaf in _leaves(tree))
+        top = max(k for k, _ in tree.items())
+        tree.insert(top + 100, "above")
+        tree.check_invariants()
+        assert left.keys[-1] == top + 100 and tree.get(top + 100) == "above"
+
+    def test_delete_all_then_reuse_lands_in_the_surviving_leaf(self):
+        tree = BPlusTree(order=3)
+        for key in range(30):
+            tree.insert(key, key)
+        for key in range(30):
+            tree.delete(key)
+            tree.check_invariants()
+        survivor = tree._root
+        assert tree._tail is survivor and survivor.keys == []
+        tree.insert(100, 100)
+        assert survivor.keys == [100]
+        for key in (101, 102):
+            tree.insert(key, key)
+            tree.check_invariants()
+        assert tree.height == 2 and survivor.keys == [100]
+        assert survivor.next is tree._tail and tree._tail.keys == [101, 102]
+        assert list(tree.items()) == [(100, 100), (101, 101), (102, 102)]
+
+    def test_a_stale_tail_fails_the_invariant_check(self):
+        tree = BPlusTree(order=3)
+        for key in range(10):
+            tree.insert(key, key)
+        tree._tail = tree._tail.prev
+        with pytest.raises(AssertionError, match="tail"):
+            tree.check_invariants()

@@ -19,7 +19,7 @@ class TestRandomWorkloads:
         tree = BPlusTree(order=order)
         for key in keys:
             tree.insert(key, key * 3)
-        tree.check_invariants()
+            tree.check_invariants()
         assert sorted(k for k, _ in tree.items()) == sorted(keys)
 
         rng = np.random.default_rng(seed)
@@ -28,8 +28,14 @@ class TestRandomWorkloads:
         for key in order_of_death[: len(keys) // 2]:
             tree.delete(int(key))
             survivors.discard(int(key))
-        tree.check_invariants()
+            tree.check_invariants()
         assert {k for k, _ in tree.items()} == survivors
+        # Then ascending keys above the maximum: the rightmost-leaf path.
+        top = max(survivors, default=-1)
+        for key in range(top + 1, top + 40):
+            tree.insert(key, key * 3)
+            tree.check_invariants()
+        assert [k for k, _ in tree.items()] == sorted(survivors) + list(range(top + 1, top + 40))
 
     @given(
         st.lists(st.integers(0, 200), min_size=1, max_size=80, unique=True),
