@@ -176,7 +176,7 @@ def test_bench_drift_check_is_cheap(benchmark):
     """A steady-state drift check is a dictionary walk, not a sweep."""
     recorder = WorkloadRecorder()
     for _ in range(64):
-        recorder.record_executed((CUBE, CUBE), seeks=5, pages=20)
+        recorder.record_executed((CUBE, CUBE))
     candidates = [make_curve(n, SIDE, 2) for n in ("rowmajor", "onion", "hilbert")]
     detector = DriftDetector(candidates, min_observations=1, check_interval=1)
     incumbent = candidates[0]

@@ -38,7 +38,6 @@ import pytest
 
 from repro.api import Query
 from repro.curves import make_curve
-from repro.errors import PageError
 from repro.geometry import Rect
 from repro.index import SFCIndex
 from repro.obs import METRICS, disable_metrics, enable_metrics, start_trace
@@ -73,32 +72,25 @@ VARIANTS = ("baseline", "disabled", "enabled")
 class UninstrumentedDisk(SimulatedDisk):
     """The pre-observability disk: same seek model, zero metric hooks.
 
-    The method bodies are the exact ``SimulatedDisk`` bodies minus the
-    ``Counter.inc`` calls, so baseline-vs-disabled isolates the cost of
-    the disabled-path flag check and nothing else.
+    ``allocate`` is the exact ``SimulatedDisk`` body minus its
+    ``Counter.inc`` call, so baseline-vs-disabled isolates the cost of
+    the disabled-path flag check and nothing else.  ``read`` ticks no
+    counter (the executor's report does, once per execution), so it is
+    inherited as it is.
     """
 
     def allocate(self, payload, count: int = 1, tail=None) -> int:
-        first = len(self._pages)
-        self._pages += [weakref.ref(payload)] * count
+        self._trim()
+        base, slots = self._table
+        first = base + len(slots)
+        refs = [weakref.ref(payload)] * count
         if tail is not None:
-            self._pages.append(weakref.ref(tail))
-        written = len(self._pages) - first
-        self.stats.pages_written += written
+            refs.append(weakref.ref(tail))
+        if refs:
+            self._blocks.append((first, refs[0], refs[-1]))
+            slots.extend(refs)
+        self.stats.pages_written += len(refs)
         return first
-
-    def read(self, page_id: int):
-        if not 0 <= page_id < len(self._pages):
-            raise PageError(f"page {page_id} out of range [0, {len(self._pages)})")
-        payload = self._pages[page_id]()
-        if payload is None:
-            raise PageError(f"page {page_id} was freed")
-        if page_id == self._head + 1:
-            self.stats.sequential_reads += 1
-        else:
-            self.stats.seeks += 1
-        self._head = page_id
-        return payload
 
 
 def _points():

@@ -12,8 +12,8 @@ The package provides:
 * :mod:`repro.storage` / :mod:`repro.index` — a simulated disk, B+-tree
   and SFC-keyed spatial index that turn clustering numbers into seeks;
 * :mod:`repro.engine` — the planner/executor split behind the index:
-  immutable :class:`QueryPlan` objects with pluggable :class:`CostModel`
-  pricing, an LRU :class:`PlanCache`, key-ordered batch execution, and
+  immutable :class:`QueryPlan` objects priced by one :class:`CostModel`,
+  an LRU :class:`PlanCache`, key-ordered batch execution, and
   the scatter–gather serving half (:class:`ShardedPlanner`,
   :class:`ScatterGatherExecutor`) behind :class:`ShardedSFCIndex`;
 * :mod:`repro.api` — the one front door: the :class:`SpatialStore`

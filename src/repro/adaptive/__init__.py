@@ -3,11 +3,11 @@
 Lemma 10 proves no curve is optimal for every query shape, so a serving
 deployment must *re-choose its curve as the workload shifts*.  This
 subsystem is that loop, layered over the existing data plane (engine +
-index) without touching its hot path beyond two O(1) hooks:
+index) without touching its hot path beyond one O(1) hook, the
+executor's report of each executed query's shape:
 
 * :mod:`~repro.adaptive.recorder` — :class:`WorkloadRecorder`, the
-  thread-safe ring buffer + decayed shape histogram the planner and both
-  executors report into;
+  thread-safe decayed shape histogram both executors report into;
 * :mod:`~repro.adaptive.drift` — :class:`DriftDetector`, periodically
   re-scoring the recorded mix against candidate curves with the exact
   Lemma 1 advisor (incrementally — per-(curve, shape) costs are
@@ -38,7 +38,7 @@ Quickstart::
 from .controller import AdaptationEvent, AdaptiveController
 from .drift import DriftDetector, DriftReport
 from .migrator import MigrationReport, OnlineMigrator
-from .recorder import Observation, WorkloadRecorder
+from .recorder import WorkloadRecorder
 
 __all__ = [
     "AdaptationEvent",
@@ -46,7 +46,6 @@ __all__ = [
     "DriftDetector",
     "DriftReport",
     "MigrationReport",
-    "Observation",
     "OnlineMigrator",
     "WorkloadRecorder",
 ]

@@ -2,10 +2,10 @@
 
 :class:`AdaptiveController` wires the three control-plane pieces over one
 serving index: the index's :class:`~repro.adaptive.WorkloadRecorder`
-(installed at index construction — the planner and executors report to
-it), a :class:`~repro.adaptive.DriftDetector` over the candidate curves,
-and an :class:`~repro.adaptive.OnlineMigrator` that re-keys the index
-when drift is confirmed.
+(installed at index construction — the executors report to it), a
+:class:`~repro.adaptive.DriftDetector` over the candidate curves, and an
+:class:`~repro.adaptive.OnlineMigrator` that re-keys the index when
+drift is confirmed.
 
 The loop is *pull-based*: call :meth:`maybe_adapt` from wherever pacing
 makes sense — after every batch, from a cron, from a serving-thread
@@ -84,12 +84,11 @@ class AdaptiveController:
         :meth:`migrate_to_best`).
     reset_recorder_on_migrate:
         When True (default), the recorder is cleared after a cutover so
-        the next era's mix — and the seek calibration against the new
-        curve — starts clean.
+        the next era's shape mix and its event count start clean.
     event_log_size:
         Most recent decisions retained in :attr:`events` (the audit log
-        is bounded, like the recorder's ring buffer, so a long-lived
-        controller never grows without limit).
+        is bounded, so a long-lived controller never grows without
+        limit).
     """
 
     def __init__(

@@ -225,7 +225,3 @@ class Query:
     def row(self, record: Record):
         """Apply the projection (if any) to one surviving record."""
         return record if self.projection is None else self.projection(record)
-
-    def admits(self, record: Record) -> bool:
-        """Apply the predicate (if any) to one region-matched record."""
-        return self.predicate is None or self.predicate(record)

@@ -60,7 +60,6 @@ from ..curves.base import SpaceFillingCurve
 from ..curves.registry import make_curve
 from ..devtools.annotations import guarded_by
 from ..engine.cache import PlanCache
-from ..engine.cost import DEFAULT_COST_MODEL, CostModel
 from ..engine.executor import Page, Record
 from ..engine.plan import _INT64_MAX, ExecutionPolicy, PageLayout, QueryPlan, key_column
 from ..errors import InvalidQueryError, OutOfUniverseError, StorageError
@@ -300,8 +299,9 @@ def pack_columns(
     ``Page``; one :meth:`~repro.storage.disk.SimulatedDisk.allocate`
     call gives the layout all of its page ids, consecutive.  The layout
     owns the pages it packs and the disk holds them weakly, so they are
-    freed with the layout's last reader, leaving one dead weakref per
-    page object and an 8-byte slot under each never-reused page id.
+    freed with the layout's last reader, and a later allocation drops
+    their ids' slots once every older layout is freed too; ids are
+    never reused.
     The pages are a pure function of the records and the curve, which
     is why a flush is never logged: recovery packs the same pages again
     on its first read.
@@ -353,7 +353,6 @@ def merge_plans(
         policy=policy,
         runs=runs,
         scan_runs=scan_runs,
-        cost_model=plans[0].cost_model,
         positions=positions,
     )
 
@@ -389,7 +388,6 @@ class SpatialStore(abc.ABC):
         *,
         page_capacity: int,
         buffer_pages: int,
-        cost_model: Optional[CostModel],
         plan_cache_size: int,
         recorder: Any,
         durable_path: Any,
@@ -407,7 +405,6 @@ class SpatialStore(abc.ABC):
         # pool clears during a layout swap happen under it.
         self._io_lock = threading.Lock()
         self._page_capacity = page_capacity
-        self._cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self._recorder = recorder
         self._disk = SimulatedDisk()
         self._pool = BufferPool(self._disk, buffer_pages) if buffer_pages else None
@@ -548,11 +545,6 @@ class SpatialStore(abc.ABC):
         """The executor bound to the current layout (None until a flush)."""
         with self._mutex:
             return self._executor
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The cost model pricing this store's plans."""
-        return self._cost_model
 
     @property
     def recorder(self):

@@ -46,11 +46,6 @@ class CostModel:
         """
         return seeks * (self.seek_cost + self.read_cost) + sequential_reads * self.read_cost
 
-    @property
-    def seek_equivalent_pages(self) -> float:
-        """How many sequential page reads one seek is worth."""
-        return self.seek_cost / self.read_cost if self.read_cost else float("inf")
-
 
 #: The model every cost-reporting API defaults to.
 DEFAULT_COST_MODEL = CostModel()

@@ -10,9 +10,9 @@ executor:
 * :mod:`~repro.engine.plan` — immutable :class:`QueryPlan` objects (key
   runs, page spans, ``estimated_seeks``/``estimated_cost()``) plus the
   :class:`ExecutionPolicy` (gap tolerance) and :class:`PageLayout`;
-* :mod:`~repro.engine.planner` — the :class:`Planner`, pure computation
-  with a curve-aware vectorized run-construction fast path and
-  precomputed per-window-size expected-seeks tables
+* :mod:`~repro.engine.planner` — the :class:`Planner`, built from its
+  curve alone: pure computation with a curve-aware vectorized
+  run-construction fast path, and per-window-size expected seeks
   (:meth:`~Planner.expected_seeks`, backed by the translation-sweep
   kernel) for cost estimation without planning;
 * :mod:`~repro.engine.cache` — an LRU :class:`PlanCache` keyed by
@@ -22,7 +22,8 @@ executor:
   :meth:`~Executor.execute_batch` for whole workloads;
 * :mod:`~repro.engine.scatter` — the sharded serving half: a
   :class:`ShardedPlanner` clipping global plans into per-shard
-  fragments (priced with the cost model plus a fan-out penalty) and a
+  fragments (priced with the cost model plus a per-shard fan-out
+  penalty) and a
   :class:`ScatterGatherExecutor` — an :class:`Executor` whose one
   key-ordered I/O pass keeps sharded execution observationally
   identical to single-index execution while it scans each shard's

@@ -348,13 +348,12 @@ class Executor:
     pool:
         Optional :class:`~repro.storage.buffer.BufferPool` serving warm
         pages.  When given, every page read goes through it, and each
-        execution reports its *cold misses* — the seeks that actually
-        reached the disk — which is what the adaptive layer judges
-        migrations on (a warm cache hides bad clustering; cold misses do
-        not).  Without one, pages are read straight from ``disk``.
+        execution's span carries its *cold misses* (``pool_misses``),
+        the page reads that reached the disk.  Without one, pages are
+        read straight from ``disk``.
     recorder:
         Optional :class:`~repro.adaptive.WorkloadRecorder`: every
-        executed plan reports its shape and realized I/O profile.
+        executed plan reports its shape.
     io_lock:
         Lock held across each execution's read pass (and around each
         streamed read).  Pass one *shared* lock when several
@@ -389,11 +388,6 @@ class Executor:
     def pool(self) -> Optional[BufferPool]:
         """The buffer pool absorbing warm reads, when configured."""
         return self._pool
-
-    @property
-    def recorder(self):
-        """The workload recorder executions report to (or None)."""
-        return self._recorder
 
     # ------------------------------------------------------------------
     # The read pass and the report (shared by every execution)
@@ -462,9 +456,10 @@ class Executor:
         ``sp``, observes the execution metrics — the disk's seek and
         sequential-read counters included: ``SimulatedDisk.read`` keeps
         no counter tick on the per-page path, and every read runs inside
-        a charged pass — and notifies the workload recorder.  ``started`` is 0.0 when metrics were off as
-        the execution began: it then has no start to time from, and
-        records no metrics even if they were switched on meanwhile.
+        a charged pass — and reports the plan's shape to the workload
+        recorder.  ``started`` is 0.0 when metrics were off as the
+        execution began: it then has no start to time from, and records
+        no metrics even if they were switched on meanwhile.
         """
         pages = seeks + sequential
         sp.set("seeks", seeks)
@@ -488,14 +483,7 @@ class Executor:
                 _QUERY_OVER_READ.inc(over_read)
             _QUERY_LATENCY.observe(time.perf_counter() - started)
         if self._recorder is not None:
-            self._recorder.record_executed(
-                plan.rect.lengths,
-                seeks=seeks,
-                pages=pages,
-                records=records,
-                over_read=over_read,
-                cold_misses=cold,
-            )
+            self._recorder.record_executed(plan.rect.lengths)
 
     # ------------------------------------------------------------------
     # Execution

@@ -275,7 +275,6 @@ class QueryPlan:
     runs: Tuple[KeyRun, ...]
     #: Runs actually scanned, after the policy's gap merging.
     scan_runs: Tuple[KeyRun, ...]
-    cost_model: CostModel = DEFAULT_COST_MODEL
     #: The scan and exact runs resolved against a layout, or ``None``
     #: for layout-free plans.
     positions: Optional[Positions] = field(default=None, repr=False)
@@ -366,8 +365,10 @@ class QueryPlan:
         return seeks + sequential
 
     def estimated_cost(self, cost_model: Optional[CostModel] = None) -> float:
-        """Predicted simulated time under ``cost_model`` (plan's by default)."""
-        model = cost_model or self.cost_model
+        """Predicted simulated time under ``cost_model`` (the
+        :data:`~repro.engine.cost.DEFAULT_COST_MODEL` by default), which
+        prices an execution's measured reads the same way."""
+        model = cost_model or DEFAULT_COST_MODEL
         return model.io_cost(*self._predicted_reads)
 
     # ------------------------------------------------------------------

@@ -4,7 +4,9 @@ Planning is pure computation — no I/O, no index state beyond the optional
 :class:`~repro.engine.plan.PageLayout` — which is what lets callers
 inspect and compare plans (e.g. rank curves by ``estimated_cost``) before
 touching the disk, and lets the :class:`~repro.engine.cache.PlanCache`
-reuse them across repeated queries.
+reuse them across repeated queries.  A planner is built from its curve
+alone, and its plans price with the one
+:data:`~repro.engine.cost.DEFAULT_COST_MODEL`.
 
 Run construction goes through :func:`repro.core.runs.query_runs`.  For
 the 2-D onion curve that is a closed form: the runs follow from the
@@ -22,9 +24,9 @@ requires the curve to ship a true numpy ``index_many`` kernel.
 ``benchmarks/test_bench_planner_crossover.py`` measures the paths across
 rect sizes and justifies the factor.
 
-The planner also precomputes **expected-seeks tables** without planning
-any query: :meth:`Planner.expected_seeks` is the exact mean clustering
-number over *all* translations of a window size, computed by the
+The planner also estimates without planning any query:
+:meth:`Planner.expected_seeks` is the exact mean clustering number over
+*all* translations of a window size, computed by the
 :mod:`repro.core.sweep` translation-sweep kernel and cached per window
 size, giving cost estimation for workload sizing before a single rect is
 planned.
@@ -45,7 +47,6 @@ from ..core.sweep import sweep_average_clustering
 from ..curves.base import SpaceFillingCurve
 from ..obs.metrics import METRICS
 from ..obs.trace import span as _obs_span
-from .cost import DEFAULT_COST_MODEL, CostModel
 from .plan import ExecutionPolicy, KeyRun, PageLayout, QueryPlan
 from ..geometry import Rect
 
@@ -99,24 +100,10 @@ class Planner:
     ----------
     curve:
         The curve keys are computed under.
-    cost_model:
-        Prices attached to every plan (estimated costs use it).
-    recorder:
-        Optional :class:`~repro.adaptive.WorkloadRecorder`: every built
-        plan is reported (shape + predicted seeks) so the adaptive
-        control plane sees what gets planned.  Cache hits bypass the
-        planner, so executed-query telemetry comes from the executors.
     """
 
-    def __init__(
-        self,
-        curve: SpaceFillingCurve,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        recorder=None,
-    ):
+    def __init__(self, curve: SpaceFillingCurve):
         self._curve = curve
-        self._cost_model = cost_model
-        self._recorder = recorder
         # Only curves that override the base (loop-based) kernel benefit
         # from the O(volume) bulk path.
         self._has_vector_kernel = (
@@ -129,16 +116,6 @@ class Planner:
     def curve(self) -> SpaceFillingCurve:
         """The curve this planner plans for."""
         return self._curve
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The cost model attached to produced plans."""
-        return self._cost_model
-
-    @property
-    def recorder(self):
-        """The workload recorder planning events report to (or None)."""
-        return self._recorder
 
     def _use_vectorized(self, rect: Rect) -> bool:
         """Route ``rect`` through the O(volume) bulk path?"""
@@ -155,7 +132,7 @@ class Planner:
         return query_runs(self._curve, rect)
 
     # ------------------------------------------------------------------
-    # Expected-seeks tables (cost estimation without planning)
+    # Expected seeks (cost estimation without planning)
     # ------------------------------------------------------------------
     def expected_seeks(self, lengths: Sequence[int]) -> float:
         """Exact mean seek count of a *random* translation of the window.
@@ -172,24 +149,6 @@ class Planner:
             cached = sweep_average_clustering(self._curve, window)
             self._expected_seeks[window] = cached
         return cached
-
-    def expected_seeks_table(
-        self, windows: Iterable[Sequence[int]]
-    ) -> Dict[Tuple[int, ...], float]:
-        """Expected seeks for many window sizes (one cached sweep each)."""
-        return {
-            tuple(int(l) for l in window): self.expected_seeks(window)
-            for window in windows
-        }
-
-    def expected_cost(self, lengths: Sequence[int]) -> float:
-        """Predicted simulated time of one random placement of the window.
-
-        Prices :meth:`expected_seeks` with the planner's cost model under
-        the paper's pure model (one seeking read per run); no plan is
-        built and no rect position is needed.
-        """
-        return self._cost_model.io_cost(self.expected_seeks(lengths), 0)
 
     def plan(
         self,
@@ -221,7 +180,6 @@ class Planner:
                 policy=policy,
                 runs=runs,
                 scan_runs=scan_runs,
-                cost_model=self._cost_model,
                 positions=positions,
             )
             sp.set("curve", self._curve.name)
@@ -230,8 +188,6 @@ class Planner:
             if started:  # 0.0: metrics were off as planning began
                 _PLANS.inc()
                 _PLAN_LATENCY.observe(time.perf_counter() - started)
-        if self._recorder is not None:
-            self._recorder.record_planned(plan)
         return plan
 
     def plan_many(

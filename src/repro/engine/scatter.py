@@ -8,8 +8,9 @@ layer:
 * :class:`ShardedPlanner` plans a rect once globally, then *clips* the
   plan's scan runs to each shard's key interval, producing one
   :class:`~repro.engine.plan.QueryPlan` fragment per shard touched,
-  priced with the existing :class:`~repro.engine.cost.CostModel` plus a
-  per-shard fan-out penalty (the RPC each extra shard costs);
+  priced with the :class:`~repro.engine.cost.CostModel` plus
+  :data:`DEFAULT_FANOUT_COST` per shard touched (the RPC each extra
+  shard costs);
 * :class:`ShardedPlan` bundles the global plan with its fragments and
   predicts the serial I/O profile (identical to the single-index plan)
   plus a cost-model estimate of running the fragments in parallel;
@@ -102,7 +103,6 @@ def clip_runs(runs: Sequence[KeyRun], shard: Shard) -> List[KeyRun]:
 def scatter_plan(
     plan: QueryPlan,
     shards: Sequence[Shard],
-    fanout_cost: float = DEFAULT_FANOUT_COST,
     layout: Optional[PageLayout] = None,
 ) -> "ShardedPlan":
     """Scatter one global plan across ``shards``: clip its runs into
@@ -136,19 +136,13 @@ def scatter_plan(
                         policy=plan.policy,
                         runs=runs,
                         scan_runs=scan_runs,
-                        cost_model=plan.cost_model,
                         positions=positions,
                     ),
                 )
             )
         sp.set("shards", len(shards))
         sp.set("fragments", len(fragments))
-    return ShardedPlan(
-        plan=plan,
-        fragments=tuple(fragments),
-        shards=tuple(shards),
-        fanout_cost=fanout_cost,
-    )
+    return ShardedPlan(plan=plan, fragments=tuple(fragments), shards=tuple(shards))
 
 
 def makespan(costs: Iterable[float], workers: Optional[int] = None) -> float:
@@ -197,7 +191,6 @@ class ShardedPlan:
     plan: QueryPlan
     fragments: Tuple[ShardFragment, ...]
     shards: Tuple[Shard, ...]
-    fanout_cost: float = DEFAULT_FANOUT_COST
 
     @property
     def shards_touched(self) -> int:
@@ -228,7 +221,7 @@ class ShardedPlan:
         """Serial simulated cost: the global I/O plus one fan-out per shard."""
         return (
             self.plan.estimated_cost(cost_model)
-            + self.fanout_cost * self.shards_touched
+            + DEFAULT_FANOUT_COST * self.shards_touched
         )
 
     def estimated_parallel_cost(
@@ -244,7 +237,7 @@ class ShardedPlan:
         the workers by :func:`makespan`, and every shard contacted costs
         one fan-out penalty.
         """
-        return self.fanout_cost * self.shards_touched + makespan(
+        return DEFAULT_FANOUT_COST * self.shards_touched + makespan(
             (f.plan.estimated_cost(cost_model) for f in self.fragments), workers
         )
 
@@ -259,7 +252,7 @@ class ShardedPlan:
             "(identical to unsharded)",
             f"  estimated pages:   {self.estimated_pages}",
             f"  serial cost:       {self.estimated_cost():.1f} sim-ms "
-            f"(incl. {self.fanout_cost:.1f}/shard fan-out)",
+            f"(incl. {DEFAULT_FANOUT_COST:.1f}/shard fan-out)",
             f"  parallel cost:     {self.estimated_parallel_cost():.1f} sim-ms "
             "(one worker per shard)",
         ]
@@ -305,12 +298,11 @@ class ShardStats:
 def _parallel_cost(
     per_shard: Sequence[ShardStats],
     fan_out: int,
-    fanout_cost: float,
     workers: Optional[int],
     cost_model: Optional[CostModel],
 ) -> float:
     """Fan-out penalty plus the makespan of the per-shard I/O costs."""
-    return fanout_cost * fan_out + makespan(
+    return DEFAULT_FANOUT_COST * fan_out + makespan(
         (s.cost(cost_model) for s in per_shard), workers
     )
 
@@ -327,7 +319,6 @@ class ShardedRangeQueryResult(RangeQueryResult):
     """
 
     per_shard: Tuple[ShardStats, ...] = ()
-    fanout_cost: float = DEFAULT_FANOUT_COST
 
     @property
     def fan_out(self) -> int:
@@ -345,9 +336,7 @@ class ShardedRangeQueryResult(RangeQueryResult):
         plus :func:`makespan` — not a measurement: the executor scans
         every shard inline, on the calling thread.
         """
-        return _parallel_cost(
-            self.per_shard, self.fan_out, self.fanout_cost, workers, cost_model
-        )
+        return _parallel_cost(self.per_shard, self.fan_out, workers, cost_model)
 
 
 @dataclass
@@ -365,7 +354,6 @@ class ShardedBatchResult(BatchResult):
     results: List[ShardedRangeQueryResult] = field(default_factory=list)
     per_shard: Tuple[ShardStats, ...] = ()
     total_fan_out: int = 0
-    fanout_cost: float = DEFAULT_FANOUT_COST
 
     def parallel_cost(
         self,
@@ -384,10 +372,7 @@ class ShardedBatchResult(BatchResult):
         ``total_fan_out`` still counts every contact — that is the
         paper's shards-touched workload metric.
         """
-        return _parallel_cost(
-            self.per_shard, len(self.per_shard), self.fanout_cost, workers,
-            cost_model,
-        )
+        return _parallel_cost(self.per_shard, len(self.per_shard), workers, cost_model)
 
 
 class ShardedPlanner:
@@ -401,29 +386,11 @@ class ShardedPlanner:
         Contiguous inclusive key intervals tiling ``[0, curve.size)``
         (e.g. from :func:`repro.index.partition.equal_key_shards` or
         :func:`~repro.index.partition.balanced_shards`).
-    cost_model:
-        Prices attached to every plan and fragment.
-    fanout_cost:
-        Simulated cost of contacting one shard (see
-        :data:`DEFAULT_FANOUT_COST`).
-    recorder:
-        Optional :class:`~repro.adaptive.WorkloadRecorder` the inner
-        planner reports built plans to.
     """
 
-    def __init__(
-        self,
-        curve: SpaceFillingCurve,
-        shards: Sequence[Shard],
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        fanout_cost: float = DEFAULT_FANOUT_COST,
-        recorder=None,
-    ):
+    def __init__(self, curve: SpaceFillingCurve, shards: Sequence[Shard]):
         self._shards = _validated_shards(shards, curve.size)
-        if fanout_cost < 0:
-            raise InvalidQueryError(f"fanout_cost must be >= 0, got {fanout_cost}")
-        self._fanout_cost = float(fanout_cost)
-        self._planner = Planner(curve, cost_model=cost_model, recorder=recorder)
+        self._planner = Planner(curve)
 
     @property
     def curve(self) -> SpaceFillingCurve:
@@ -434,16 +401,6 @@ class ShardedPlanner:
     def shards(self) -> Tuple[Shard, ...]:
         """The shard map (inclusive key intervals, ascending)."""
         return self._shards
-
-    @property
-    def cost_model(self) -> CostModel:
-        """The cost model pricing plans and fragments."""
-        return self._planner.cost_model
-
-    @property
-    def fanout_cost(self) -> float:
-        """Per-shard fan-out penalty attached to produced plans."""
-        return self._fanout_cost
 
     @property
     def planner(self) -> Planner:
@@ -463,7 +420,7 @@ class ShardedPlanner:
         would unsharded.
         """
         plan = self._planner.plan(rect, policy, layout)
-        return scatter_plan(plan, self._shards, self._fanout_cost, layout)
+        return scatter_plan(plan, self._shards, layout)
 
     def plan_many(
         self,
@@ -572,7 +529,6 @@ class ScatterGatherExecutor(Executor):
                 sequential_reads=sequential,
                 over_read=over_read,
                 per_shard=tuple(per_shard),
-                fanout_cost=splan.fanout_cost,
             )
             sp.set("fan_out", len(splan.fragments))
             self._report(
@@ -634,5 +590,4 @@ class ScatterGatherExecutor(Executor):
             total_over_read=batch.total_over_read,
             per_shard=tuple(per_shard),
             total_fan_out=sum(r.fan_out for r in batch.results),
-            fanout_cost=splans[0].fanout_cost if splans else DEFAULT_FANOUT_COST,
         )

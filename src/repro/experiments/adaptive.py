@@ -75,7 +75,7 @@ def run(scale: Scale = None, dim: int = 2) -> ExperimentResult:
     static.bulk_load(points)
     static.flush()
 
-    recorder = WorkloadRecorder(window=256, half_life=8.0)
+    recorder = WorkloadRecorder(half_life=8.0)
     adaptive = SFCIndex(
         make_curve("rowmajor", side, dim),
         page_capacity=_PAGE_CAPACITY,

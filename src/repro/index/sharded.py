@@ -46,10 +46,8 @@ from typing import Optional, Sequence, Tuple
 from ..api.store import SpatialStore, merge_plans
 from ..curves.base import SpaceFillingCurve
 from ..devtools.annotations import guarded_by
-from ..engine.cost import CostModel
 from ..engine.plan import PageLayout
 from ..engine.scatter import (
-    DEFAULT_FANOUT_COST,
     ScatterGatherExecutor,
     Shard,
     ShardedPlanner,
@@ -78,21 +76,18 @@ class ShardedSFCIndex(SpatialStore):
     num_shards:
         How many equal-key-range shards to cut (ignored when ``shards``
         is given).
-    page_capacity, cost_model, plan_cache_size:
+    page_capacity, plan_cache_size:
         As on :class:`SFCIndex`.
     shards:
         Explicit shard map — contiguous inclusive key intervals tiling
         ``[0, curve.size)``.
-    fanout_cost:
-        Simulated per-shard contact cost attached to plans and results.
     buffer_pages:
         LRU buffer-pool capacity in pages over the shared store (0
-        disables the pool).  With a pool, executions also report cold
-        misses — the seeks that reached the disk — which is what the
-        adaptive layer judges curve migrations on.
+        disables the pool).
     recorder:
         Optional :class:`~repro.adaptive.WorkloadRecorder` observing
-        planned and executed queries (thread-safe, like the index).
+        the shape of every executed query (thread-safe, like the
+        index).
     durable_path, durable_sync, durable_ops:
         As on :class:`~repro.index.spatial.SFCIndex`.  Durability is
         shard-transparent: the WAL logs logical point operations and
@@ -105,17 +100,14 @@ class ShardedSFCIndex(SpatialStore):
         curve: SpaceFillingCurve,
         num_shards: int = 4,
         page_capacity: int = 64,
-        cost_model: Optional[CostModel] = None,
         plan_cache_size: int = 256,
         shards: Optional[Sequence[Shard]] = None,
-        fanout_cost: float = DEFAULT_FANOUT_COST,
         buffer_pages: int = 0,
         recorder=None,
         durable_path=None,
         durable_sync: bool = True,
         durable_ops=None,
     ):
-        self._fanout_cost = fanout_cost
         if shards is None:
             shards = equal_key_shards(curve, num_shards)
         # Set before the base constructor, which builds the planner from
@@ -125,7 +117,6 @@ class ShardedSFCIndex(SpatialStore):
             curve,
             page_capacity=page_capacity,
             buffer_pages=buffer_pages,
-            cost_model=cost_model,
             plan_cache_size=plan_cache_size,
             recorder=recorder,
             durable_path=durable_path,
@@ -135,13 +126,7 @@ class ShardedSFCIndex(SpatialStore):
 
     @guarded_by("_mutex")
     def _make_planner(self, curve: SpaceFillingCurve) -> ShardedPlanner:
-        return ShardedPlanner(
-            curve,
-            self._shards,
-            cost_model=self._cost_model,
-            fanout_cost=self._fanout_cost,
-            recorder=self._recorder,
-        )
+        return ShardedPlanner(curve, self._shards)
 
     def _make_executor(self, layout: PageLayout) -> ScatterGatherExecutor:
         return ScatterGatherExecutor(
@@ -197,7 +182,7 @@ class ShardedSFCIndex(SpatialStore):
         across the snapshot's shard map so fragments and fan-out pricing
         reflect the deduplicated union scan."""
         merged = merge_plans([splan.plan for splan in plans], layout)
-        return scatter_plan(merged, planner.shards, planner.fanout_cost, layout)
+        return scatter_plan(merged, planner.shards, layout)
 
     # ------------------------------------------------------------------
     # Rebalancing

@@ -32,11 +32,8 @@ historical signature.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..api.store import SpatialStore
 from ..curves.base import SpaceFillingCurve
-from ..engine.cost import CostModel
 from ..engine.executor import Executor, RangeQueryResult, Record
 from ..engine.plan import PageLayout
 from ..engine.planner import Planner
@@ -59,16 +56,12 @@ class SFCIndex(SpatialStore):
         Records per simulated disk page.
     buffer_pages:
         LRU buffer-pool capacity in pages (0 disables the pool).
-    cost_model:
-        Prices attached to plans produced by this index (defaults to the
-        shared :data:`~repro.engine.cost.DEFAULT_COST_MODEL`).
     plan_cache_size:
         Capacity of the plan cache (0 disables plan caching).
     recorder:
-        Optional :class:`~repro.adaptive.WorkloadRecorder`: the planner
-        reports every built plan, the executor every executed query —
-        the hooks the adaptive control plane observes live traffic
-        through.
+        Optional :class:`~repro.adaptive.WorkloadRecorder`: the executor
+        reports the shape of every executed query — the hook the
+        adaptive control plane observes live traffic through.
     durable_path:
         Directory for durable backing (WAL + checkpoints).  When set,
         every mutation is write-ahead logged before it is applied and
@@ -89,7 +82,6 @@ class SFCIndex(SpatialStore):
         curve: SpaceFillingCurve,
         page_capacity: int = 64,
         buffer_pages: int = 0,
-        cost_model: Optional[CostModel] = None,
         plan_cache_size: int = 256,
         recorder=None,
         durable_path=None,
@@ -100,7 +92,6 @@ class SFCIndex(SpatialStore):
             curve,
             page_capacity=page_capacity,
             buffer_pages=buffer_pages,
-            cost_model=cost_model,
             plan_cache_size=plan_cache_size,
             recorder=recorder,
             durable_path=durable_path,
@@ -109,7 +100,7 @@ class SFCIndex(SpatialStore):
         )
 
     def _make_planner(self, curve: SpaceFillingCurve) -> Planner:
-        return Planner(curve, cost_model=self._cost_model, recorder=self._recorder)
+        return Planner(curve)
 
     def _make_executor(self, layout: PageLayout) -> Executor:
         return Executor(

@@ -15,8 +15,9 @@ classic 10 ms seek / 0.1 ms-per-page sequential ratio).
 from __future__ import annotations
 
 import weakref
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Deque, Iterable, List, Tuple
 
 from ..costmodel import IOProfile
 from ..errors import PageError
@@ -82,13 +83,33 @@ class SimulatedDisk:
     frees nothing itself; the superseded generation's pages are freed
     when its last reader — a store snapshot, an executor, an open
     cursor — drops the layout, and reading a freed page raises
-    :class:`~repro.errors.PageError`.  Page ids are never reused, so a
-    freed layout leaves one dead weakref per page object, plus an 8-byte
-    list slot under each of its ids.
+    :class:`~repro.errors.PageError`.
+
+    Page ids are never reused, but the id table does not keep them all:
+    it holds one slot per id from the oldest allocation that still has
+    a live page on.  Each :meth:`allocate` first drops the oldest
+    allocations whose pages are all freed, so a store that reflushes
+    holds what its live layouts hold.  The table is trimmed only from
+    its front: a reader pinning an old layout keeps the slots of every
+    allocation after it until it lets go.
+
+    Allocations are serialized by their caller (a store allocates under
+    its mutex), but reads of an older layout may run meanwhile.  So an
+    allocation appends to the table's slot list in place, which moves no
+    held id, and a trim installs a new table: a read takes the first id
+    held and the slots in one attribute read, and they agree whatever an
+    allocation does next.
     """
 
     stats: DiskStats = field(default_factory=DiskStats)
-    _pages: List[weakref.ref[Any]] = field(default_factory=list)
+    #: ``(first id held, one weakref per id from it on)``; every lower
+    #: id was freed.
+    _table: Tuple[int, List[weakref.ref[Any]]] = field(default_factory=lambda: (0, []))
+    #: Per allocation the table holds, oldest first: its first id and
+    #: the weakrefs of its first and last slots.
+    _blocks: Deque[Tuple[int, weakref.ref[Any], weakref.ref[Any]]] = field(
+        default_factory=deque
+    )
     _head: int = PARKED_HEAD
 
     def allocate(self, payload: Any, count: int = 1, tail: Any = None) -> int:
@@ -101,22 +122,48 @@ class SimulatedDisk:
         tail.  The disk keeps only a weak reference per payload, shared
         by its ids: the pages live as long as the caller (a layout)
         keeps the payloads.  The write counters tick once, by the number
-        of ids.
+        of ids.  An allocation of no ids (an empty layout) returns the
+        next id and holds no slot.
         """
-        first = len(self._pages)
-        self._pages += [weakref.ref(payload)] * count
+        self._trim()
+        base, slots = self._table
+        first = base + len(slots)
+        refs = [weakref.ref(payload)] * count
         if tail is not None:
-            self._pages.append(weakref.ref(tail))
-        written = len(self._pages) - first
-        self.stats.pages_written += written
-        _WRITES.inc(written)
+            refs.append(weakref.ref(tail))
+        if refs:
+            self._blocks.append((first, refs[0], refs[-1]))
+            slots.extend(refs)
+        self.stats.pages_written += len(refs)
+        _WRITES.inc(len(refs))
         return first
+
+    def _trim(self) -> None:
+        """Drop the oldest allocations whose pages are all freed.
+
+        An allocation's first slot holds its full pages' payload (or its
+        tail, with no full page) and its last slot its tail (or that
+        payload, with no tail), so both dead means every page of it is.
+        The new table starts at the first allocation still holding a
+        live page, or past the last id when none does.
+        """
+        blocks = self._blocks
+        while blocks and blocks[0][1]() is None and blocks[0][2]() is None:
+            blocks.popleft()
+        base, slots = self._table
+        start = blocks[0][0] if blocks else base + len(slots)
+        if start > base:
+            self._table = (start, slots[start - base:])
 
     def read(self, page_id: int):
         """Read a page, charging a seek unless it follows the previous read."""
-        if not 0 <= page_id < len(self._pages):
-            raise PageError(f"page {page_id} out of range [0, {len(self._pages)})")
-        payload = self._pages[page_id]()
+        base, slots = self._table
+        slot = page_id - base
+        if not 0 <= slot < len(slots):
+            if 0 <= page_id < base:
+                raise PageError(f"page {page_id} was freed")
+            raise PageError(f"page {page_id} out of range [0, {base + len(slots)})")
+        payload = slots[slot]()
         if payload is None:
             raise PageError(f"page {page_id} was freed")
         if page_id == self._head + 1:
@@ -129,12 +176,13 @@ class SimulatedDisk:
     @property
     def num_pages(self) -> int:
         """Number of pages ever allocated (live and freed)."""
-        return len(self._pages)
+        base, slots = self._table
+        return base + len(slots)
 
     @property
     def num_live_pages(self) -> int:
         """Pages not yet freed: those of layouts some reader still holds."""
-        return sum(ref() is not None for ref in self._pages)
+        return sum(ref() is not None for ref in self._table[1])
 
     def reset_stats(self) -> None:
         """Zero the counters and park the read head."""

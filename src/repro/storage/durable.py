@@ -339,7 +339,7 @@ def recover(
     resumes appending to the same WAL, and
     ``store.durability.last_recovery`` reports what recovery found
     (checkpoint generation, frames replayed, torn bytes truncated).
-    Extra keyword arguments (``buffer_pages``, ``cost_model``, …) are
+    Extra keyword arguments (``buffer_pages``, ``plan_cache_size``, …) are
     performance knobs forwarded to the store constructor; the durable
     state never records them because they do not affect contents.
 

@@ -16,7 +16,7 @@ def candidates():
 
 def feed(recorder, shape, n):
     for _ in range(n):
-        recorder.record_executed(shape, seeks=1, pages=1)
+        recorder.record_executed(shape)
 
 
 class TestVerdicts:

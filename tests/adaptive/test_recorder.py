@@ -1,4 +1,4 @@
-"""WorkloadRecorder: ring buffer, decayed histogram, thread safety, hooks."""
+"""WorkloadRecorder: decayed histogram, event count, thread safety, hooks."""
 
 import threading
 
@@ -9,37 +9,12 @@ from repro.curves import make_curve
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex
+from repro.obs import start_trace
 
 
-def record_n(recorder, shape, n, seeks=1):
+def record_n(recorder, shape, n):
     for _ in range(n):
-        recorder.record_executed(shape, seeks=seeks, pages=seeks)
-
-
-class TestRingBuffer:
-    def test_bounded_by_window_oldest_dropped(self):
-        recorder = WorkloadRecorder(window=4)
-        for i in range(10):
-            recorder.record_executed((i, 1), seeks=i, pages=i)
-        observations = recorder.observations()
-        assert len(observations) == 4
-        assert [o.shape for o in observations] == [(6, 1), (7, 1), (8, 1), (9, 1)]
-        assert recorder.executed_events == 10  # the counter never truncates
-
-    def test_observation_fields(self):
-        recorder = WorkloadRecorder()
-        recorder.record_executed(
-            (4, 4), seeks=3, pages=7, records=12, over_read=2, cold_misses=5
-        )
-        (obs,) = recorder.observations()
-        assert obs.shape == (4, 4)
-        assert (obs.seeks, obs.pages, obs.records) == (3, 7, 12)
-        assert (obs.over_read, obs.cold_misses) == (2, 5)
-
-    def test_cold_misses_default_none(self):
-        recorder = WorkloadRecorder()
-        recorder.record_executed((2, 2), seeks=1, pages=1)
-        assert recorder.observations()[0].cold_misses is None
+        recorder.record_executed(shape)
 
 
 class TestHistogram:
@@ -66,9 +41,9 @@ class TestHistogram:
     def test_half_life_halves_weight(self):
         """An event half_life events older weighs exactly half."""
         recorder = WorkloadRecorder(half_life=10.0)
-        recorder.record_executed((1, 1), seeks=1, pages=1)
+        recorder.record_executed((1, 1))
         record_n(recorder, (3, 3), 9)  # filler advancing the clock
-        recorder.record_executed((2, 2), seeks=1, pages=1)
+        recorder.record_executed((2, 2))
         histogram = recorder.histogram()
         assert histogram[(2, 2)] / histogram[(1, 1)] == pytest.approx(2.0, rel=1e-9)
 
@@ -76,7 +51,7 @@ class TestHistogram:
         """Many events overflow the scale; ratios survive renormalization."""
         recorder = WorkloadRecorder(half_life=2.0)  # scale grows fast
         for i in range(500):
-            recorder.record_executed((1, 1) if i % 2 else (2, 2), seeks=1, pages=1)
+            recorder.record_executed((1, 1) if i % 2 else (2, 2))
         histogram = recorder.histogram()
         assert sum(histogram.values()) == pytest.approx(1.0)
         # Alternating shapes with decay: the ratio is exactly 2**(1/2).
@@ -90,38 +65,24 @@ class TestHistogram:
         recorder.clear()
         assert recorder.histogram() == {}
         assert recorder.executed_events == 0
-        assert recorder.observations() == ()
 
 
 class TestBoundedTelemetry:
     def test_tracked_shapes_stay_bounded(self):
         from repro.adaptive.recorder import _MAX_TRACKED_SHAPES
 
-        recorder = WorkloadRecorder(window=4, half_life=None)
+        recorder = WorkloadRecorder(half_life=None)
         for i in range(_MAX_TRACKED_SHAPES + 50):
-            recorder.record_executed((i + 1, 1), seeks=1, pages=1)
-        assert len(recorder.shapes()) <= _MAX_TRACKED_SHAPES
+            recorder.record_executed((i + 1, 1))
+        histogram = recorder.histogram()
+        assert len(histogram) <= _MAX_TRACKED_SHAPES
         assert recorder.executed_events == _MAX_TRACKED_SHAPES + 50
         # The newest shape survives; some oldest were evicted.
-        assert (_MAX_TRACKED_SHAPES + 50, 1) in recorder.shapes()
-        assert recorder.mean_realized_seeks((_MAX_TRACKED_SHAPES + 50, 1)) == 1.0
-
-
-class TestCalibration:
-    def test_mean_realized_vs_estimated(self):
-        recorder = WorkloadRecorder()
-        recorder.record_executed((4, 4), seeks=3, pages=5)
-        recorder.record_executed((4, 4), seeks=5, pages=7)
-        assert recorder.mean_realized_seeks((4, 4)) == pytest.approx(4.0)
-        assert recorder.mean_realized_seeks((9, 9)) is None
-        assert recorder.mean_estimated_seeks((4, 4)) is None  # never planned
+        assert (_MAX_TRACKED_SHAPES + 50, 1) in histogram
+        assert (1, 1) not in histogram
 
 
 class TestValidation:
-    def test_bad_window(self):
-        with pytest.raises(InvalidQueryError):
-            WorkloadRecorder(window=0)
-
     def test_bad_half_life(self):
         with pytest.raises(InvalidQueryError):
             WorkloadRecorder(half_life=0)
@@ -129,13 +90,13 @@ class TestValidation:
 
 class TestThreadSafety:
     def test_concurrent_recording_loses_nothing(self):
-        recorder = WorkloadRecorder(window=64, half_life=16.0)
+        recorder = WorkloadRecorder(half_life=16.0)
         threads = 8
         per_thread = 500
 
         def hammer(i):
             for _ in range(per_thread):
-                recorder.record_executed((i + 1, 1), seeks=1, pages=1)
+                recorder.record_executed((i + 1, 1))
                 recorder.histogram()
 
         workers = [threading.Thread(target=hammer, args=(i,)) for i in range(threads)]
@@ -145,69 +106,59 @@ class TestThreadSafety:
             w.join()
         assert recorder.executed_events == threads * per_thread
         assert sum(recorder.histogram().values()) == pytest.approx(1.0)
-        assert len(recorder.observations()) == 64
 
 
 class TestIndexHooks:
-    """The planner and both executors report without being asked."""
+    """Both executors report without being asked: each executed query's
+    shape to the recorder, and its cold misses on its execution span."""
 
-    def test_single_index_reports_planned_and_executed(self):
+    def test_single_index_reports_executed(self):
         recorder = WorkloadRecorder()
         index = SFCIndex(make_curve("onion", 8, 2), page_capacity=4, recorder=recorder)
         index.bulk_load([(x, y) for x in range(8) for y in range(8)])
         index.flush()
         rect = Rect((1, 1), (4, 4))
-        result = index.range_query(rect)
-        assert recorder.planned_events == 1
+        index.range_query(rect)
         assert recorder.executed_events == 1
-        (obs,) = recorder.observations()
-        assert obs.shape == (4, 4)
-        assert obs.seeks == result.seeks
-        assert obs.pages == result.pages_read
-        assert obs.records == len(result.records)
+        assert recorder.histogram() == {(4, 4): 1.0}
         # A cache hit skips the planner but the executor still reports.
         index.range_query(rect)
-        assert recorder.planned_events == 1
         assert recorder.executed_events == 2
-        assert recorder.mean_estimated_seeks((4, 4)) is not None
 
     def test_sharded_index_reports_executed(self):
-        recorder = WorkloadRecorder()
+        recorder = WorkloadRecorder(half_life=None)
         index = ShardedSFCIndex(
             make_curve("onion", 8, 2), num_shards=4, page_capacity=4,
             recorder=recorder,
         )
         index.bulk_load([(x, y) for x in range(8) for y in range(8)])
         index.flush()
-        batch = index.range_query_batch([Rect((0, 0), (3, 3)), Rect((2, 2), (6, 6))])
+        index.range_query_batch([Rect((0, 0), (3, 3)), Rect((2, 2), (6, 6))])
         assert recorder.executed_events == 2
-        assert sum(o.seeks for o in recorder.observations()) == batch.total_seeks
+        assert recorder.histogram() == {(4, 4): 0.5, (5, 5): 0.5}
+
+    @staticmethod
+    def _pool_misses(index, rect):
+        with start_trace("query") as trace:
+            index.range_query(rect)
+        (io_span,) = [s for s in trace.walk() if s.kind == "io"]
+        return io_span.attrs["pool_misses"]
 
     def test_buffer_pool_cold_misses_reported(self):
-        recorder = WorkloadRecorder()
-        index = SFCIndex(
-            make_curve("onion", 8, 2), page_capacity=4, buffer_pages=32,
-            recorder=recorder,
-        )
+        index = SFCIndex(make_curve("onion", 8, 2), page_capacity=4, buffer_pages=32)
         index.bulk_load([(x, y) for x in range(8) for y in range(8)])
         index.flush()
         rect = Rect((1, 1), (5, 5))
-        index.range_query(rect)
-        cold_first = recorder.observations()[-1].cold_misses
-        assert cold_first is not None and cold_first > 0
-        index.range_query(rect)  # warm: every page resident
-        assert recorder.observations()[-1].cold_misses == 0
+        assert self._pool_misses(index, rect) > 0
+        assert self._pool_misses(index, rect) == 0  # warm: every page resident
 
     def test_sharded_buffer_pool_cold_misses(self):
-        recorder = WorkloadRecorder()
         index = ShardedSFCIndex(
             make_curve("onion", 8, 2), num_shards=2, page_capacity=4,
-            buffer_pages=32, recorder=recorder,
+            buffer_pages=32,
         )
         index.bulk_load([(x, y) for x in range(8) for y in range(8)])
         index.flush()
         rect = Rect((1, 1), (5, 5))
-        index.range_query(rect)
-        assert recorder.observations()[-1].cold_misses > 0
-        index.range_query(rect)
-        assert recorder.observations()[-1].cold_misses == 0
+        assert self._pool_misses(index, rect) > 0
+        assert self._pool_misses(index, rect) == 0

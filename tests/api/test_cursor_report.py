@@ -1,12 +1,12 @@
 """A drained cursor reports exactly what ``execute`` reports.
 
-An execution reports its realized I/O twice: as attributes of its one
-``kind="io"`` span, and as an :class:`~repro.adaptive.recorder.Observation`
-to the workload recorder.  The cursor equivalence suite compares records
-and I/O totals; this one compares the report itself.  Twin fresh stores
-run the same query — one through ``execute``, the other by draining a
-cursor — and must report identically, buffer-pool cold misses included,
-across store topologies, pool sizes, gap tolerances and rects.
+An execution reports its realized I/O as attributes of its one
+``kind="io"`` span, and its shape to the workload recorder.  The cursor
+equivalence suite compares records and I/O totals; this one compares
+the report itself.  Twin fresh stores run the same query — one through
+``execute``, the other by draining a cursor — and must report
+identically, buffer-pool cold misses included, across store
+topologies, pool sizes, gap tolerances and rects.
 """
 
 import pytest
@@ -53,10 +53,10 @@ def _store(shards, buffer_pages):
 
 
 def _report(trace, recorder):
-    """The io span's I/O attributes and the recorder's one observation."""
+    """The io span's I/O attributes and what the recorder saw."""
     (io_span,) = [s for s in trace.walk() if s.kind == "io"]
-    (observation,) = recorder.observations()
-    return {key: io_span.attrs.get(key) for key in IO_ATTRS}, observation
+    assert recorder.executed_events == 1
+    return {key: io_span.attrs.get(key) for key in IO_ATTRS}, recorder.histogram()
 
 
 @pytest.mark.parametrize("rect", RECTS, ids=["square", "band", "column"])
@@ -75,7 +75,8 @@ def test_drained_cursor_reports_what_execute_reports(shards, buffer_pages, gap, 
             rows = cursor.fetchall()
 
     assert rows == result.records
-    attrs, observation = _report(cursor_trace, streamed_recorder)
-    assert (attrs, observation) == _report(execute_trace, executed_recorder)
+    attrs, shapes = _report(cursor_trace, streamed_recorder)
+    assert (attrs, shapes) == _report(execute_trace, executed_recorder)
+    assert shapes == {rect.lengths: 1.0}
     assert attrs["records"] == len(rows) > 0
-    assert (observation.cold_misses is None) == (buffer_pages == 0)
+    assert (attrs["pool_misses"] is None) == (buffer_pages == 0)

@@ -73,9 +73,9 @@ class TestBuilderImmutability:
             .where(lambda r: r.point[0] > 0)
             .where(lambda r: r.point[1] > 1)
         )
-        assert q.admits(R((1, 2)))
-        assert not q.admits(R((0, 2)))
-        assert not q.admits(R((1, 0)))
+        assert q.predicate(R((1, 2)))
+        assert not q.predicate(R((0, 2)))
+        assert not q.predicate(R((1, 0)))
 
     def test_policy_hint_wins_over_gap(self):
         policy = ExecutionPolicy(gap_tolerance=9)

@@ -19,10 +19,10 @@ class DoubleNotify:
                 yield page
         finally:
             # BUG: no if-recorded guard — close() after a drain repeats this.
-            self._recorder.record_executed((1, 1), seeks=1, pages=len(self._pages))
+            self._recorder.record_executed((1, 1))
 
     def close(self):
-        self._recorder.record_executed((1, 1), seeks=1, pages=len(self._pages))
+        self._recorder.record_executed((1, 1))
 
 
 class MissingNotify:
@@ -45,4 +45,4 @@ class MissingNotify:
         if self._done:
             return
         self._done = True
-        self._recorder.record_executed((1, 1), seeks=1, pages=len(self._pages))
+        self._recorder.record_executed((1, 1))

@@ -9,7 +9,7 @@ from repro.api import merge_plans
 from repro.api.store import pack_columns
 from repro.core.clustering import clustering_number
 from repro.curves import make_curve
-from repro.engine import CostModel, ExecutionPolicy, Planner, QueryPlan
+from repro.engine import DEFAULT_COST_MODEL, CostModel, ExecutionPolicy, Planner, QueryPlan
 from repro.engine.executor import Record
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
@@ -243,10 +243,13 @@ class TestEstimates:
 
     def test_estimated_cost_uses_cost_model(self):
         curve = make_curve("onion", 8, 2)
-        model = CostModel(seek_cost=100.0, read_cost=1.0)
-        plan = Planner(curve, cost_model=model).plan(Rect((0, 0), (7, 7)))
+        plan = Planner(curve).plan(Rect((0, 0), (7, 7)))
         seeks = plan.estimated_seeks
-        assert plan.estimated_cost() == pytest.approx(seeks * 101.0)
+        assert plan.estimated_cost() == pytest.approx(
+            DEFAULT_COST_MODEL.io_cost(seeks, 0)
+        )
+        model = CostModel(seek_cost=100.0, read_cost=1.0)
+        assert plan.estimated_cost(model) == pytest.approx(seeks * 101.0)
         cheap = CostModel(seek_cost=1.0, read_cost=1.0)
         assert plan.estimated_cost(cheap) == pytest.approx(seeks * 2.0)
 

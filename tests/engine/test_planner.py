@@ -136,16 +136,6 @@ class TestExpectedSeeks:
         assert planner._expected_seeks == {(4, 4): first}
         assert planner.expected_seeks([4, 4]) == first  # list form hits cache
 
-    def test_table_and_cost(self):
-        planner = Planner(make_curve("onion", 16, 2))
-        table = planner.expected_seeks_table([(2, 2), (8, 8)])
-        assert set(table) == {(2, 2), (8, 8)}
-        model = planner.cost_model
-        for window, seeks in table.items():
-            assert planner.expected_cost(window) == pytest.approx(
-                model.io_cost(seeks, 0)
-            )
-
     def test_onion_beats_hilbert_on_near_full_windows(self):
         """Cost estimation without planning: the table ranks curves the
         way Theorem 1 / Lemma 5 say it must."""

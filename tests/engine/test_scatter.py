@@ -8,6 +8,7 @@ from repro.curves import make_curve
 from repro.engine import ExecutionPolicy, Planner
 from repro.engine.executor import Record, execution_order
 from repro.engine.scatter import (
+    DEFAULT_FANOUT_COST,
     ShardedPlanner,
     ShardStats,
     clip_runs,
@@ -151,13 +152,13 @@ class TestShardedPlanner:
         splan = self.planner.plan(rect)
         base = splan.plan.estimated_cost()
         assert splan.estimated_cost() == pytest.approx(
-            base + splan.fanout_cost * splan.shards_touched
+            base + DEFAULT_FANOUT_COST * splan.shards_touched
         )
 
     def test_parallel_cost_between_max_and_serial(self):
         rect = Rect((0, 0), (7, 7))
         splan = self.planner.plan(rect)
-        fanout = splan.fanout_cost * splan.shards_touched
+        fanout = DEFAULT_FANOUT_COST * splan.shards_touched
         frag_costs = [f.plan.estimated_cost() for f in splan.fragments]
         assert splan.estimated_parallel_cost() == pytest.approx(
             fanout + max(frag_costs)
@@ -186,10 +187,6 @@ class TestShardedPlanner:
             # Degenerate inverted first shard (-1 + 1 == 0 fools a
             # contiguity-only check).
             ShardedPlanner(self.curve, [(0, -1), (0, 63)])
-
-    def test_rejects_negative_fanout(self):
-        with pytest.raises(InvalidQueryError):
-            ShardedPlanner(self.curve, self.shards, fanout_cost=-1.0)
 
 
 # ----------------------------------------------------------------------

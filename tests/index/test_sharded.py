@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.curves import make_curve
+from repro.engine.scatter import DEFAULT_FANOUT_COST
 from repro.errors import InvalidQueryError
 from repro.geometry import Rect
 from repro.index import SFCIndex, ShardedSFCIndex, shard_of_key
@@ -178,7 +179,7 @@ class TestResultSurface:
         assert 1 <= result.fan_out <= 8
         # One worker serializes the per-shard replays (each from its own
         # parked head, so their sum is >= the canonical serial cost).
-        one_worker = result.fanout_cost * result.fan_out + sum(
+        one_worker = DEFAULT_FANOUT_COST * result.fan_out + sum(
             s.cost() for s in result.per_shard
         )
         assert result.parallel_cost(workers=1) == pytest.approx(one_worker)

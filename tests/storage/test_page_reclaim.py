@@ -11,6 +11,9 @@ cannot grow the store.
 """
 
 import gc
+import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -104,6 +107,118 @@ class TestDiskAccounting:
         assert (disk.num_pages, disk.num_live_pages) == (6, 3)
         assert [disk.read(page) for page in (0, 4, 5)] == ["before", "after", "after"]
 
+    def test_the_id_table_starts_at_the_oldest_live_allocation(self):
+        """Each allocation first drops the oldest allocations whose pages
+        are all freed; a live allocation keeps every one after it.  Ids
+        stay consecutive and are never reused, and a dropped id still
+        reads as freed."""
+        disk = SimulatedDisk()
+        a, b, c = Payload("a"), Payload("b"), Payload("c")
+        assert [disk.allocate(a, 2), disk.allocate(b, 3), disk.allocate(c)] == [0, 2, 5]
+        del b
+        d = Payload("d")
+        assert disk.allocate(d) == 6
+        assert (disk._table[0], len(disk._table[1])) == (0, 7)  # a pins the freed b
+        del a
+        e = Payload("e")
+        assert disk.allocate(e) == 7
+        assert (disk._table[0], len(disk._table[1])) == (5, 3)
+        assert (disk.num_pages, disk.num_live_pages) == (8, 3)
+        for page in (0, 4):
+            with pytest.raises(PageError, match="freed"):
+                disk.read(page)
+        with pytest.raises(PageError, match="out of range"):
+            disk.read(8)
+        assert [disk.read(page) for page in (5, 6, 7)] == ["c", "d", "e"]
+
+    def test_a_live_tail_keeps_its_block(self):
+        """A block goes only when its full pages and its tail are both
+        freed."""
+        disk = SimulatedDisk()
+        full, tail = Payload("full"), Payload("tail")
+        disk.allocate(full, 2, tail)
+        del full
+        disk.allocate(Payload("next"))
+        assert (disk._table[0], disk.num_pages) == (0, 4)
+        assert disk.read(2) == "tail"
+        with pytest.raises(PageError, match="freed"):
+            disk.read(0)
+
+    def test_an_empty_allocation_holds_no_slot(self):
+        disk = SimulatedDisk()
+        kept = Payload("kept")
+        disk.allocate(kept)
+        assert disk.allocate(Payload("empty"), 0) == 1
+        assert (disk.num_pages, len(disk._table[1]), disk.stats.pages_written) == (1, 1, 1)
+        assert disk.allocate(kept) == 1
+
+    def test_a_trim_leaves_the_table_a_read_took(self):
+        """A read takes the first id held and the slots together; a trim
+        installs a new table, so the one a read took still maps each of
+        its held ids to its page."""
+        disk = SimulatedDisk()
+        dead, held = Payload("dead"), Payload("held")
+        disk.allocate(dead, 2)
+        first = disk.allocate(held, 2)
+        base, slots = disk._table  # what a read takes first
+        del dead
+        disk.allocate(Payload("next"))
+        assert disk._table[0] == first
+        assert [slots[page - base]() for page in (first, first + 1)] == [held, held]
+
+    def test_reads_during_allocations_return_the_pages_they_hold(self):
+        """Allocations trim the table while reads of a held layout run
+        (a store allocates under its mutex, a query of an older layout
+        reads under the I/O lock only): every read returns its page."""
+        disk = SimulatedDisk()
+        io_lock = threading.Lock()
+        current = []  # the newest layout: its first id, and its one page
+        stop = threading.Event()
+        errors = []
+
+        def publish(generation):
+            payload = Payload(f"g{generation}")
+            current[:] = [(disk.allocate(payload, 8), payload)]
+
+        def allocate():
+            generation = 0
+            while not stop.is_set():
+                generation += 1
+                publish(generation)
+
+        def read():
+            while not stop.is_set():
+                first, payload = current[0]
+                for page_id in range(first, first + 8):
+                    try:
+                        with io_lock:
+                            page = disk.read(page_id)
+                    except (PageError, IndexError) as exc:
+                        errors.append(exc)
+                        return
+                    if page is not payload:
+                        errors.append(f"page {page_id} read {page!r}, not {payload!r}")
+                        return
+
+        publish(0)
+        threads = [threading.Thread(target=allocate)]
+        threads += [threading.Thread(target=read) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        publish("last")  # trims to the layout it replaces, and itself
+        assert disk.num_pages > len(disk._table[1]) == 16
+
     def test_a_tail_follows_its_block(self, pages_written):
         disk = SimulatedDisk()
         ticks = pages_written.value
@@ -155,6 +270,20 @@ class TestStoreLiveness:
             )
         # Every superseded generation was freed, none reused an id.
         assert store.disk.num_pages == 6 * live
+
+    def test_write_read_cycles_keep_the_id_table_at_the_live_layout(self, kind):
+        """The disk's id table holds the live layout's ids, while
+        ``num_pages`` keeps counting every id ever allocated."""
+        store = _build(kind)
+        store.bulk_load(GRID)
+        store.flush()
+        live = store.page_layout.num_pages
+        for cycle in range(5):
+            store.insert((1, 1), f"churn-{cycle}")
+            store.delete((1, 1), f"churn-{cycle}")
+            store.range_query(FULL)  # forces a reflush
+            assert len(store.disk._table[1]) == live, f"table grew at cycle {cycle}"
+            assert store.disk.num_pages == (cycle + 2) * live
 
     def test_explicit_double_flush_retires_previous_layout(self, kind):
         store = _build(kind)
